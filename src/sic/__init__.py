@@ -17,6 +17,7 @@ from .bounds import (
     threshold_lower,
     threshold_lower_simple,
     universal_upper,
+    upper_zu,
 )
 from .codes import (
     BinaryCode,
@@ -59,5 +60,5 @@ __all__ = [
     "random_code", "read_matrix", "recurrence_objective", "recurrent_upper",
     "rs_extended", "search_params", "shorten", "strength_feasible",
     "threshold_lower", "threshold_lower_simple", "universal_upper",
-    "write_matrix",
+    "upper_zu", "write_matrix",
 ]

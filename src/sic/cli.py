@@ -185,7 +185,10 @@ def _format_witness_indices(witness: dict) -> str:
 
 
 def _cmd_verify(args, budget: int) -> int:
-    code = read_matrix(args.path)
+    try:
+        code = read_matrix(args.path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SicError(f"cannot read {args.path}: {exc}") from None
     prop = args.prop
     params = args.params
 
@@ -343,27 +346,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _budget(args) -> int:
+    """Row-scan budget from --budget, else SIC_BUDGET, else the default."""
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("SIC_BUDGET")
+        if env is None:
+            return V.DEFAULT_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise SicError(f"SIC_BUDGET must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise SicError(f"budget must be >= 0, got {budget}")
+    return budget
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    env_budget = os.environ.get("SIC_BUDGET")
-    budget = V.DEFAULT_BUDGET if env_budget is None else int(env_budget)
-    if getattr(args, "budget", None) is not None:
-        budget = args.budget
     try:
         if args.command == "bounds":
             return _cmd_bounds(args)
         if args.command == "construct":
             return _cmd_construct(args)
         if args.command == "verify":
-            return _cmd_verify(args, budget)
+            return _cmd_verify(args, _budget(args))
         if args.command == "search":
             return _cmd_search(args)
         if args.command == "examples":
-            return _cmd_examples(budget)
+            return _cmd_examples(_budget(args))
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

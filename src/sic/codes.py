@@ -98,7 +98,7 @@ def rs_extended(field: FiniteField, k: int) -> QaryCode:
     idx = np.arange(t, dtype=np.int64)
     digits = [((idx // q**i) % q).astype(np.int16) for i in range(k)]
     add, mul = field.add_table, field.mul_table
-    symbols = np.empty((q + 1, t), dtype=np.uint8)
+    symbols = np.empty((q + 1, t), dtype=np.uint8 if q <= 256 else np.uint16)
     for a in range(q):
         mul_by_a = mul[:, a]
         acc = digits[k - 1]

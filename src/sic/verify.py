@@ -9,6 +9,14 @@ witnesses) are identical across runs:
 * pairs of subsets are ordered by the outer subset first, then the inner;
 * within a tuple, the distinguished element is scanned in ascending order.
 
+All checkers share one enumeration: `_lex` yields the subsets in this
+order as fixed-width tuples, padding shorter subsets with -1 (a prefix
+still sorts before its extensions), and `_batches` packs them into integer
+arrays.  Index -1 selects an all-zero column appended to the matrix, so
+padding never counts as a hit.  Each checker tests a whole batch with numpy
+and reports the first failing row.  A batch holds at most about 4*10^6 row
+entries (rows times subset width times batch size).
+
 Checkers refuse inputs whose enumeration would exceed a row-scan budget
 (tuple count times matrix length, default 10^9) by raising BudgetExceeded
 instead of running unbounded.  Column indices in reports are 0-based.
@@ -16,9 +24,11 @@ instead of running unbounded.  Column indices in reports are 0-based.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
 from math import comb
+from operator import add
 
 import numpy as np
 
@@ -31,6 +41,8 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 1_000_000_000
+_MAX_BATCH = 16384          # subsets per batch
+_BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
 
 
 @dataclass(frozen=True)
@@ -103,36 +115,41 @@ def _bits(X) -> np.ndarray:
     return arr
 
 
-def _column_masks(bits: np.ndarray) -> list[int]:
-    n, t = bits.shape
-    masks = []
-    for j in range(t):
-        m = 0
-        for i in np.flatnonzero(bits[:, j]):
-            m |= 1 << int(i)
-        masks.append(m)
-    return masks
+def _lex(items, lo: int, hi: int):
+    """Subsets of `items` with sizes in [lo, hi] in lexicographic order, as
+    hi-tuples padded with -1."""
+    if lo == hi:
+        return combinations(items, hi)  # a merge of one iterable, without its per-item cost
+    return heapq.merge(*(map(add, combinations(items, k), repeat((-1,) * (hi - k)))
+                         for k in range(lo, hi + 1)))
 
 
-def subsets_lex(items, lo: int, hi: int):
-    """Tuples over `items` with sizes in [lo, hi], lexicographic order."""
-    items = tuple(items)
-    n = len(items)
-    cur: list = []
-    if lo == 0:
-        yield ()
+def _batches(subsets, width: int, rows: int):
+    """(size, width) index arrays of consecutive padded subsets, sized so a
+    gather of `rows` rows per member holds at most _BATCH_ENTRIES entries."""
+    size = max(1, min(_MAX_BATCH, _BATCH_ENTRIES // max(1, rows * width)))
+    flat = chain.from_iterable(subsets)
+    while True:
+        batch = np.fromiter(islice(flat, size * width), dtype=np.intp)
+        if not batch.size:
+            return
+        yield batch.reshape(-1, width)
 
-    def rec(start):
-        for idx in range(start, n):
-            cur.append(items[idx])
-            if len(cur) >= lo:
-                yield tuple(cur)
-            if len(cur) < hi:
-                yield from rec(idx + 1)
-            cur.pop()
 
-    if hi >= 1:
-        yield from rec(0)
+def _columns(bits: np.ndarray) -> np.ndarray:
+    """Columns of `bits` as rows, plus the all-zero row selected by -1."""
+    cols = np.zeros((bits.shape[1] + 1, bits.shape[0]), dtype=np.uint8)
+    cols[:-1] = bits.T
+    return cols
+
+
+def _hits(cols: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """(subsets, rows) count of each subset's columns that each row hits."""
+    return cols[batch].sum(axis=1, dtype=np.int32)
+
+
+def _subset(row) -> tuple:
+    return tuple(int(c) for c in row if c >= 0)
 
 
 def _check_budget(scans: int, budget: int | None) -> int:
@@ -157,24 +174,17 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
     _check_budget(cover_free_scans(t, z, u, N), budget)
-    cols = _column_masks(bits)
-    full = (1 << N) - 1
-    not_cols = [full ^ c for c in cols]
+    cols = _columns(bits)
     checked = 0
     for U in combinations(range(t), u):
-        mu = full
-        for c in U:
-            mu &= cols[c]
+        rows = cols[:, cols[list(U)].all(axis=0)]  # the rows that are 1 on all of U
         rest = [c for c in range(t) if c not in U]
-        for Z in combinations(rest, z):
-            checked += 1
-            acc = mu
-            for c in Z:
-                acc &= not_cols[c]
-                if not acc:
-                    break
-            if not acc:
-                return VerificationReport(False, {"U": U, "Z": Z}, checked)
+        for batch in _batches(_lex(rest, z, z), z, rows.shape[1]):
+            blocked = rows[batch].any(axis=1).all(axis=1)
+            if blocked.any():
+                r = int(np.argmax(blocked))
+                return VerificationReport(False, {"U": U, "Z": _subset(batch[r])}, checked + r + 1)
+            checked += len(batch)
     return VerificationReport(True, None, checked)
 
 
@@ -182,8 +192,7 @@ def d_code_scans(t: int, s: int, N: int) -> int:
     return comb(t, s) * (t - s) * N
 
 
-def check_d_code(X, s: int, l: int, budget: int | None = None,
-                 chunk: int | None = None) -> VerificationReport:
+def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationReport:
     """List-union cover check: satisfied iff for every s-subset S and every
     column j outside S some row has a 1 at j and at most l-1 ones inside S.
     """
@@ -192,32 +201,20 @@ def check_d_code(X, s: int, l: int, budget: int | None = None,
     if not 1 <= l < s < t:
         raise ParameterOutOfRange(f"need 1 <= l < s < t, got {(l, s, t)}")
     _check_budget(d_code_scans(t, s, N), budget)
-    if chunk is None:
-        chunk = max(1, min(16384, 4_000_000 // (N * s)))
+    cols = _columns(bits)
     float_bits = bits.astype(np.float32)
-    gen = combinations(range(t), s)
     offset = 0
-    while True:
-        batch = []
-        for S in gen:
-            batch.append(S)
-            if len(batch) == chunk:
-                break
-        if not batch:
-            break
-        arr = np.array(batch, dtype=np.int64)
-        sums = bits[:, arr].sum(axis=2, dtype=np.int32)          # (N, c)
-        qualifying = (sums <= l - 1).astype(np.float32)          # rows usable per S
-        covered = qualifying.T @ float_bits                      # (c, t) counts
-        np.put_along_axis(covered, arr, 1.0, axis=1)             # members of S exempt
+    for batch in _batches(_lex(range(t), s, s), s, N):
+        qualifying = (_hits(cols, batch) <= l - 1).astype(np.float32)  # rows usable per S
+        covered = qualifying @ float_bits                       # (batch, t) counts
+        np.put_along_axis(covered, batch, 1.0, axis=1)          # members of S exempt
         bad = covered < 0.5
         if bad.any():
             r = int(np.flatnonzero(bad.any(axis=1))[0])
             j = int(np.flatnonzero(bad[r])[0])
-            S = tuple(int(x) for x in arr[r])
-            within = j + 1 - int((arr[r] < j).sum())
+            within = j + 1 - int((batch[r] < j).sum())
             checked = (offset + r) * (t - s) + within
-            return VerificationReport(False, {"S": S, "j": j}, checked)
+            return VerificationReport(False, {"S": _subset(batch[r]), "j": j}, checked)
         offset += len(batch)
     return VerificationReport(True, None, comb(t, s) * (t - s))
 
@@ -256,26 +253,20 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     _check_budget(m_code_scans(t, s, u, N), budget)
-    cols = _column_masks(bits)
-    full = (1 << N) - 1
-    not_cols = [full ^ c for c in cols]
+    cols = _columns(bits)
     checked = 0
-    for U in subsets_lex(range(t), u, s):
-        sums = bits[:, U].sum(axis=1)
-        exact_rows = np.flatnonzero(sums == u)
-        me = 0
-        for i in exact_rows:
-            me |= 1 << int(i)
-        rows_by_j = [me & cols[j] for j in U]
+    for U in map(_subset, _lex(range(t), u, s)):
+        rows = cols[:, cols[list(U)].sum(axis=0) == u]  # the rows with exactly u hits in U
+        at_j = rows[list(U)].T.astype(bool)              # (rows, |U|): row is 1 at j
         rest = [c for c in range(t) if c not in U]
-        for Z in subsets_lex(rest, 0, len(U)):
-            avoid = full
-            for c in Z:
-                avoid &= not_cols[c]
-            for pos, j in enumerate(U):
-                checked += 1
-                if not rows_by_j[pos] & avoid:
-                    return VerificationReport(False, {"U": U, "Z": Z, "j": j}, checked)
+        for batch in _batches(_lex(rest, 0, len(U)), len(U), rows.shape[1]):
+            avoid = ~rows[batch].any(axis=1)                              # (batch, rows): 0 on Z
+            bad = np.flatnonzero(~(avoid[:, :, None] & at_j).any(axis=1))  # over (Z, j) pairs
+            if bad.size:
+                r, pos = divmod(int(bad[0]), len(U))
+                witness = {"U": U, "Z": _subset(batch[r]), "j": U[pos]}
+                return VerificationReport(False, witness, checked + int(bad[0]) + 1)
+            checked += batch.size
     return VerificationReport(True, None, checked)
 
 
@@ -308,71 +299,20 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     lo, hi = design_domain_sizes(F, s, mode)
     count = sum(comb(t, i) for i in range(lo, hi + 1))
     _check_budget(count * N, budget)
-    values = np.asarray(F.values, dtype=np.int64)
-    cols32 = bits.astype(np.int32)
-    seen: dict[bytes, tuple] = {}
-    sums = np.zeros(N, dtype=np.int32)
-    checked = 0
-    witness = None
-
-    def visit(P):
-        nonlocal checked, witness
-        checked += 1
-        key = values[np.minimum(sums, F.l)].tobytes()
-        prev = seen.get(key)
-        if prev is not None:
-            witness = {"P": prev, "Pprime": P}
-            return True
-        seen[key] = P
-        return False
-
-    cur: list[int] = []
-
-    def rec(start) -> bool:
-        for idx in range(start, t):
-            cur.append(idx)
-            np.add(sums, cols32[:, idx], out=sums)
-            hit = len(cur) >= lo and visit(tuple(cur))
-            if not hit and len(cur) < hi:
-                hit = rec(idx + 1)
-            np.subtract(sums, cols32[:, idx], out=sums)
-            cur.pop()
-            if hit:
-                return True
-        return False
-
-    failed = (lo == 0 and visit(())) or rec(0)
-    if failed:
-        return VerificationReport(False, witness, checked)
-    return VerificationReport(True, None, checked)
-
-
-def _threshold_outcomes(bits: np.ndarray, u: int, s: int):
-    """Candidate sets of sizes u..s in lex order with outcome and column masks."""
-    N, t = bits.shape
-    cols32 = bits.astype(np.int32)
-    sums = np.zeros(N, dtype=np.int32)
-    row_bits = 1 << np.arange(N, dtype=object)
-    sets: list[tuple] = []
-    cur: list[int] = []
-
-    def rec(start):
-        for idx in range(start, t):
-            cur.append(idx)
-            np.add(sums, cols32[:, idx], out=sums)
-            if len(cur) >= u:
-                y = int((row_bits * (sums >= u)).sum())
-                mask = 0
-                for c in cur:
-                    mask |= 1 << c
-                sets.append((tuple(cur), len(cur), mask, y))
-            if len(cur) < s:
-                rec(idx + 1)
-            np.subtract(sums, cols32[:, idx], out=sums)
-            cur.pop()
-
-    rec(0)
-    return sets
+    # outcome vectors are equal iff their vectors of label indices are
+    labels = np.unique(F.values, return_inverse=True)[1].astype(np.min_scalar_type(F.l))
+    cols = _columns(bits)
+    seen: dict[bytes, int] = {}  # outcome key -> enumeration index of its first subset
+    for batch in _batches(_lex(range(t), lo, hi), hi, N):
+        outcomes = labels[np.minimum(_hits(cols, batch), F.l)]
+        for r, key in enumerate(map(bytes, outcomes)):
+            n = len(seen)
+            prev = seen.setdefault(key, n)
+            if prev != n:
+                P = next(islice(_lex(range(t), lo, hi), prev, None))
+                return VerificationReport(False, {"P": _subset(P), "Pprime": _subset(batch[r])},
+                                          n + 1)
+    return VerificationReport(True, None, len(seen))
 
 
 def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> VerificationReport:
@@ -382,20 +322,32 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     n_sets = sum(comb(t, i) for i in range(u, s + 1))
     _check_budget(n_sets * (n_sets - 1) * N, budget)
-    sets = _threshold_outcomes(bits, u, s)
+    cols = _columns(bits)
+    batches = list(_batches(_lex(range(t), u, s), s, N))
+    sets = np.concatenate(batches)
+    # bit-packed rows: fire[i] marks the rows with >= u hits in set i
+    fire = np.concatenate([np.packbits(_hits(cols, b) >= u, axis=1) for b in batches])
+    silent = ~fire
+    if bar:
+        member = np.zeros((n_sets, t + 1), dtype=bool)
+        np.put_along_axis(member, sets, True, axis=1)
+        member = np.packbits(member[:, :t], axis=1)
+        outside = ~member
+    else:
+        sizes = (sets >= 0).sum(axis=1)
     checked = 0
-    for i, (P, size_p, mask_p, y_p) in enumerate(sets):
-        for j, (Q, size_q, mask_q, y_q) in enumerate(sets):
-            if i == j:
-                continue
-            if bar:
-                if not (mask_p & ~mask_q):
-                    continue  # P contained in Q: no requirement
-            elif size_p < size_q:
-                continue
-            checked += 1
-            if not (y_p & ~y_q):
-                return VerificationReport(False, {"P": P, "Pprime": Q}, checked)
+    for i in range(n_sets):
+        if bar:
+            applies = (member[i] & outside).any(axis=1)  # P is not a subset of P'
+        else:
+            applies = sizes <= sizes[i]
+        applies[i] = False
+        bad = applies & ~(fire[i] & silent).any(axis=1)  # no row fires on P but not on P'
+        if bad.any():
+            j = int(np.argmax(bad))
+            witness = {"P": _subset(sets[i]), "Pprime": _subset(sets[j])}
+            return VerificationReport(False, witness, checked + int(applies[:j + 1].sum()))
+        checked += int(applies.sum())
     return VerificationReport(True, None, checked)
 
 

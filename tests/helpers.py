@@ -103,3 +103,79 @@ def rs_min_distance_structural(field: FiniteField, k: int) -> int:
     weight = sum(1 for c in word if c != 0)
     assert weight == q - k + 2, f"witness weight {weight} != {q - k + 2}"
     return q - k + 2
+
+
+def lex_subsets(items, lo: int, hi: int) -> list[tuple]:
+    """Subsets with sizes in [lo, hi] in the order documented in `sic.verify`
+    (Python orders a tuple before its extensions)."""
+    return sorted(S for k in range(lo, hi + 1) for S in combinations(items, k))
+
+
+def brute_report(prop: str, bits, params: dict):
+    """(satisfied, witness, tuples_checked) of a `sic.verify` checker, by plain
+    loops over the definition in the order documented in `sic.verify`.
+
+    `prop` is one of cover_free (z, u), d_code (s, l), m_code (s, u),
+    design (values, s, mode), threshold and threshold_bar (u, s).  Tuples
+    are counted as the checkers count them, up to and including the first
+    counterexample.
+    """
+    rows = np.asarray(bits, dtype=np.uint8).tolist()
+    t = np.shape(bits)[1]
+    p = params
+    checked = 0
+
+    def hits(row, cols):
+        return sum(row[c] for c in cols)
+
+    if prop == "cover_free":
+        for U in combinations(range(t), p["u"]):
+            for Z in combinations([c for c in range(t) if c not in U], p["z"]):
+                checked += 1
+                if not any(hits(r, U) == len(U) and hits(r, Z) == 0 for r in rows):
+                    return False, {"U": U, "Z": Z}, checked
+    elif prop == "d_code":
+        for S in combinations(range(t), p["s"]):
+            for j in range(t):
+                if j in S:
+                    continue
+                checked += 1
+                if not any(r[j] and hits(r, S) <= p["l"] - 1 for r in rows):
+                    return False, {"S": S, "j": j}, checked
+    elif prop == "m_code":
+        for U in lex_subsets(range(t), p["u"], p["s"]):
+            rest = [c for c in range(t) if c not in U]
+            for Z in lex_subsets(rest, 0, len(U)):
+                for j in U:
+                    checked += 1
+                    if not any(r[j] and hits(r, U) == p["u"] and hits(r, Z) == 0 for r in rows):
+                        return False, {"U": U, "Z": Z, "j": j}, checked
+    elif prop == "design":
+        values, s = p["values"], p["s"]
+        l = len(values) - 1
+        threshold = len(set(values[:-1])) == 1
+        lo = s if p["mode"] == "exactly" else (l if threshold else 0)
+        first_with: dict[tuple, tuple] = {}
+        for P in lex_subsets(range(t), lo, s):
+            checked += 1
+            outcome = tuple(values[min(hits(r, P), l)] for r in rows)
+            if outcome in first_with:
+                return False, {"P": first_with[outcome], "Pprime": P}, checked
+            first_with[outcome] = P
+    elif prop in ("threshold", "threshold_bar"):
+        sets = lex_subsets(range(t), p["u"], p["s"])
+        fires = {P: {i for i, r in enumerate(rows) if hits(r, P) >= p["u"]} for P in sets}
+        for P in sets:
+            for Q in sets:
+                if P == Q:
+                    continue
+                if prop == "threshold_bar" and set(P) <= set(Q):
+                    continue
+                if prop == "threshold" and len(P) < len(Q):
+                    continue
+                checked += 1
+                if not fires[P] - fires[Q]:
+                    return False, {"P": P, "Pprime": Q}, checked
+    else:
+        raise ValueError(f"unknown property {prop!r}")
+    return True, None, checked

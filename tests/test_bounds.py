@@ -193,6 +193,10 @@ class TestUpperZU:
             for u in range(1, 7):
                 assert upper_zu(z, u).value == upper_zu(u, z).value
 
+    def test_exported_with_the_other_bounds(self):
+        import sic
+        assert sic.upper_zu is upper_zu and "upper_zu" in sic.__all__
+
     def test_monotone_nonincreasing(self):
         for u in range(1, 8):
             for z in range(u, 8):

@@ -150,6 +150,40 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "threshold-bar", "1", "2")
         assert code == 0
 
+    def test_missing_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", str(tmp_path / "absent.sic"), "cover-free",
+                             "1", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "absent.sic" in err
+
+    def test_non_ascii_file(self, capsys, tmp_path):
+        path = tmp_path / "accent.sic"
+        path.write_bytes("SIC v1 1 2\n1\u00e9\n".encode("utf-8"))
+        code, _, err = run(capsys, "verify", str(path), "cover-free", "1", "1")
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_non_integer_budget_env(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "id.sic"
+        write_matrix(BinaryCode(bits=np.eye(4, dtype=np.uint8), weight=1), path)
+        monkeypatch.setenv("SIC_BUDGET", "lots")
+        code, _, err = run(capsys, "verify", str(path), "cover-free", "2", "1")
+        assert code == 2
+        assert err.startswith("error: ") and "SIC_BUDGET" in err
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_budget(self, capsys, tmp_path, monkeypatch, source):
+        path = tmp_path / "id.sic"
+        write_matrix(BinaryCode(bits=np.eye(4, dtype=np.uint8), weight=1), path)
+        argv = ["verify", str(path), "cover-free", "2", "1"]
+        if source == "flag":
+            argv += ["--budget", "-5"]
+        else:
+            monkeypatch.setenv("SIC_BUDGET", "-5")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "-5" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.sic"
         path.write_text("garbage\n")

@@ -15,6 +15,7 @@ from sic.codes import (
 )
 from sic.errors import InvalidDimension, InvalidShortening, ParameterOutOfRange
 from sic.fields import FiniteField
+from sic.verify import coincidence
 
 
 class TestRSExtended:
@@ -35,6 +36,12 @@ class TestRSExtended:
         code = rs_extended(FiniteField(3), 2)
         assert (code.n, code.t) == (4, 9)
         assert pairwise_min_distance(code.symbols) == 3 == code.meta.d
+
+    def test_symbols_above_256_do_not_wrap(self):
+        code = shorten(rs_extended(FiniteField(257), 2), 1)
+        assert code.symbols.shape == (257, 257)
+        assert int(code.symbols.max()) == 256
+        assert coincidence(code) == 2 - 1 - 1  # k - r - 1
 
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimension):

@@ -1,10 +1,15 @@
+import contextlib
+from itertools import combinations
+from math import comb
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from math import comb
-
+from helpers import brute_report, lex_subsets
+from sic import verify
 from sic.codes import BinaryCode, random_code
 from sic.errors import (
     BudgetExceeded,
@@ -22,8 +27,8 @@ from sic.verify import (
     check_threshold_bar_design,
     check_threshold_design,
     coincidence,
-    subsets_lex,
 )
+from sic.verify import _lex
 
 
 def identity_code(t):
@@ -74,15 +79,21 @@ class TestOutcomeFunction:
             OutcomeFunction(values=(7,))
 
 
-class TestSubsetsLex:
+class TestLex:
     def test_order(self):
-        got = list(subsets_lex(range(3), 0, 2))
-        assert got == [(), (0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
+        got = list(_lex(range(3), 0, 2))
+        assert got == [(-1, -1), (0, -1), (0, 1), (0, 2), (1, -1), (1, 2), (2, -1)]
+        for n, hi in [(5, 3), (7, 7)]:
+            got = [tuple(c for c in S if c >= 0) for S in _lex(range(n), 0, hi)]
+            assert got == lex_subsets(range(n), 0, hi)
 
     def test_counts(self):
-        got = list(subsets_lex(range(6), 2, 4))
-        assert len(got) == comb(6, 2) + comb(6, 3) + comb(6, 4)
-        assert got == sorted(got)
+        for items, lo, hi in [(range(6), 2, 4), ([1, 4, 5, 8, 9], 1, 3), (range(6), 3, 3)]:
+            got = list(_lex(items, lo, hi))
+            assert all(len(S) == hi for S in got)
+            got = [tuple(c for c in S if c >= 0) for S in got]
+            assert len(got) == sum(comb(len(items), k) for k in range(lo, hi + 1))
+            assert got == lex_subsets(items, lo, hi)
 
 
 class TestCoverFree:
@@ -156,12 +167,6 @@ class TestDCode:
 
     def test_identity_passes(self):
         assert check_d_code(identity_code(7), s=3, l=2).satisfied
-
-    def test_chunk_independence(self):
-        X = random_code(10, 9, 0.4, seed=77)
-        a = check_d_code(X, 3, 2, chunk=1)
-        b = check_d_code(X, 3, 2, chunk=1000)
-        assert a == b
 
     def test_witness_is_lex_first(self):
         # two duplicated all-ones columns swamp every other column
@@ -354,3 +359,69 @@ class TestDeterminism:
         assert check_m_code(X, 3, 2) == check_m_code(X, 3, 2)
         assert (check_threshold_design(X, 2, 3)
                 == check_threshold_design(X, 2, 3))
+
+
+CHECKERS = {
+    "cover_free": lambda X, p: check_cover_free(X, p["z"], p["u"]),
+    "d_code": lambda X, p: check_d_code(X, p["s"], p["l"]),
+    "m_code": lambda X, p: check_m_code(X, p["s"], p["u"]),
+    "design": lambda X, p: check_design(X, OutcomeFunction(values=p["values"]), p["s"],
+                                        mode=p["mode"]),
+    "threshold": lambda X, p: check_threshold_design(X, p["u"], p["s"]),
+    "threshold_bar": lambda X, p: check_threshold_bar_design(X, p["u"], p["s"]),
+}
+MIN_COLUMNS = {"cover_free": 2, "d_code": 3, "m_code": 5, "design": 2, "threshold": 5,
+               "threshold_bar": 5}
+
+
+def draw_params(draw, prop, t):
+    """Any strength the checker accepts for t columns."""
+    if prop == "cover_free":
+        z = draw(st.integers(1, t - 1))
+        return {"z": z, "u": draw(st.integers(1, t - z))}
+    if prop == "d_code":
+        s = draw(st.integers(2, t - 1))
+        return {"s": s, "l": draw(st.integers(1, s - 1))}
+    if prop == "design":
+        s = draw(st.integers(1, t - 1))
+        l = draw(st.integers(1, s))
+        labels = draw(st.lists(st.integers(0, 2), min_size=l, max_size=l))
+        return {"values": (*labels, 3), "s": s, "mode": draw(st.sampled_from(["at-most", "exactly"]))}
+    s = draw(st.integers(2, (t - 1) // 2))
+    u = draw(st.integers(1, s - 1))
+    return {"s": s, "u": u} if prop == "m_code" else {"u": u, "s": s}
+
+
+@st.composite
+def checker_inputs(draw, prop):
+    """A matrix with N <= 12 rows and t <= 10 columns, sometimes over an
+    identity or pair-incidence block so that strong properties can hold."""
+    t = draw(st.integers(MIN_COLUMNS[prop], 10))
+    block = draw(st.sampled_from(["none", "identity", "pairs"]))
+    base = {"none": np.zeros((0, t), dtype=np.uint8),
+            "identity": np.eye(t, dtype=np.uint8),
+            "pairs": np.array([[int(c in S) for c in range(t)]
+                               for S in combinations(range(t), 2)], dtype=np.uint8)}[block]
+    extra = draw(st.integers(0 if len(base) else 1, max(0, 12 - len(base))))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=t, max_size=t),
+                         min_size=extra, max_size=extra))
+    bits = np.vstack([base, np.array(rows, dtype=np.uint8).reshape(extra, t)])
+    perm = draw(st.permutations(range(t)))
+    return bits[:, perm], draw_params(draw, prop, t)
+
+
+class TestAgainstBruteForce:
+    """Every checker gives the report of the plain-loop oracle, also when
+    each batch holds a single subset."""
+
+    @pytest.mark.parametrize("batch", [None, 1], ids=["default", "batch1"])
+    @pytest.mark.parametrize("prop", sorted(CHECKERS))
+    @settings(deadline=None)  # the oracle takes a few hundred ms on satisfying inputs
+    @given(data=st.data())
+    def test_matches_brute_force(self, prop, batch, data):
+        bits, params = data.draw(checker_inputs(prop))
+        patch = (contextlib.nullcontext() if batch is None
+                 else mock.patch.object(verify, "_MAX_BATCH", batch))
+        with patch:
+            rep = CHECKERS[prop](bits, params)
+        assert (rep.satisfied, rep.witness, rep.tuples_checked) == brute_report(prop, bits, params)

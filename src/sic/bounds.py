@@ -234,9 +234,7 @@ def threshold_lower_simple(u: int, s: int) -> float:
     """
     if not 1 <= u < s:
         raise ParameterOutOfRange(f"need 1 <= u < s, got {(u, s)}")
-    zz = s - u + 1
-    log_ratio = zz * math.log(zz) + u * math.log(u) - (s + 1) * math.log(s + 1)
-    return -math.log2(1.0 - math.exp(log_ratio)) / s
+    return lower_zu(s - u + 1, u)
 
 
 def threshold_rc_term(beta: float, u: int, group: int, extra: int) -> float:

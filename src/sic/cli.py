@@ -14,22 +14,28 @@ invocations; SIC_BUDGET overrides the default row-scan budget.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 
 from . import bounds as B
 from . import verify as V
-from .codes import binary_expand, rs_extended, search_params, shorten
+from .codes import binary_expand, rs_extended, search_params, shorten, strength_feasible
 from .errors import BudgetExceeded, SicError
 from .fields import FiniteField
 from .matrixfile import read_matrix, write_matrix
 
-BOUND_KINDS = (
-    "recurrent-upper", "nonrecurrent-upper", "upper-zu", "lower-zu",
-    "lower-z1", "universal-upper", "threshold-lower-simple",
-    "threshold-lower", "asymptotic",
-)
+# Parameter axes of each grid-valued bound kind, in loop order.  The bound
+# function is sic.bounds.<kind with '-' as '_'>, looked up at call time so
+# that a wrapper installed on sic.bounds sees CLI calls too.
+BOUND_AXES = {
+    "nonrecurrent-upper": ("z",), "upper-zu": ("z", "u"), "lower-zu": ("z", "u"),
+    "lower-z1": ("z",), "universal-upper": ("l", "s"),
+    "threshold-lower-simple": ("u", "s"), "threshold-lower": ("u", "s"),
+}
+
+BOUND_KINDS = ("recurrent-upper", *BOUND_AXES, "asymptotic")
 
 EXAMPLE_SPECS = (
     (5, 5, 2, 125, 20, 4, [(3, 2)], []),
@@ -110,55 +116,33 @@ def _rate_row(kind, value, *, z=None, u=None, s=None, l=None, optimizer=None,
 def _cmd_bounds(args) -> int:
     kind = args.kind
     rows: list[dict] = []
-
-    def need(flag, name):
-        if flag is None:
-            raise SicError(f"kind {kind!r} needs --{name}")
-        return _parse_range(flag, name)
-
-    def single(flag, name):
-        return None if flag is None else _parse_range(flag, name)[0]
     if kind == "recurrent-upper":
         seq = B.recurrent_upper(args.z_max)
         for z, val in enumerate(seq, start=1):
             rows.append(_rate_row(kind, val, z=z, reciprocal=1.0 / val))
-    elif kind == "nonrecurrent-upper":
-        for z in need(args.z, "z"):
-            rows.append(_rate_row(kind, B.nonrecurrent_upper(z), z=z))
-    elif kind == "upper-zu":
-        for z in need(args.z, "z"):
-            for u in need(args.u, "u"):
-                rb = B.upper_zu(z, u)
-                rows.append(_rate_row(kind, rb.value, z=z, u=u,
-                                      optimizer=rb.optimizer, note=rb.note))
-    elif kind == "lower-zu":
-        for z in need(args.z, "z"):
-            for u in need(args.u, "u"):
-                rows.append(_rate_row(kind, B.lower_zu(z, u), z=z, u=u))
-    elif kind == "lower-z1":
-        for z in need(args.z, "z"):
-            rb = B.lower_z1(z)
-            rows.append(_rate_row(kind, rb.value, z=z, optimizer=rb.optimizer,
-                                  note=rb.note))
-    elif kind == "universal-upper":
-        for l in need(args.l, "l"):
-            for s in need(args.s, "s"):
-                rows.append(_rate_row(kind, B.universal_upper(l, s), s=s, l=l))
-    elif kind == "threshold-lower-simple":
-        for u in need(args.u, "u"):
-            for s in need(args.s, "s"):
-                rows.append(_rate_row(kind, B.threshold_lower_simple(u, s), u=u, s=s))
-    elif kind == "threshold-lower":
-        for u in need(args.u, "u"):
-            for s in need(args.s, "s"):
-                rb = B.threshold_lower(u, s)
-                rows.append(_rate_row(kind, rb.value, u=u, s=s, optimizer=rb.optimizer))
     elif kind == "asymptotic":
         if args.form is None:
             raise SicError("kind 'asymptotic' needs --form")
-        z, u, s = single(args.z, "z"), single(args.u, "u"), single(args.s, "s")
-        value = B.asymptotic_rate(args.form, z=z, u=u, s=s)
-        rows.append(_rate_row(f"asymptotic:{args.form}", value, z=z, u=u, s=s))
+        params = {name: None if getattr(args, name) is None
+                  else _parse_range(getattr(args, name), name)[0] for name in ("z", "u", "s")}
+        value = B.asymptotic_rate(args.form, **params)
+        rows.append(_rate_row(f"asymptotic:{args.form}", value, **params))
+    else:
+        axes = BOUND_AXES[kind]
+        grids = []
+        for name in axes:
+            flag = getattr(args, name)
+            if flag is None:
+                raise SicError(f"kind {kind!r} needs --{name}")
+            grids.append(_parse_range(flag, name))
+        bound = getattr(B, kind.replace("-", "_"))
+        for point in itertools.product(*grids):
+            params = dict(zip(axes, point))
+            value = bound(*point)
+            if isinstance(value, B.RateBound):
+                params.update(optimizer=value.optimizer, note=value.note)
+                value = value.value
+            rows.append(_rate_row(kind, value, **params))
     _emit_rows(rows, args.format, sys.stdout)
     return 0
 
@@ -168,9 +152,12 @@ def _cmd_construct(args) -> int:
     qary = shorten(rs_extended(field, args.k), args.r)
     code = binary_expand(qary)
     lam = args.k - args.r - 1
+    try:
+        write_matrix(code, args.out,
+                     comments=[f"q={args.q} k={args.k} r={args.r} lambda={lam}"])
+    except OSError as exc:
+        raise SicError(f"cannot write {args.out}: {exc}") from None
     print(f"t={code.t} N={code.N} w={code.weight} lambda={lam}")
-    write_matrix(code, args.out,
-                 comments=[f"q={args.q} k={args.k} r={args.r} lambda={lam}"])
     return 0
 
 
@@ -261,7 +248,6 @@ def _cmd_examples(budget: int) -> int:
     all_ok = True
     confirmed = []
     for num, (q, k, r, t, N, w, pairs, negatives) in enumerate(EXAMPLE_SPECS, start=1):
-        from .codes import strength_feasible
         qary = shorten(rs_extended(FiniteField(q), k), r)
         code = binary_expand(qary)
         lam = k - r - 1

@@ -1,16 +1,18 @@
-"""Exact arithmetic in small finite fields GF(p^m).
+"""Exact arithmetic in finite fields GF(p^m), q = p^m <= MAX_ORDER.
 
-Field elements are plain integers in [0, q).  For extension fields the
-base-p digits of an element, least significant digit first, are the
-coefficients of its polynomial representative.  Arithmetic is served from
-precomputed q-by-q tables, so each field instance is immutable after
-construction and safe to share between threads.
+Field elements are plain integers in [0, q).  The base-p digits of an
+element, least significant digit first, are the coefficients of its
+polynomial representative.  Arithmetic is served from precomputed q-by-q
+int16 tables, so each field instance is immutable after construction and
+safe to share between threads.
 
-The reducing modulus of an extension field is canonical: the
+The reducing modulus is canonical: x for a prime field, otherwise the
 lexicographically smallest (coefficients compared low degree first) monic
 irreducible polynomial of degree m over GF(p), found by exhaustive search
-with trial division.  Two constructions of the same order therefore agree
-bit for bit.
+with trial division.  Addition is digit-wise mod p.  Multiplication comes
+from log/antilog tables of the powers of the smallest generator g of the
+multiplicative group, a*b = g^(log a + log b).  The field is unique up to
+its modulus, so two constructions of the same order agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from .errors import DivisionByZero, NotPrimePower, ParameterOutOfRange
 
-# Table-based arithmetic keeps every op O(1); cap the order so the q*q
-# tables stay small.  Everything in this package needs q <= 64.
+# Table-based arithmetic keeps every op O(1); the cap bounds each q*q int16
+# table at 32 MiB.  The build is O(q^2) numpy work plus an O(q) power walk.
 MAX_ORDER = 4096
 
 
@@ -50,17 +52,9 @@ def is_prime_power(q: int) -> tuple[int, int] | None:
     return (p, m) if n == 1 else None
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _poly_divisible(num: list[int], den: list[int], p: int) -> bool:
-    # den is monic; plain long division, return True when remainder is zero
+def _poly_rem(num: list[int], den: tuple[int, ...], p: int) -> list[int]:
+    """Remainder of num modulo the monic den over GF(p), as len(den) - 1
+    coefficients (low degree first); num's coefficients lie in [0, p)."""
     rem = list(num)
     dd = len(den) - 1
     for i in range(len(rem) - 1, dd - 1, -1):
@@ -68,7 +62,7 @@ def _poly_divisible(num: list[int], den: list[int], p: int) -> bool:
         if c:
             for j in range(dd + 1):
                 rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
-    return all(c == 0 for c in rem)
+    return rem[:dd]
 
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -80,12 +74,31 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     divisors = []
     for d in range(1, m // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            divisors.append(list(tail) + [1])
+            divisors.append((*tail, 1))
     for low in itertools.product(range(p), repeat=m):
-        cand = list(low) + [1]
-        if all(not _poly_divisible(cand, d, p) for d in divisors):
-            return tuple(cand)
+        cand = (*low, 1)
+        if all(any(_poly_rem(cand, d, p)) for d in divisors):
+            return cand
     raise AssertionError(f"no irreducible of degree {m} over GF({p})")  # unreachable
+
+
+def _generator_powers(p: int, modulus: tuple[int, ...]) -> list[int]:
+    """[g^0, ..., g^(q-2)] for the smallest element g of order q - 1, by
+    repeated polynomial multiplication by g reduced by the monic `modulus`."""
+    weights = [p**j for j in range(len(modulus) - 1)]
+    q = p * weights[-1]
+    for g in range(1, q):
+        g_digits = [g // w % p for w in weights]
+        power, powers = [1] + [0] * (len(weights) - 1), [1]
+        while True:
+            power = _poly_rem((np.convolve(power, g_digits) % p).tolist(), modulus, p)
+            x = sum(c * w for c, w in zip(power, weights))
+            if x == 1:
+                break
+            powers.append(x)
+        if len(powers) == q - 1:
+            return powers
+    raise AssertionError(f"GF({q}) has no generator")  # unreachable
 
 
 class FiniteField:
@@ -109,40 +122,26 @@ class FiniteField:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        if m == 1:
-            a = np.arange(q, dtype=np.int64)
-            add = (a[:, None] + a[None, :]) % q
-            mul = (a[:, None] * a[None, :]) % q
-        else:
-            powers = p ** np.arange(m, dtype=np.int64)
-            digits = (np.arange(q, dtype=np.int64)[:, None] // powers) % p  # (q, m)
-            add = ((digits[:, None, :] + digits[None, :, :]) % p) @ powers
-            mul = np.zeros((q, q), dtype=np.int64)
-            mod = list(self.modulus)
-            digit_lists = digits.tolist()
-            enc = powers.tolist()
-            for x in range(q):
-                dx = digit_lists[x]
-                for y in range(x, q):
-                    prod = _poly_mul(dx, digit_lists[y], p)
-                    # reduce mod the monic modulus
-                    for i in range(len(prod) - 1, m - 1, -1):
-                        c = prod[i]
-                        if c:
-                            for j in range(m + 1):
-                                prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
-                    val = sum(prod[j] * enc[j] for j in range(m))
-                    mul[x, y] = mul[y, x] = val
-        self.add_table = np.ascontiguousarray(add, dtype=np.int16)
-        self.mul_table = np.ascontiguousarray(mul, dtype=np.int16)
-        self._neg_table = np.argmax(self.add_table == 0, axis=1).astype(np.int16)
-        inv = np.full(q, -1, dtype=np.int16)
-        for x in range(1, q):
-            hits = np.flatnonzero(self.mul_table[x] == 1)
-            inv[x] = hits[0]
-        self._inv_table = inv
-        for t in (self.add_table, self.mul_table, self._neg_table, self._inv_table):
+        p, q = self.p, self.q
+        # Addition and negation act digit-wise mod p: each round appends one
+        # base-p digit below the digits already tabulated.
+        digit = np.arange(p, dtype=np.int16)
+        add, neg = np.zeros((1, 1), dtype=np.int16), np.zeros(1, dtype=np.int16)
+        for _ in range(self.m):
+            k = len(neg) * p
+            add = (add[:, None, :, None] * p + (digit[:, None, None] + digit) % p).reshape(k, k)
+            neg = (neg[:, None] * p + -digit % p).reshape(k)
+        # Multiplication adds discrete logarithms to the base of a generator;
+        # a prime field is the same walk modulo the polynomial x.
+        antilog = np.array(_generator_powers(p, self.modulus or (0, 1)), dtype=np.int16)
+        log = np.zeros(q, dtype=np.int16)
+        log[antilog] = np.arange(q - 1)
+        exponents = log[1:, None] + log[1:]
+        exponents %= q - 1
+        mul = np.pad(antilog[exponents], (1, 0))
+        inv = np.pad(antilog[-log[1:] % (q - 1)], (1, 0), constant_values=-1)
+        self.add_table, self.mul_table, self._neg_table, self._inv_table = add, mul, neg, inv
+        for t in (add, mul, neg, inv):
             t.setflags(write=False)
 
     def _check(self, *elems: int) -> None:

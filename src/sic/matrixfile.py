@@ -27,12 +27,13 @@ def write_matrix(code: BinaryCode, path, comments: Iterable[str] = ()) -> None:
     header = f"{MAGIC} {VERSION} {code.N} {code.t}"
     if code.weight is not None:
         header += f" {code.weight}"
-    lines = [header]
-    lines.extend("".join("1" if b else "0" for b in row) for row in code.bits)
-    for c in comments:
-        lines.append(f"# {c}")
+    chars = np.add(code.bits != 0, ord("0"), dtype=np.uint8)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for row in chars:
+            fh.write(row.tobytes().decode("ascii") + "\n")
+        for c in comments:
+            fh.write(f"# {c}\n")
 
 
 def read_matrix(path) -> BinaryCode:

@@ -2,14 +2,72 @@
 
 Everything here recomputes results along a different path from the library
 code it checks: brute-force pairwise statistics, explicit polynomial
-evaluation, and rank computations over the field tables.
+evaluation, rank computations over the field tables, and the per-pair
+polynomial construction of the field tables.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from sic.fields import FiniteField
+from sic.fields import FiniteField, is_prime_power
+
+
+def _poly_mul_mod(a, b, p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def smallest_irreducible_by_products(p: int, m: int) -> tuple[int, ...]:
+    """The lex-smallest (low degree first) monic degree-m polynomial over
+    GF(p) that is no product of two monic polynomials of positive degree."""
+    reducible = set()
+    for d in range(1, m // 2 + 1):
+        for lo in product(range(p), repeat=d):
+            for hi in product(range(p), repeat=m - d):
+                reducible.add(tuple(_poly_mul_mod([*lo, 1], [*hi, 1], p)))
+    return next(c for c in ((*low, 1) for low in product(range(p), repeat=m))
+                if c not in reducible)
+
+
+def pair_loop_tables(q: int) -> tuple[np.ndarray, ...]:
+    """(add, mul, neg, inv) int16 tables of GF(q), inv[0] = -1.
+
+    Prime fields by integer arithmetic mod q; extension fields by one
+    polynomial product per pair of elements, reduced by the canonical
+    modulus.  Negatives and inverses by scanning the tables for 0 and 1.
+    """
+    p, m = is_prime_power(q)
+    if m == 1:
+        a = np.arange(q, dtype=np.int64)
+        add = (a[:, None] + a[None, :]) % q
+        mul = (a[:, None] * a[None, :]) % q
+    else:
+        mod = smallest_irreducible_by_products(p, m)
+        powers = p ** np.arange(m, dtype=np.int64)
+        digits = (np.arange(q, dtype=np.int64)[:, None] // powers) % p  # (q, m)
+        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ powers
+        mul = np.zeros((q, q), dtype=np.int64)
+        digit_lists = digits.tolist()
+        for x in range(q):
+            for y in range(x, q):
+                prod = _poly_mul_mod(digit_lists[x], digit_lists[y], p)
+                for i in range(len(prod) - 1, m - 1, -1):
+                    c = prod[i]
+                    if c:
+                        for j in range(m + 1):
+                            prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
+                mul[x, y] = mul[y, x] = sum(prod[j] * int(powers[j]) for j in range(m))
+    add, mul = add.astype(np.int16), mul.astype(np.int16)
+    neg = np.argmax(add == 0, axis=1).astype(np.int16)
+    inv = np.full(q, -1, dtype=np.int16)
+    for x in range(1, q):
+        inv[x] = np.flatnonzero(mul[x] == 1)[0]
+    return add, mul, neg, inv
 
 
 def pairwise_min_distance(symbols: np.ndarray) -> int:

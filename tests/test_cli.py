@@ -86,6 +86,13 @@ class TestConstruct:
         assert code == 2
         assert "error" in err
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.sic"
+        code, out, err = run(capsys, "construct", "5", "5", "2", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+
 
 class TestVerify:
     def test_cover_free_failure_prints_witness(self, capsys, tmp_path):

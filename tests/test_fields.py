@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sic.errors import DivisionByZero, NotPrimePower, ParameterOutOfRange
-from sic.fields import FiniteField, is_prime_power
+from sic.fields import MAX_ORDER, FiniteField, is_prime_power
+from helpers import pair_loop_tables, smallest_irreducible_by_products
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -145,3 +148,37 @@ def test_frobenius(q):
     f = FiniteField(q)
     for a in f.elements():
         assert f.pow(a, q) == a
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 258) if is_prime_power(q)])
+def test_tables_match_pair_loop_oracle(q):
+    f = FiniteField(q)
+    assert f.modulus == (None if f.m == 1 else smallest_irreducible_by_products(f.p, f.m))
+    tables = (f.add_table, f.mul_table, f._neg_table, f._inv_table)
+    for got, want in zip(tables, pair_loop_tables(q)):
+        assert got.dtype == want.dtype == np.int16
+        assert np.array_equal(got, want)
+
+
+def test_max_order_build_memory():
+    tracemalloc.start()
+    try:
+        FiniteField(MAX_ORDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2**20
+
+
+@pytest.mark.parametrize("q", [4096, 4093, 2187])
+def test_large_field_axioms_sampled(q):
+    f = FiniteField(q)
+    add, mul = f.add_table, f.mul_table
+    a = np.arange(q)
+    assert np.all(add[a, f._neg_table] == 0)
+    assert np.all(mul[a[1:], f._inv_table[1:]] == 1)
+    rng = np.random.default_rng(q)
+    x, y, z = rng.integers(0, q, size=(3, 10**4))
+    assert np.array_equal(mul[x, add[y, z]], add[mul[x, y], mul[x, z]])
+    for e in [0, 1, *rng.integers(2, q, size=30).tolist()]:
+        assert f.pow(e, q) == e

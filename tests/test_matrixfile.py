@@ -25,6 +25,13 @@ def test_round_trip_without_weight(tmp_path):
     assert back.weight is None
 
 
+def test_written_text_is_exact(tmp_path):
+    code = BinaryCode(bits=np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8))
+    path = tmp_path / "x.sic"
+    write_matrix(code, path, comments=["q=2"])
+    assert path.read_bytes() == b"SIC v1 2 3\n101\n010\n# q=2\n"
+
+
 def test_comments_ignored(tmp_path):
     code = random_code(3, 4, 0.5, seed=1)
     path = tmp_path / "c.sic"

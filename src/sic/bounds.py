@@ -90,13 +90,19 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-@lru_cache(maxsize=None)
+_RECURRENT = [1.0]  # entry z-1 is the bound at z, filled in order of z
+
+
 def _recurrent(z: int) -> float:
-    if z == 1:
-        return 1.0
+    while len(_RECURRENT) < z:
+        _RECURRENT.append(_next_recurrent(len(_RECURRENT) + 1, _RECURRENT[-1]))
+    return _RECURRENT[z - 1]
+
+
+def _next_recurrent(z: int, prev: float) -> float:
+    """The bound at z >= 2, given the bound `prev` at z - 1."""
     if z == 2:
         return _golden_max(lambda a: recurrence_objective(2, a), 1e-12, 1 - 1e-12, 1e-12)[1]
-    prev = _recurrent(z - 1)
 
     def g(r: float) -> float:
         return recurrence_objective(z, 1.0 - r / prev) - r
@@ -122,7 +128,8 @@ def recurrent_upper(z_max: int) -> list[float]:
     """
     if z_max < 1:
         raise ParameterOutOfRange(f"need z_max >= 1, got {z_max}")
-    return [_recurrent(z) for z in range(1, z_max + 1)]
+    _recurrent(z_max)
+    return _RECURRENT[:z_max]
 
 
 def nonrecurrent_upper(z: int) -> float:
@@ -287,42 +294,37 @@ def threshold_lower(u: int, s: int) -> RateBound:
                      optimizer={"beta": float(beta), "group": argmin})
 
 
-ASYMPTOTIC_KINDS = (
-    "upper-z1", "upper-zu", "lower-zu", "lower-z1",
-    "threshold-lower", "exact-size-lower", "exact-size-upper",
-)
+# Leading-order formula of each asymptotic kind, with the parameters it
+# needs in the order they are checked.
+_ASYMPTOTIC = {
+    "upper-z1": (("z",), lambda z, u, s: 2.0 * math.log2(z) / z**2),
+    "upper-zu": (("z", "u"), lambda z, u, s:
+                 (u + 1) ** (u + 1) / (2.0 * math.e ** (u - 1)) * math.log2(z) / z ** (u + 1)),
+    "lower-zu": (("z", "u"), lambda z, u, s: math.exp(-u) * u**u * LOG2E / z ** (u + 1)),
+    "lower-z1": (("z",), lambda z, u, s: LN2 / z**2),
+    "threshold-lower": (("u", "s"), lambda z, u, s: math.exp(-u) * u**u * LOG2E / s ** (u + 1)),
+    "exact-size-lower": (("s",), lambda z, u, s: 2.0 * LN2 / s**2),
+    "exact-size-upper": (("s",), lambda z, u, s: 4.0 * math.log2(s) / s**2),
+}
+
+ASYMPTOTIC_KINDS = tuple(_ASYMPTOTIC)
 
 
 def asymptotic_rate(kind: str, z: int | None = None, u: int | None = None,
                     s: int | None = None) -> float:
     """Leading-order term of the named asymptotic bound (no o(1) factor)."""
-
-    def need(**params):
-        for name, val in params.items():
-            if val is None:
-                raise ParameterOutOfRange(f"asymptotic kind {kind!r} needs {name}")
-            if val < 1:
-                raise ParameterOutOfRange(f"{name} must be >= 1, got {val}")
-
-    if kind == "upper-z1":
-        need(z=z)
-        return 2.0 * math.log2(z) / z**2
-    if kind == "upper-zu":
-        need(z=z, u=u)
-        return (u + 1) ** (u + 1) / (2.0 * math.e ** (u - 1)) * math.log2(z) / z ** (u + 1)
-    if kind == "lower-zu":
-        need(z=z, u=u)
-        return math.exp(-u) * u**u * LOG2E / z ** (u + 1)
-    if kind == "lower-z1":
-        need(z=z)
-        return LN2 / z**2
-    if kind == "threshold-lower":
-        need(u=u, s=s)
-        return math.exp(-u) * u**u * LOG2E / s ** (u + 1)
-    if kind == "exact-size-lower":
-        need(s=s)
-        return 2.0 * LN2 / s**2
-    if kind == "exact-size-upper":
-        need(s=s)
-        return 4.0 * math.log2(s) / s**2
-    raise UnknownKind(f"unknown asymptotic kind {kind!r}")
+    if kind not in _ASYMPTOTIC:
+        raise UnknownKind(f"unknown asymptotic kind {kind!r}")
+    needs, formula = _ASYMPTOTIC[kind]
+    params = {"z": z, "u": u, "s": s}
+    for name in needs:
+        val = params[name]
+        if val is None:
+            raise ParameterOutOfRange(f"asymptotic kind {kind!r} needs {name}")
+        if val < 1:
+            raise ParameterOutOfRange(f"{name} must be >= 1, got {val}")
+    try:
+        return formula(z, u, s)
+    except OverflowError:
+        raise DomainError(f"asymptotic kind {kind!r} overflows a float at "
+                          + ", ".join(f"{n}={params[n]}" for n in needs)) from None

@@ -3,12 +3,16 @@
 Subcommands: `bounds` (rate-bound tables), `construct` (build and save a
 binary-expanded shortened RS code), `verify` (run a property checker on a
 matrix file), `search` (minimum-length parameter search), and `examples`
-(three built-in construction/verification walkthroughs).
+(three built-in construction/verification walkthroughs).  Each subparser
+carries its `_cmd_*` function.  Bound kinds and verify properties select
+from tables (`BOUND_AXES`, `VERIFY_CHECKERS`) whose keys are the parser's
+choices and whose functions are looked up by name at call time.
 
 Exit codes: 0 success/satisfied, 1 property fails or search infeasible,
-2 usage or file errors, 3 enumeration budget exceeded.  Data goes to
-stdout, diagnostics to stderr.  All output is deterministic for identical
-invocations; SIC_BUDGET overrides the default row-scan budget.
+2 usage, file or out-of-range parameter errors, 3 enumeration budget
+exceeded.  Data goes to stdout, diagnostics to stderr.  All output is
+deterministic for identical invocations; SIC_BUDGET overrides the default
+row-scan budget.
 """
 
 from __future__ import annotations
@@ -37,6 +41,16 @@ BOUND_AXES = {
 
 BOUND_KINDS = ("recurrent-upper", *BOUND_AXES, "asymptotic")
 
+# Checker of each `verify` property, named in sic.verify and looked up at
+# call time like the bound functions.  Every property takes two leading
+# integers; d-cert and design also have their own output and parameters.
+VERIFY_CHECKERS = {
+    "cover-free": "check_cover_free", "d-code": "check_d_code",
+    "d-cert": "check_d_certificate", "m-code": "check_m_code",
+    "design": "check_design", "threshold": "check_threshold_design",
+    "threshold-bar": "check_threshold_bar_design",
+}
+
 EXAMPLE_SPECS = (
     (5, 5, 2, 125, 20, 4, [(3, 2)], []),
     (7, 6, 3, 343, 35, 5, [(4, 2)], []),
@@ -57,20 +71,9 @@ def _parse_range(text: str, name: str) -> list[int]:
         raise SicError(f"bad {name} range {text!r}; use an int or LO:HI") from None
 
 
-def _fmt_value(v: float) -> str:
-    return f"{v:.6f}"
-
-
 def _fmt_witness(opt: dict | None) -> str:
-    if not opt:
-        return ""
-    parts = []
-    for key, val in opt.items():
-        if isinstance(val, float):
-            parts.append(f"{key}={val:.12g}")
-        else:
-            parts.append(f"{key}={val}")
-    return ";".join(parts)
+    return ";".join(f"{key}={val:.12g}" if isinstance(val, float) else f"{key}={val}"
+                    for key, val in (opt or {}).items())
 
 
 def _emit_rows(rows: list[dict], fmt: str, out) -> None:
@@ -93,7 +96,7 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
         for key in ("z", "u", "s", "l"):
             if r.get(key) is not None:
                 parts.append(f"{key}={r[key]}")
-        parts.append(f"value={_fmt_value(r['value'])}")
+        parts.append(f"value={r['value']:.6f}")
         if r.get("reciprocal") is not None:
             parts.append(f"reciprocal={r['reciprocal']:.4f}")
         wit = _fmt_witness(r.get("optimizer"))
@@ -171,60 +174,40 @@ def _format_witness_indices(witness: dict) -> str:
     return " ".join(f"{names.get(k, k)}={fmt(v)}" for k, v in witness.items())
 
 
-def _cmd_verify(args, budget: int) -> int:
+def _cmd_verify(args) -> int:
+    budget = _budget(args)
     try:
         code = read_matrix(args.path)
     except (OSError, UnicodeDecodeError) as exc:
         raise SicError(f"cannot read {args.path}: {exc}") from None
-    prop = args.prop
-    params = args.params
-
-    def ints(n):
-        if len(params) < n:
-            raise SicError(f"property {prop!r} needs {n} integer parameters")
-        try:
-            return [int(x) for x in params[:n]]
-        except ValueError:
-            raise SicError(f"bad integer parameters {params[:n]}") from None
-
-    if prop == "cover-free":
-        z, u = ints(2)
-        report = V.check_cover_free(code, z, u, budget=budget)
-    elif prop == "d-code":
-        s, l = ints(2)
-        report = V.check_d_code(code, s, l, budget=budget)
-    elif prop == "d-cert":
-        s, l = ints(2)
-        ok = V.check_d_certificate(code, s, l)
+    prop, params = args.prop, args.params
+    if len(params) < 2:
+        raise SicError(f"property {prop!r} needs 2 integer parameters")
+    try:
+        a, b = map(int, params[:2])
+    except ValueError:
+        raise SicError(f"bad integer parameters {params[:2]}") from None
+    check = getattr(V, VERIFY_CHECKERS[prop])
+    if prop == "d-cert":
+        ok = check(code, a, b)
         print("certified" if ok else "not certified")
         return 0 if ok else 1
-    elif prop == "m-code":
-        s, u = ints(2)
-        report = V.check_m_code(code, s, u, budget=budget)
-    elif prop == "design":
-        l, s = ints(2)
+    if prop == "design":
         if len(params) < 3:
             raise SicError("design needs: l s mode [labels...]")
-        mode = params[2]
-        labels = params[3:]
+        mode, labels = params[2], params[3:]
         if labels:
             try:
                 F = V.OutcomeFunction(values=tuple(int(x) for x in labels))
             except ValueError:
                 raise SicError(f"bad outcome labels {labels}") from None
-            if F.l != l:
-                raise SicError(f"{len(labels)} labels inconsistent with l={l}")
+            if F.l != a:
+                raise SicError(f"{len(labels)} labels inconsistent with l={a}")
         else:
-            F = V.OutcomeFunction.saturating(l)
-        report = V.check_design(code, F, s, mode=mode, budget=budget)
-    elif prop == "threshold":
-        u, s = ints(2)
-        report = V.check_threshold_design(code, u, s, budget=budget)
-    elif prop == "threshold-bar":
-        u, s = ints(2)
-        report = V.check_threshold_bar_design(code, u, s, budget=budget)
+            F = V.OutcomeFunction.saturating(a)
+        report = check(code, F, b, mode=mode, budget=budget)
     else:
-        raise SicError(f"unknown property {prop!r}")
+        report = check(code, a, b, budget=budget)
 
     if report.satisfied:
         print(f"satisfied (tuples checked: {report.tuples_checked})")
@@ -244,7 +227,8 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_examples(budget: int) -> int:
+def _cmd_examples(args) -> int:
+    budget = _budget(args)
     all_ok = True
     confirmed = []
     for num, (q, k, r, t, N, w, pairs, negatives) in enumerate(EXAMPLE_SPECS, start=1):
@@ -293,11 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="compute rate bounds")
+    p_bounds.set_defaults(run=_cmd_bounds)
     p_bounds.add_argument("kind", choices=BOUND_KINDS)
-    p_bounds.add_argument("--z", help="int or LO:HI")
-    p_bounds.add_argument("--u", help="int or LO:HI")
-    p_bounds.add_argument("--s", help="int or LO:HI")
-    p_bounds.add_argument("--l", help="int or LO:HI")
+    for name in ("z", "u", "s", "l"):
+        p_bounds.add_argument(f"--{name}", help="int or LO:HI")
     p_bounds.add_argument("--z-max", type=int, default=17,
                           help="last z of the recurrent sequence")
     p_bounds.add_argument("--form", choices=B.ASYMPTOTIC_KINDS,
@@ -306,15 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
                           default="table")
 
     p_con = sub.add_parser("construct", help="build a binary-expanded shortened RS code")
+    p_con.set_defaults(run=_cmd_construct)
     p_con.add_argument("q", type=int)
     p_con.add_argument("k", type=int)
     p_con.add_argument("r", type=int)
     p_con.add_argument("out")
 
     p_ver = sub.add_parser("verify", help="check a property of a stored matrix")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("path")
-    p_ver.add_argument("prop", choices=("cover-free", "d-code", "d-cert", "m-code",
-                                        "design", "threshold", "threshold-bar"))
+    p_ver.add_argument("prop", choices=tuple(VERIFY_CHECKERS))
     p_ver.add_argument("params", nargs="*",
                        help="property parameters, e.g. 'cover-free 2 1', "
                             "'design 2 3 at-most [labels...]'")
@@ -322,11 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="row-scan budget (default SIC_BUDGET or 10^9)")
 
     p_search = sub.add_parser("search", help="minimum-length parameter search")
+    p_search.set_defaults(run=_cmd_search)
     p_search.add_argument("s", type=int)
     p_search.add_argument("m", type=int)
     p_search.add_argument("--q-max", type=int, default=64)
 
     p_ex = sub.add_parser("examples", help="built-in construction walkthroughs")
+    p_ex.set_defaults(run=_cmd_examples)
     p_ex.add_argument("--budget", type=int, default=None)
 
     return parser
@@ -352,26 +338,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse before Python 3.12 parses a positional given as a second
+        # '--' to [], skipping its type and choices checks
+        if any(val == [] for name, val in vars(args).items() if name != "params"):
+            parser.error("'--' is not a parameter value")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify":
-            return _cmd_verify(args, _budget(args))
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "examples":
-            return _cmd_examples(_budget(args))
+        return args.run(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def entry() -> None:

@@ -296,9 +296,8 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     N, t = bits.shape
     if not 1 <= F.l <= s < t:
         raise ParameterOutOfRange(f"need 1 <= l <= s < t, got l={F.l}, s={s}, t={t}")
+    _check_budget(design_scans(t, F, s, mode, N), budget)
     lo, hi = design_domain_sizes(F, s, mode)
-    count = sum(comb(t, i) for i in range(lo, hi + 1))
-    _check_budget(count * N, budget)
     # outcome vectors are equal iff their vectors of label indices are
     labels = np.unique(F.values, return_inverse=True)[1].astype(np.min_scalar_type(F.l))
     cols = _columns(bits)
@@ -369,31 +368,16 @@ def check_threshold_bar_design(X, u: int, s: int, budget: int | None = None) -> 
 def coincidence(code) -> int:
     """Maximum pairwise column statistic: dot product for binary codes,
     agreement-position count for q-ary codes."""
-    if isinstance(code, QaryCode):
-        sym = code.symbols
-        n, t = sym.shape
-        if t < 2:
-            raise TooFewColumns("coincidence needs at least two columns")
-        best = 0
-        block = max(1, 4_000_000 // (n * t + 1))
-        for a in range(0, t, block):
-            b = min(a + block, t)
-            agree = (sym[:, a:b, None] == sym[:, None, :]).sum(axis=0)
-            for i in range(a, b):
-                agree[i - a, i] = -1
-            best = max(best, int(agree.max()))
-        return best
-    bits = _bits(code)
-    t = bits.shape[1]
+    qary = isinstance(code, QaryCode)
+    cols = code.symbols if qary else _bits(code).astype(np.int32)
+    n, t = cols.shape
     if t < 2:
         raise TooFewColumns("coincidence needs at least two columns")
     best = 0
-    block = max(1, 4_000_000 // (bits.shape[0] * t + 1))
-    ints = bits.astype(np.int32)
+    block = max(1, 4_000_000 // (n * t + 1))
     for a in range(0, t, block):
-        b = min(a + block, t)
-        gram = ints[:, a:b].T @ ints
-        for i in range(a, b):
-            gram[i - a, i] = -1
-        best = max(best, int(gram.max()))
+        part = cols[:, a:a + block]
+        pair_stat = (part[:, :, None] == cols[:, None, :]).sum(axis=0) if qary else part.T @ cols
+        np.fill_diagonal(pair_stat[:, a:], -1)  # ignore self-pairs
+        best = max(best, int(pair_stat.max()))
     return best

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sic
 from sic.bounds import (
     RateBound,
     asymptotic_rate,
@@ -132,6 +136,19 @@ class TestRecurrentUpper:
     def test_strictly_decreasing(self):
         seq = recurrent_upper(17)
         assert all(a > b for a, b in zip(seq, seq[1:]))
+
+    def test_deep_entry_on_cold_sequence(self):
+        # a fresh interpreter starts with only z=1 known, so the entries at
+        # z=1499 and z=1200 are the first ones asked for
+        code = ("from sic.bounds import universal_upper, upper_zu\n"
+                "print(repr(universal_upper(1, 1500)), repr(upper_zu(1200, 1).value))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sic.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seq = recurrent_upper(1499)
+        assert proc.stdout.split() == [repr(seq[1498]), repr(seq[1199])]
 
     def test_root_is_unique_on_scan(self):
         seq = recurrent_upper(17)
@@ -369,6 +386,15 @@ class TestAsymptotics:
     def test_missing_params(self):
         with pytest.raises(ParameterOutOfRange):
             asymptotic_rate("upper-zu", z=3)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("upper-zu", {"z": 10, "u": 2000}),
+        ("lower-zu", {"z": 10, "u": 200}),
+        ("threshold-lower", {"u": 200, "s": 300}),
+    ])
+    def test_float_overflow_is_a_domain_error(self, kind, params):
+        with pytest.raises(DomainError, match="overflows"):
+            asymptotic_rate(kind, **params)
 
 
 class TestSandwich:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sic.cli import main
+from sic.bounds import ASYMPTOTIC_KINDS
+from sic.cli import BOUND_KINDS, VERIFY_CHECKERS, main
 from sic.codes import BinaryCode
 from sic.matrixfile import read_matrix, write_matrix
 
@@ -191,6 +196,14 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: ") and "-5" in err
 
+    def test_double_dash_as_positional(self, capsys, tmp_path):
+        path = tmp_path / "id.sic"
+        write_matrix(BinaryCode(bits=np.eye(4, dtype=np.uint8), weight=1), path)
+        for argv in (["search", "2", "--", "--"], ["verify", str(path), "--", "--"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "'--' is not a parameter value" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.sic"
         path.write_text("garbage\n")
@@ -237,3 +250,83 @@ class TestExamples:
         code, out, _ = run(capsys, "examples", "--budget", "1000")
         assert code == 0
         assert "SKIPPED" in out
+
+
+# Argv fuzz.  Magnitudes stay small so every call is cheap: upper-zu is
+# O(z^2 u^2), lower-z1 and threshold-lower run a grid optimizer per grid
+# point, construct materializes q^k codewords, and verify runs under a small
+# budget.  Tokens ending in ".sic" name files in the test's directory.
+_INT = st.integers(-2, 9).map(str)
+_RANGE = st.builds("{}:{}".format, st.integers(-1, 6), st.integers(-2, 8))
+_JUNK = st.sampled_from(["", "x", "-", "1.5", "::", "3:", "--", "\u00e9"])
+_TOKEN = st.one_of(_INT, _RANGE, _JUNK)
+_BOUND_OPTION = st.one_of(
+    st.tuples(st.just("--z-max"), st.one_of(_INT, _JUNK)),
+    st.tuples(st.just("--form"), st.one_of(st.sampled_from(ASYMPTOTIC_KINDS), _JUNK)),
+    st.tuples(st.just("--format"), st.sampled_from(["table", "csv", "json", "x"])),
+)
+_SMALL = st.integers(0, 4).map(str)
+_VERIFY_PARAM = st.one_of(st.sampled_from(["at-most", "exactly"]), _SMALL, _JUNK)
+
+
+@st.composite
+def _argvs(draw):
+    def mostly(strategy):  # junk one time in four
+        return draw(_JUNK if draw(st.integers(0, 3)) == 3 else strategy)
+
+    command = draw(st.sampled_from(["bounds", "construct", "verify", "search", "examples"]))
+    argv = [command]
+    if command == "bounds":
+        argv.append(mostly(st.sampled_from(BOUND_KINDS)))
+        for flag in ("--z", "--u", "--s", "--l"):
+            if draw(st.integers(0, 2)):
+                argv += [flag, draw(_TOKEN)]
+        for flag, value in draw(st.lists(_BOUND_OPTION, max_size=2)):
+            argv += [flag, value]
+    elif command == "construct":
+        argv += [mostly(st.integers(-1, 9).map(str)), mostly(st.integers(-1, 4).map(str)),
+                 mostly(st.integers(-1, 4).map(str)),
+                 draw(st.sampled_from(["out.sic", "nodir/out.sic"]))]
+    elif command == "verify":
+        argv += [draw(st.sampled_from(["id.sic", "ones.sic"] * 3
+                                      + ["text.sic", "accent.sic", "absent.sic"])),
+                 mostly(st.sampled_from(list(VERIFY_CHECKERS)))]
+        argv += [mostly(_SMALL), mostly(_SMALL)]
+        argv += draw(st.lists(_VERIFY_PARAM, max_size=3)) + ["--budget", "20000"]
+    elif command == "search":
+        argv += [mostly(_INT), mostly(_INT)]
+        argv += draw(st.sampled_from([[], ["--q-max", draw(_INT)]]))
+    else:
+        argv += ["--budget", "100"]
+    # drop or append a token now and then
+    edit = draw(st.integers(0, 9))
+    if edit == 9:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == 8:
+        argv.append(draw(st.one_of(_TOKEN, st.just("--help"))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_matrix(BinaryCode(bits=np.eye(6, dtype=np.uint8), weight=1), root / "id.sic")
+    write_matrix(BinaryCode(bits=np.ones((4, 5), dtype=np.uint8), weight=4), root / "ones.sic")
+    (root / "text.sic").write_text("garbage\n")
+    (root / "accent.sic").write_bytes("SIC v1 1 2\n1\u00e9\n".encode("utf-8"))
+    return root
+
+
+@settings(deadline=None)
+@given(argv=_argvs())
+@example(argv=["bounds", "universal-upper", "--l", "1", "--s", "1500"])
+@example(argv=["bounds", "upper-zu", "--z", "1200", "--u", "1"])
+@example(argv=["bounds", "asymptotic", "--form", "upper-zu", "--z", "10", "--u", "2000"])
+@example(argv=["bounds", "asymptotic", "--form", "lower-zu", "--z", "10", "--u", "200"])
+@example(argv=["bounds", "asymptotic", "--form", "threshold-lower", "--u", "200", "--s", "300"])
+@example(argv=["search", "2", "--", "--"])
+def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
+    argv = [str(fuzz_dir / tok) if tok.endswith(".sic") else tok for tok in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)

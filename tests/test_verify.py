@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_report, lex_subsets
+from helpers import brute_report, lex_subsets, qary_agreement_matrix
 from sic import verify
-from sic.codes import BinaryCode, random_code
+from sic.codes import BinaryCode, QaryCode, random_code
 from sic.errors import (
     BudgetExceeded,
     NotConstantWeight,
@@ -349,6 +349,19 @@ class TestCoincidence:
     def test_too_few_columns(self):
         with pytest.raises(TooFewColumns):
             coincidence(BinaryCode(bits=np.ones((3, 1), dtype=np.uint8)))
+
+    def test_blocked_scan_matches_full_matrices(self):
+        # 1000 x 70 scans in column blocks of 57 (4*10^6 // (1000*70 + 1)),
+        # so the second block is partial and its diagonal starts at column 57
+        rng = np.random.default_rng(7)
+        sym = rng.integers(0, 3, size=(1000, 70)).astype(np.uint8)
+        sym[:600, 65] = sym[:600, 3]  # one pair agreeing well above the rest
+        off = ~np.eye(70, dtype=bool)
+        agree = qary_agreement_matrix(sym)
+        assert coincidence(QaryCode(q=3, symbols=sym)) == agree[off].max()
+        bits = (sym == 0).astype(np.uint8)
+        gram = bits.T.astype(np.int64) @ bits
+        assert coincidence(BinaryCode(bits=bits)) == gram[off].max()
 
 
 class TestDeterminism:

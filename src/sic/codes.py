@@ -178,10 +178,11 @@ def search_params(s: int, m: int, q_max: int = 64) -> CodeParams | None:
         if is_prime_power(q) is None:
             continue
         lam = 1
-        while q ** (lam + 1) < hi:
+        # w = s*lam + 1 grows with lam, so no lam past w > q + 1 is admissible
+        while s * lam + 1 <= q + 1 and q ** (lam + 1) < hi:
             t = q ** (lam + 1)
             w = s * lam + 1
-            if t >= lo and w <= q + 1:
+            if t >= lo:
                 key = (w * q, q, lam)
                 if best_key is None or key < best_key:
                     best_key = key

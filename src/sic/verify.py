@@ -43,6 +43,7 @@ from .errors import (
 DEFAULT_BUDGET = 1_000_000_000
 _MAX_BATCH = 16384          # subsets per batch
 _BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
+_BLOCK_ENTRIES = _BATCH_ENTRIES // 2  # coincidence block columns * t (counter and scratch)
 
 
 @dataclass(frozen=True)
@@ -367,17 +368,45 @@ def check_threshold_bar_design(X, u: int, s: int, budget: int | None = None) -> 
 
 def coincidence(code) -> int:
     """Maximum pairwise column statistic: dot product for binary codes,
-    agreement-position count for q-ary codes."""
+    agreement-position count for q-ary codes.
+
+    Each unordered pair of columns is counted once: a block of columns
+    [a, a+B) is compared with the columns [a, t), and the pairs on or below
+    the block's diagonal are dropped.  A q-ary code counts agreements row by
+    row into one reused counter of the smallest unsigned type that holds n
+    (uint8 below n = 256, else uint16).  A binary code takes each block's
+    Gram matrix as one float32 BLAS product, from a float32 copy of the
+    matrix.  The product is exact because every partial sum is an integer
+    at most N * (max |entry|)^2; where that bound exceeds 2^24 the copy is
+    float64.  B = 2*10^6 // t columns (at least 1), so a block's counter
+    plus its boolean scratch hold at most 4*10^6 entries, and a Gram block
+    2*10^6.
+    """
     qary = isinstance(code, QaryCode)
-    cols = code.symbols if qary else _bits(code).astype(np.int32)
+    cols = code.symbols if qary else _bits(code)
     n, t = cols.shape
     if t < 2:
         raise TooFewColumns("coincidence needs at least two columns")
+    block = max(1, min(t, _BLOCK_ENTRIES // t))
+    if qary:
+        counts = np.empty(block * t, dtype=np.min_scalar_type(n))
+        same = np.empty(block * t, dtype=bool)
+    else:
+        peak = max(int(cols.max(initial=0)), -int(cols.min(initial=0)))
+        cols = cols.astype(np.float32 if n * peak ** 2 <= 2 ** 24 else np.float64)
+    lower = np.tri(block, dtype=bool)  # a block's self-pairs and repeats
     best = 0
-    block = max(1, 4_000_000 // (n * t + 1))
-    for a in range(0, t, block):
-        part = cols[:, a:a + block]
-        pair_stat = (part[:, :, None] == cols[:, None, :]).sum(axis=0) if qary else part.T @ cols
-        np.fill_diagonal(pair_stat[:, a:], -1)  # ignore self-pairs
+    for a in range(0, t - 1, block):
+        b, w = min(block, t - a), t - a
+        if qary:
+            pair_stat = counts[:b * w].reshape(b, w)
+            pair_stat.fill(0)
+            eq = same[:b * w].reshape(b, w)
+            for row in cols:
+                np.equal(row[a:a + b, None], row[None, a:], out=eq)
+                pair_stat += eq.view(np.uint8)  # an integer add, not a cast from bool
+        else:
+            pair_stat = cols[:, a:a + b].T @ cols[:, a:]
+        pair_stat[:, :b][lower[:b, :b]] = 0
         best = max(best, int(pair_stat.max()))
     return best

@@ -2,8 +2,9 @@
 
 Everything here recomputes results along a different path from the library
 code it checks: brute-force pairwise statistics, explicit polynomial
-evaluation, rank computations over the field tables, and the per-pair
-polynomial construction of the field tables.
+evaluation, rank computations over the field tables, the per-pair
+polynomial construction of the field tables, and the unpruned parameter
+search.
 """
 
 from itertools import combinations, product
@@ -92,6 +93,26 @@ def qary_agreement_matrix(symbols: np.ndarray) -> np.ndarray:
         row = symbols[i]
         agree += row[:, None] == row[None, :]
     return agree
+
+
+def search_params_unpruned(s: int, m: int, q_max: int = 64):
+    """(q, lam) of the minimum-length strength-s parameters with size in
+    [2^m, 2^(m+1)), or None, by trying every lam with q^(lam+1) < 2^(m+1)
+    for every prime power q <= q_max."""
+    lo, hi = 2**m, 2 ** (m + 1)
+    best_key = None
+    for q in range(2, q_max + 1):
+        if is_prime_power(q) is None:
+            continue
+        lam = 1
+        while q ** (lam + 1) < hi:
+            w = s * lam + 1
+            if q ** (lam + 1) >= lo and w <= q + 1:
+                key = (w * q, q, lam)
+                if best_key is None or key < best_key:
+                    best_key = key
+            lam += 1
+    return None if best_key is None else best_key[1:]
 
 
 def gf_rank(f: FiniteField, mat) -> int:

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sic
 from sic.bounds import ASYMPTOTIC_KINDS
 from sic.cli import BOUND_KINDS, VERIFY_CHECKERS, main
 from sic.codes import BinaryCode
@@ -227,6 +231,22 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "2", "1")
         assert code == 1
         assert "no feasible" in out
+
+    def test_huge_m_is_infeasible_at_once(self):
+        # every admissible lam has w = s*lam + 1 <= q + 1, so q^(lam+1) stays
+        # far below 2^100000 and the search ends after a few lam per q
+        script = ("import time\nfrom sic.cli import main\nstart = time.perf_counter()\n"
+                  "code = main(['search', '5', '100000'])\n"
+                  "print(code, time.perf_counter() - start)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sic.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "no feasible parameters for s=5 m=100000 q_max=64"
+        code, seconds = lines[1].split()
+        assert code == "1"
+        assert float(seconds) < 0.5
 
 
 class TestExamples:

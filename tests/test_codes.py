@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import pairwise_min_distance, qary_agreement_matrix, rs_min_distance_structural
+from helpers import (
+    pairwise_min_distance,
+    qary_agreement_matrix,
+    rs_min_distance_structural,
+    search_params_unpruned,
+)
 from sic.codes import (
     QaryCode,
     binary_expand,
@@ -168,6 +173,14 @@ class TestSearchParams:
                 assert p.N == p.w * p.q
                 assert p.t == p.q ** (p.lam + 1)
                 assert p.lam == p.k - p.r - 1
+
+    def test_matches_unpruned_search(self):
+        for s in range(2, 7):
+            for m in range(1, 41):
+                for q_max in range(2, 65):
+                    p = search_params(s, m, q_max)
+                    got = None if p is None else (p.q, p.lam)
+                    assert got == search_params_unpruned(s, m, q_max), (s, m, q_max)
 
 
 class TestRandomCode:

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from helpers import brute_report, lex_subsets, qary_agreement_matrix
 from sic import verify
-from sic.codes import BinaryCode, QaryCode, random_code
+from sic.codes import BinaryCode, QaryCode, binary_expand, random_code, rs_extended, shorten
 from sic.errors import (
     BudgetExceeded,
     NotConstantWeight,
     ParameterOutOfRange,
     TooFewColumns,
 )
+from sic.fields import FiniteField
 from sic.verify import (
     OutcomeFunction,
     check_cover_free,
@@ -334,6 +335,13 @@ class TestThresholdDesigns:
             check_threshold_design(identity_code(4), u=1, s=2)
 
 
+def blocks_of(block, t):
+    """Make coincidence scan t columns in blocks of `block` (None: the default)."""
+    if block is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(verify, "_BLOCK_ENTRIES", block * t)
+
+
 class TestCoincidence:
     def test_example1_qary(self, ex1_qary):
         assert coincidence(ex1_qary) == 2  # == k - r - 1
@@ -351,17 +359,58 @@ class TestCoincidence:
             coincidence(BinaryCode(bits=np.ones((3, 1), dtype=np.uint8)))
 
     def test_blocked_scan_matches_full_matrices(self):
-        # 1000 x 70 scans in column blocks of 57 (4*10^6 // (1000*70 + 1)),
-        # so the second block is partial and its diagonal starts at column 57
+        # 1000 x 70 is one block under the default rule (2*10^6 // 70 > 70);
+        # in blocks of 57 or 13 columns the last block is partial and its
+        # diagonal starts mid-matrix.  n = 1000 makes the q-ary counter uint16.
         rng = np.random.default_rng(7)
         sym = rng.integers(0, 3, size=(1000, 70)).astype(np.uint8)
         sym[:600, 65] = sym[:600, 3]  # one pair agreeing well above the rest
         off = ~np.eye(70, dtype=bool)
         agree = qary_agreement_matrix(sym)
-        assert coincidence(QaryCode(q=3, symbols=sym)) == agree[off].max()
         bits = (sym == 0).astype(np.uint8)
         gram = bits.T.astype(np.int64) @ bits
-        assert coincidence(BinaryCode(bits=bits)) == gram[off].max()
+        for block in (None, 57, 13):
+            with blocks_of(block, 70):
+                assert coincidence(QaryCode(q=3, symbols=sym)) == agree[off].max()
+                assert coincidence(BinaryCode(bits=bits)) == gram[off].max()
+
+    @pytest.mark.parametrize("block", [None, 1, 7], ids=["default", "block1", "block7"])
+    @pytest.mark.parametrize("kind", ["qary", "binary", "binary-float64"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_oracles(self, kind, block, data):
+        # n straddles 256, where the q-ary counter widens from uint8 to
+        # uint16; a drawn copy of a column makes the largest statistic n.
+        # binary-float64 has 300 rows with a pair of near-255 columns, whose
+        # dot product (near 300 * 255^2 > 2^24) float32 cannot hold exactly.
+        if kind == "binary-float64":
+            n = 300
+        else:
+            n = data.draw(st.integers(1, 12) | st.integers(250, 300))
+        t = data.draw(st.integers(2, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "qary":
+            q = data.draw(st.integers(2, 5))
+            X = rng.integers(0, q, size=(n, t)).astype(np.uint8)
+        elif kind == "binary":
+            X = (rng.random((n, t)) < 0.4).astype(np.uint8)
+        else:
+            X = rng.integers(0, 256, size=(n, t)).astype(np.uint8)
+            X[:, :2] = 255 - rng.integers(0, 2, size=(n, 2))
+        i, j = data.draw(st.permutations(range(t)))[:2]
+        if data.draw(st.booleans()):
+            X[:, j] = X[:, i]
+        if kind == "qary":
+            code, expected = QaryCode(q=q, symbols=X), qary_agreement_matrix(X)
+        else:
+            code, expected = BinaryCode(bits=X), X.T.astype(np.int64) @ X
+        with blocks_of(block, t):
+            assert coincidence(code) == expected[~np.eye(t, dtype=bool)].max()
+
+    def test_wide_binary_code(self):
+        # 4096 x 4096: the one-hot expansion of the q=64, k=3, r=1 RS code
+        code = binary_expand(shorten(rs_extended(FiniteField(64), 3), 1))
+        assert coincidence(code) == 1
 
 
 class TestDeterminism:

@@ -7,6 +7,10 @@ evaluation points, and expand each q-ary symbol into the weight-1 binary
 indicator column of length q.  The result is a binary constant-weight code
 whose maximum pairwise column intersection equals the q-ary coincidence.
 
+Every step works on whole arrays.  The encoder applies Horner's rule by
+rows of the addition table: row x of add_table is x + c for every next
+digit c, so one gather appends a digit to every partial value at once.
+
 Codes are immutable value objects; every constructor is deterministic, so
 identical parameters always give bit-identical matrices.
 """
@@ -88,6 +92,10 @@ def rs_extended(field: FiniteField, k: int) -> QaryCode:
     first) are the polynomial coefficients; row a < q holds the evaluation
     at field element a and the last row holds the leading coefficient.
     Minimum distance is exactly q - k + 2.
+
+    Row a starts from the leading digits and takes k - 1 Horner steps
+    acc -> add_table[mul_table[a, acc]].ravel(), each appending the next
+    lower digit so that the least significant one varies fastest.
     """
     q = field.q
     if not 2 <= k <= q + 1:
@@ -95,17 +103,14 @@ def rs_extended(field: FiniteField, k: int) -> QaryCode:
     t = q**k
     if t * (q + 1) > MAX_MATERIALIZED_SYMBOLS:
         raise ParameterOutOfRange(f"code with {t} codewords is too large to materialize")
-    idx = np.arange(t, dtype=np.int64)
-    digits = [((idx // q**i) % q).astype(np.int16) for i in range(k)]
     add, mul = field.add_table, field.mul_table
     symbols = np.empty((q + 1, t), dtype=np.uint8 if q <= 256 else np.uint16)
     for a in range(q):
-        mul_by_a = mul[:, a]
-        acc = digits[k - 1]
-        for i in range(k - 2, -1, -1):
-            acc = add[mul_by_a[acc], digits[i]]
+        acc = np.arange(q)  # partial values = the leading digit
+        for _ in range(k - 1):
+            acc = add[mul[a, acc]].ravel()
         symbols[a] = acc
-    symbols[q] = digits[k - 1]
+    symbols[q] = np.repeat(np.arange(q), q ** (k - 1))
     return QaryCode(q=q, symbols=symbols, meta=RSMeta(k=k, r=0, d=q - k + 2))
 
 
@@ -129,12 +134,13 @@ def binary_expand(code: QaryCode) -> BinaryCode:
 
     Row i*q+v of the output is 1 exactly where q-ary row i equals v, so the
     dot product of two binary columns equals the q-ary agreement count.
+    A symbol outside [0, q) raises ParameterOutOfRange.
     """
-    q, n, t = code.q, code.n, code.t
-    bits = np.zeros((n * q, t), dtype=np.uint8)
-    rows = np.arange(n, dtype=np.int64)[:, None] * q + code.symbols
-    cols = np.broadcast_to(np.arange(t, dtype=np.int64), (n, t))
-    bits[rows.ravel(), cols.ravel()] = 1
+    q, n, t, symbols = code.q, code.n, code.t, code.symbols
+    if symbols.size and not (0 <= symbols.min() and symbols.max() < q):
+        raise ParameterOutOfRange(f"symbols must lie in [0, {q})")
+    values = np.arange(q, dtype=np.min_scalar_type(q - 1))  # RS symbol width: a fast compare
+    bits = (symbols[:, None, :] == values[:, None]).reshape(n * q, t).view(np.uint8)
     return BinaryCode(bits=bits, weight=n)
 
 

@@ -27,13 +27,13 @@ def write_matrix(code: BinaryCode, path, comments: Iterable[str] = ()) -> None:
     header = f"{MAGIC} {VERSION} {code.N} {code.t}"
     if code.weight is not None:
         header += f" {code.weight}"
-    chars = np.add(code.bits != 0, ord("0"), dtype=np.uint8)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in chars:
-            fh.write(row.tobytes().decode("ascii") + "\n")
-        for c in comments:
-            fh.write(f"# {c}\n")
+    tail = "".join(f"# {c}\n" for c in comments).encode("ascii")  # fails before the file opens
+    chars = np.full((code.N, code.t + 1), ord("\n"), dtype=np.uint8)
+    np.add(code.bits != 0, ord("0"), out=chars[:, :-1], dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode("ascii"))
+        fh.write(chars)
+        fh.write(tail)
 
 
 def read_matrix(path) -> BinaryCode:
@@ -54,19 +54,20 @@ def read_matrix(path) -> BinaryCode:
         raise MalformedFile(f"line 1: inconsistent dimensions N={N} t={t} w={w}")
     if len(lines) < 1 + N:
         raise MalformedFile(f"line {len(lines) + 1}: expected {N} data rows, file ends early")
-    rows = np.empty((N, t), dtype=np.uint8)
-    for i in range(N):
-        line = lines[1 + i]
-        if len(line) != t or set(line) - {"0", "1"}:
-            raise MalformedFile(f"line {i + 2}: expected {t} characters from 0/1")
-        rows[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+    bad = next((i for i, line in enumerate(lines[1:1 + N]) if len(line) != t), N)
+    if bad:  # t comes from the file: build S{t} only once a row has that length
+        bits = np.array(lines[1:1 + bad], dtype=f"S{t}").view(np.uint8).reshape(bad, t)
+        bits -= ord("0")
+        bad = int(next(iter(np.flatnonzero(bits.max(axis=1) > 1)), bad))
+    if bad < N:
+        raise MalformedFile(f"line {bad + 2}: expected {t} characters from 0/1")
     for extra, line in enumerate(lines[1 + N:], start=N + 2):
         if line and not line.startswith("#"):
             raise MalformedFile(f"line {extra}: unexpected content after data rows")
     if w is not None:
-        weights = rows.sum(axis=0)
+        weights = bits.sum(axis=0)
         bad = np.flatnonzero(weights != w)
         if bad.size:
             raise MalformedFile(
                 f"column {int(bad[0])} has weight {int(weights[bad[0]])}, header says {w}")
-    return BinaryCode(bits=rows, weight=w)
+    return BinaryCode(bits=bits, weight=w)

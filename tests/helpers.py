@@ -3,14 +3,17 @@
 Everything here recomputes results along a different path from the library
 code it checks: brute-force pairwise statistics, explicit polynomial
 evaluation, rank computations over the field tables, the per-pair
-polynomial construction of the field tables, and the unpruned parameter
-search.
+polynomial construction of the field tables, the unpruned parameter
+search, and the element-wise construct path (Reed-Solomon encoding by digit
+arrays, binary expansion by scatter, the matrix reader by per-line loop).
 """
 
 from itertools import combinations, product
 
 import numpy as np
 
+from sic.codes import BinaryCode, QaryCode, RSMeta
+from sic.errors import MalformedFile
 from sic.fields import FiniteField, is_prime_power
 
 
@@ -113,6 +116,73 @@ def search_params_unpruned(s: int, m: int, q_max: int = 64):
                     best_key = key
             lam += 1
     return None if best_key is None else best_key[1:]
+
+
+def rs_extended_by_digits(field: FiniteField, k: int) -> QaryCode:
+    """`sic.codes.rs_extended` by k base-q digit arrays of the column index
+    and an element-wise Horner step add[mul[acc, a], digit]."""
+    q = field.q
+    t = q**k
+    idx = np.arange(t, dtype=np.int64)
+    digits = [((idx // q**i) % q).astype(np.int16) for i in range(k)]
+    add, mul = field.add_table, field.mul_table
+    symbols = np.empty((q + 1, t), dtype=np.uint8 if q <= 256 else np.uint16)
+    for a in range(q):
+        mul_by_a = mul[:, a]
+        acc = digits[k - 1]
+        for i in range(k - 2, -1, -1):
+            acc = add[mul_by_a[acc], digits[i]]
+        symbols[a] = acc
+    symbols[q] = digits[k - 1]
+    return QaryCode(q=q, symbols=symbols, meta=RSMeta(k=k, r=0, d=q - k + 2))
+
+
+def binary_expand_by_scatter(code: QaryCode) -> BinaryCode:
+    """`sic.codes.binary_expand` by scattering a 1 into row i*q + v of a zero
+    matrix for each symbol v in row i."""
+    q, n, t = code.q, code.n, code.t
+    bits = np.zeros((n * q, t), dtype=np.uint8)
+    rows = np.arange(n, dtype=np.int64)[:, None] * q + code.symbols
+    cols = np.broadcast_to(np.arange(t, dtype=np.int64), (n, t))
+    bits[rows.ravel(), cols.ravel()] = 1
+    return BinaryCode(bits=bits, weight=n)
+
+
+def read_matrix_by_lines(path) -> BinaryCode:
+    """`sic.matrixfile.read_matrix` checking and converting one line at a time."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise MalformedFile("line 1: empty file")
+    fields = lines[0].split()
+    if len(fields) not in (4, 5) or fields[0] != "SIC" or fields[1] != "v1":
+        raise MalformedFile(f"line 1: expected 'SIC v1 N t [w]', got {lines[0]!r}")
+    try:
+        nums = [int(x) for x in fields[2:]]
+    except ValueError:
+        raise MalformedFile(f"line 1: non-integer header fields in {lines[0]!r}") from None
+    N, t = nums[0], nums[1]
+    w = nums[2] if len(nums) == 3 else None
+    if N < 1 or t < 1 or (w is not None and not 0 <= w <= N):
+        raise MalformedFile(f"line 1: inconsistent dimensions N={N} t={t} w={w}")
+    if len(lines) < 1 + N:
+        raise MalformedFile(f"line {len(lines) + 1}: expected {N} data rows, file ends early")
+    rows = np.empty((N, t), dtype=np.uint8)
+    for i in range(N):
+        line = lines[1 + i]
+        if len(line) != t or set(line) - {"0", "1"}:
+            raise MalformedFile(f"line {i + 2}: expected {t} characters from 0/1")
+        rows[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+    for extra, line in enumerate(lines[1 + N:], start=N + 2):
+        if line and not line.startswith("#"):
+            raise MalformedFile(f"line {extra}: unexpected content after data rows")
+    if w is not None:
+        weights = rows.sum(axis=0)
+        bad = np.flatnonzero(weights != w)
+        if bad.size:
+            raise MalformedFile(
+                f"column {int(bad[0])} has weight {int(weights[bad[0]])}, header says {w}")
+    return BinaryCode(bits=rows, weight=w)
 
 
 def gf_rank(f: FiniteField, mat) -> int:

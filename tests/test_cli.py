@@ -215,6 +215,14 @@ class TestVerify:
         assert code == 2
         assert "line 1" in err
 
+    def test_untrusted_header_width(self, capsys, tmp_path):
+        path = tmp_path / "wide.sic"
+        path.write_text("SIC v1 1 99999999999\n0\n")
+        code, out, err = run(capsys, "verify", str(path), "d-cert", "2", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+        assert "line 2: expected 99999999999 characters from 0/1" in err
+
 
 class TestSearch:
     def test_known_triple(self, capsys):

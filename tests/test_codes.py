@@ -4,8 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    binary_expand_by_scatter,
     pairwise_min_distance,
     qary_agreement_matrix,
+    rs_extended_by_digits,
     rs_min_distance_structural,
     search_params_unpruned,
 )
@@ -19,8 +21,15 @@ from sic.codes import (
     strength_feasible,
 )
 from sic.errors import InvalidDimension, InvalidShortening, ParameterOutOfRange
-from sic.fields import FiniteField
+from sic.fields import FiniteField, is_prime_power
 from sic.verify import coincidence
+
+# Every prime power q <= 64 with 2 <= k <= min(5, q + 1) and at most 2^21
+# symbols, plus the three largest k = 2 codes the construct path meets.
+ORACLE_CASES = [(q, k) for q in range(2, 65) if is_prime_power(q)
+                for k in range(2, min(5, q + 1) + 1) if q**k * (q + 1) <= 2**21]
+ORACLE_CASES += [(128, 2), (256, 2), (257, 2)]
+CASE_IDS = [f"q{q}-k{k}" for q, k in ORACLE_CASES]
 
 
 class TestRSExtended:
@@ -53,6 +62,13 @@ class TestRSExtended:
             rs_extended(FiniteField(5), 1)
         with pytest.raises(InvalidDimension):
             rs_extended(FiniteField(5), 7)
+
+    @pytest.mark.parametrize("q,k", ORACLE_CASES, ids=CASE_IDS)
+    def test_matches_digit_oracle(self, q, k):
+        field = FiniteField(q)
+        got, want = rs_extended(field, k).symbols, rs_extended_by_digits(field, k).symbols
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 4), (7, 3)])
     def test_distance_matches_structural_verifier(self, q, k):
@@ -118,6 +134,30 @@ class TestBinaryExpand:
         for i in range(ex1_qary.n):
             block = ex1.bits[i * q:(i + 1) * q]
             assert (block.sum(axis=0) == 1).all()
+
+    @pytest.mark.parametrize("symbols", [[[0, 3], [1, 2]], [[0, 1], [2, 3]], [[0, -1], [1, 2]]],
+                             ids=["into-next-block", "past-last-block", "negative"])
+    def test_out_of_range_symbols(self, symbols):
+        with pytest.raises(ParameterOutOfRange):
+            binary_expand(QaryCode(q=3, symbols=np.array(symbols)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+    def test_symbol_dtype_narrower_or_wider_than_q(self, dtype):
+        code = QaryCode(q=300, symbols=np.array([[0, 255, 44], [17, 1, 2]], dtype=dtype))
+        assert np.array_equal(binary_expand(code).bits, binary_expand_by_scatter(code).bits)
+
+    @pytest.mark.parametrize("q,k", ORACLE_CASES, ids=CASE_IDS)
+    def test_matches_scatter_oracle(self, q, k):
+        parent = rs_extended(FiniteField(q), k)
+        for r in range(k):
+            code = shorten(parent, r)
+            if code.n * q * code.t > 2**25:  # only q in {256, 257} with r = 0
+                continue
+            got, want = binary_expand(code), binary_expand_by_scatter(code)
+            assert (got.bits.dtype, got.bits.shape) == (want.bits.dtype, want.bits.shape)
+            assert got.bits.flags.c_contiguous
+            assert got.bits.tobytes() == want.bits.tobytes()
+            assert got.weight == want.weight == code.n
 
     @pytest.mark.parametrize("fixture", ["ex1", "ex2"])
     def test_dot_products_equal_agreements(self, fixture, request):

@@ -11,8 +11,11 @@ All rates are in bits per test (logarithms base 2).  The module computes:
 * the universal upper bound for saturating-outcome designs;
 * leading-order asymptotic forms of the above.
 
-Optimizers are deterministic: coarse grid scans followed by golden-section
-refinement, so repeated calls give bit-identical results.
+Optimizers are deterministic: a whole-array numpy pass over a 1e-3 grid
+(re-checked with the scalar objective where rounding could change the
+argmax, or pruned to the grid points that can hold it) followed by
+golden-section or zoom refinement, so repeated calls give bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ LOG2E = 1.0 / LN2
 # splitting inequality alone only gives 0.2 here, so the two-parameter
 # table is seeded with this constant (flagged in the result note).
 SEEDED_UPPER_2_2 = 0.1610
+
+# The coarse grid of both grid-then-refine optimizers.
+_GRID = np.arange(1e-3, 1.0, 1e-3)
+_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -186,8 +193,10 @@ def lower_zu(z: int, u: int) -> float:
         return 1.0
     if u > z:
         z, u = u, z
-    log_ratio = z * math.log(z) + u * math.log(u) - (z + u) * math.log(z + u)
-    return -math.log2(1.0 - math.exp(log_ratio)) / (z + u - 1)
+    ratio = math.exp(z * math.log(z) + u * math.log(u) - (z + u) * math.log(z + u))
+    if ratio < 2.0**-53:  # 1 - ratio rounds to 1
+        return -math.log1p(-ratio) * LOG2E / (z + u - 1)
+    return -math.log2(1.0 - ratio) / (z + u - 1)
 
 
 def _lower_z1_objective(z: int, a, q):
@@ -200,18 +209,24 @@ def _lower_z1_objective(z: int, a, q):
 def lower_z1(z: int) -> RateBound:
     """Random-coding lower bound on the (z,1) rate via 2-D maximization.
 
-    Grid step 1e-3 over the open unit square, then nested grid zooming
-    around the incumbent down to parameter scale 1e-9 (well past the 1e-8
-    target); fully deterministic.
+    Takes the first row-major maximum of the grid with step 1e-3 over the
+    open unit square, then zooms nested grids around the incumbent down to
+    parameter scale 1e-9 (well past the 1e-8 target); fully deterministic.
+    The objective is strictly concave in Q with its peak at
+    Q*(a) = a*c / (a*c + 1 - a), c = (1 - a**z)**(1/z), so each alpha row is
+    evaluated only at the grid point nearest Q*(a) and two on either side.
     """
     if z < 1:
         raise ParameterOutOfRange(f"need z >= 1, got {z}")
     if z == 1:
         return RateBound(kind="lower-z1", value=1.0, z=1, note="exact")
-    grid = np.arange(1e-3, 1.0, 1e-3)
-    vals = _lower_z1_objective(z, grid[:, None], grid[None, :])
-    ia, iq = np.unravel_index(np.argmax(vals), vals.shape)
-    a, q = float(grid[ia]), float(grid[iq])
+    c = (1.0 - _GRID**z) ** (1.0 / z)
+    peak = _GRID * c / (_GRID * c + 1.0 - _GRID)
+    cols = np.rint(peak / 1e-3).astype(np.intp)[:, None] + np.arange(-3, 2)  # grid[i] = (i+1)e-3
+    np.clip(cols, 0, _GRID.size - 1, out=cols)
+    vals = _lower_z1_objective(z, _GRID[:, None], _GRID[cols])
+    ia, j = np.unravel_index(np.argmax(vals), vals.shape)
+    a, q = float(_GRID[ia]), float(_GRID[cols[ia, j]])
     radius = 2e-3
     while radius > 1e-9:
         axis_a = np.linspace(max(a - radius, 1e-12), min(a + radius, 1 - 1e-12), 61)
@@ -254,6 +269,8 @@ def threshold_rc_term(beta: float, u: int, group: int, extra: int) -> float:
     if denom == 0:
         return math.inf
     hit = math.comb(group - 1, u - 1) * beta**u * (1.0 - beta) ** (group + extra - u)
+    if hit < 2.0**-26:  # 1 - hit would drop most of hit's digits
+        return -math.log1p(-hit) * LOG2E / denom
     return -math.log2(1.0 - hit) / denom
 
 
@@ -268,24 +285,48 @@ def threshold_objective_full(beta: float, u: int, s: int) -> float:
                for g in range(u, s + 1) for x in range(0, g + 1))
 
 
+# Group sizes per block of the whole-array threshold scan (bounds its memory).
+_GROUP_BLOCK = 256
+# The scalar objective's rounding of 1 - hit costs at most 2^-27 relative
+# (hit >= 2^-26 there) and the array side's error is a few ulps, so every
+# grid point whose scalar value can be the maximum lies within this band.
+_RECHECK_BAND = 2.0**-20
+
+
+def _threshold_grid_objective(u: int, s: int) -> np.ndarray:
+    """threshold_objective at every grid point, to within a few ulps."""
+    low = np.full(_GRID.size, np.inf)
+    for start in range(u, s + 1, _GROUP_BLOCK):
+        stop = min(start + _GROUP_BLOCK, s + 1)
+        g = np.arange(start, stop)[:, None]
+        comb = np.array([[float(math.comb(k - 1, u - 1))] for k in range(start, stop)])
+        hit = comb * _GRID**u * (1.0 - _GRID) ** (2 * g - u)
+        terms = -np.log1p(-hit) * LOG2E / (2 * g - 1)
+        np.minimum(low, terms.min(axis=0), out=low)
+    return low
+
+
 def threshold_lower(u: int, s: int) -> RateBound:
     """Max-min random-coding lower bound for threshold designs.
 
     Maximizes over the bit density beta (grid step 1e-3, golden-section
     refinement to 1e-8) the worst group-size term; the optimizer records
-    beta and the minimizing group size.
+    beta and the minimizing group size.  The grid is scanned as one array,
+    and the scalar objective re-checks the points within a relative band
+    of its maximum, so the first grid maximum is the scalar scan's.
     """
     if not 1 <= u < s:
         raise ParameterOutOfRange(f"need 1 <= u < s, got {(u, s)}")
-    grid = np.arange(1e-3, 1.0, 1e-3)
+    approx = _threshold_grid_objective(u, s)
+    top = approx.max()
     best_i = 0
     best_v = -math.inf
-    for i, b in enumerate(grid):
-        v = threshold_objective(float(b), u, s)
+    for i in np.flatnonzero(approx >= top - _RECHECK_BAND * abs(top)).tolist():
+        v = threshold_objective(float(_GRID[i]), u, s)
         if v > best_v:
             best_v, best_i = v, i
-    lo = grid[best_i] - 1e-3 if best_i > 0 else 1e-12
-    hi = grid[best_i] + 1e-3 if best_i < len(grid) - 1 else 1.0 - 1e-12
+    lo = _GRID[best_i] - 1e-3 if best_i > 0 else 1e-12
+    hi = _GRID[best_i] + 1e-3 if best_i < _GRID.size - 1 else 1.0 - 1e-12
     beta, value = _golden_max(lambda b: threshold_objective(b, u, s), lo, hi, 1e-8)
     if not math.isfinite(value) or value <= 0.0:
         raise ConvergenceFailure(f"degenerate threshold bound at {(u, s)}")

@@ -134,9 +134,13 @@ def binary_expand(code: QaryCode) -> BinaryCode:
 
     Row i*q+v of the output is 1 exactly where q-ary row i equals v, so the
     dot product of two binary columns equals the q-ary agreement count.
-    A symbol outside [0, q) raises ParameterOutOfRange.
+    A symbol outside [0, q), or an output of more than
+    MAX_MATERIALIZED_SYMBOLS bits, raises ParameterOutOfRange.
     """
     q, n, t, symbols = code.q, code.n, code.t, code.symbols
+    if n * q * t > MAX_MATERIALIZED_SYMBOLS:
+        raise ParameterOutOfRange(
+            f"binary expansion with {n * q} rows and {t} columns is too large to materialize")
     if symbols.size and not (0 <= symbols.min() and symbols.max() < q):
         raise ParameterOutOfRange(f"symbols must lie in [0, {q})")
     values = np.arange(q, dtype=np.min_scalar_type(q - 1))  # RS symbol width: a fast compare

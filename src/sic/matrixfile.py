@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .codes import BinaryCode
-from .errors import MalformedFile
+from .errors import MalformedFile, ParameterOutOfRange
 
 MAGIC = "SIC"
 VERSION = "v1"
@@ -27,6 +27,10 @@ def write_matrix(code: BinaryCode, path, comments: Iterable[str] = ()) -> None:
     header = f"{MAGIC} {VERSION} {code.N} {code.t}"
     if code.weight is not None:
         header += f" {code.weight}"
+    comments = list(comments)
+    for c in comments:  # the reader splits lines with str.splitlines
+        if (c + "\n").splitlines() != [c]:
+            raise ParameterOutOfRange(f"comment {c!r} holds a line break")
     tail = "".join(f"# {c}\n" for c in comments).encode("ascii")  # fails before the file opens
     chars = np.full((code.N, code.t + 1), ord("\n"), dtype=np.uint8)
     np.add(code.bits != 0, ord("0"), out=chars[:, :-1], dtype=np.uint8)

@@ -4,14 +4,18 @@ Everything here recomputes results along a different path from the library
 code it checks: brute-force pairwise statistics, explicit polynomial
 evaluation, rank computations over the field tables, the per-pair
 polynomial construction of the field tables, the unpruned parameter
-search, and the element-wise construct path (Reed-Solomon encoding by digit
-arrays, binary expansion by scatter, the matrix reader by per-line loop).
+search, the element-wise construct path (Reed-Solomon encoding by digit
+arrays, binary expansion by scatter, the matrix reader by per-line loop), and
+the bound optimizers' unpruned grid scans.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 
+from sic.bounds import (RateBound, _golden_max, _lower_z1_objective, threshold_objective,
+                        threshold_rc_term)
 from sic.codes import BinaryCode, QaryCode, RSMeta
 from sic.errors import MalformedFile
 from sic.fields import FiniteField, is_prime_power
@@ -146,6 +150,42 @@ def binary_expand_by_scatter(code: QaryCode) -> BinaryCode:
     cols = np.broadcast_to(np.arange(t, dtype=np.int64), (n, t))
     bits[rows.ravel(), cols.ravel()] = 1
     return BinaryCode(bits=bits, weight=n)
+
+
+def threshold_lower_by_loop(u: int, s: int) -> RateBound:
+    """`sic.bounds.threshold_lower` with the scalar objective at every one of
+    the 999 grid points, keeping the first maximum."""
+    grid = np.arange(1e-3, 1.0, 1e-3)
+    best_i = 0
+    best_v = -math.inf
+    for i, b in enumerate(grid):
+        v = threshold_objective(float(b), u, s)
+        if v > best_v:
+            best_v, best_i = v, i
+    lo = grid[best_i] - 1e-3 if best_i > 0 else 1e-12
+    hi = grid[best_i] + 1e-3 if best_i < len(grid) - 1 else 1.0 - 1e-12
+    beta, value = _golden_max(lambda b: threshold_objective(b, u, s), lo, hi, 1e-8)
+    argmin = min(range(u, s + 1), key=lambda g: threshold_rc_term(beta, u, g, g))
+    return RateBound(kind="threshold-lower", value=float(value), u=u, s=s,
+                     optimizer={"beta": float(beta), "group": argmin})
+
+
+def lower_z1_full_grid(z: int) -> RateBound:
+    """`sic.bounds.lower_z1` with the objective on the whole 999 x 999 grid."""
+    grid = np.arange(1e-3, 1.0, 1e-3)
+    vals = _lower_z1_objective(z, grid[:, None], grid[None, :])
+    ia, iq = np.unravel_index(np.argmax(vals), vals.shape)
+    a, q = float(grid[ia]), float(grid[iq])
+    radius = 2e-3
+    while radius > 1e-9:
+        axis_a = np.linspace(max(a - radius, 1e-12), min(a + radius, 1 - 1e-12), 61)
+        axis_q = np.linspace(max(q - radius, 1e-12), min(q + radius, 1 - 1e-12), 61)
+        box = _lower_z1_objective(z, axis_a[:, None], axis_q[None, :])
+        ja, jq = np.unravel_index(np.argmax(box), box.shape)
+        a, q = float(axis_a[ja]), float(axis_q[jq])
+        radius *= 0.3
+    best = float(_lower_z1_objective(z, a, q))
+    return RateBound(kind="lower-z1", value=best / z, z=z, optimizer={"alpha": a, "Q": q})
 
 
 def read_matrix_by_lines(path) -> BinaryCode:

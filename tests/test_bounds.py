@@ -6,10 +6,12 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sic
+from helpers import lower_z1_full_grid, threshold_lower_by_loop
+from sic import bounds
 from sic.bounds import (
     RateBound,
     asymptotic_rate,
@@ -251,6 +253,13 @@ class TestLowerZU:
             for u in range(1, z + 1):
                 assert lower_zu(z, u) == pytest.approx(mp_lower_zu(z, u), abs=1e-12)
 
+    @pytest.mark.parametrize("z,u", [(30, 30), (60, 30), (100, 50)])
+    def test_ratio_below_one_ulp_against_mpmath(self, z, u):
+        # 1 - ratio rounds to 1 here; the plain formula gave -0.0
+        value = lower_zu(z, u)
+        assert value > 0
+        assert value == pytest.approx(mp_lower_zu(z, u), rel=1e-9)
+
 
 class TestLowerZ1:
     def test_table_values(self):
@@ -284,6 +293,15 @@ class TestLowerZ1:
 
     def test_z1_exact(self):
         assert lower_z1(1).value == 1.0
+
+    def test_matches_full_grid_every_small_z(self):
+        for z in range(2, 41):
+            assert lower_z1(z) == lower_z1_full_grid(z), z
+
+    @settings(max_examples=10)
+    @given(st.integers(41, 200))
+    def test_matches_full_grid_drawn(self, z):
+        assert lower_z1(z) == lower_z1_full_grid(z)
 
 
 class TestUniversalUpper:
@@ -340,6 +358,43 @@ class TestThresholdLower:
             assert threshold_objective_full(beta, u, s) == pytest.approx(rb.value, abs=1e-9)
             assert threshold_rc_term(beta, u, rb.optimizer["group"],
                                      rb.optimizer["group"]) == pytest.approx(rb.value, rel=1e-9)
+
+    def test_matches_scalar_loop_every_small_pair(self):
+        for s in range(2, 25):
+            for u in range(1, s):
+                assert threshold_lower(u, s) == threshold_lower_by_loop(u, s), (u, s)
+
+    @settings(max_examples=10)
+    @given(st.integers(25, 40).flatmap(lambda s: st.tuples(st.integers(1, s - 1), st.just(s))))
+    def test_matches_scalar_loop_drawn(self, us):
+        assert threshold_lower(*us) == threshold_lower_by_loop(*us)
+
+    def test_scalar_rechecks_per_call(self, monkeypatch):
+        scalar = bounds.threshold_objective
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return scalar(*args)
+
+        monkeypatch.setattr(bounds, "threshold_objective", counted)
+        for u, s in [(1, 6), (3, 12), (5, 18), (27, 28)]:
+            calls = 0
+            threshold_lower(u, s)
+            assert calls <= 150, (u, s, calls)
+
+    @pytest.mark.parametrize("u,s", [(27, 28), (30, 40)])
+    def test_hit_below_one_ulp_against_mpmath(self, u, s):
+        # 1 - hit rounds to 1 for u >= 27; the plain formula found no positive bound
+        rb = threshold_lower(u, s)
+        assert rb.value > 0
+        with mpmath.workdps(50):
+            beta = mpmath.mpf(rb.optimizer["beta"])
+            expected = min(-mpmath.log(1 - mpmath.binomial(g - 1, u - 1) * beta**u
+                                       * (1 - beta) ** (2 * g - u), 2) / (2 * g - 1)
+                           for g in range(u, s + 1))
+        assert rb.value == pytest.approx(float(expected), rel=1e-9)
 
     def test_2_5_logged_against_simple_bound(self):
         maxmin = threshold_lower(2, 5).value

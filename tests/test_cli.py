@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -69,6 +70,18 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "nope")
         assert code == 2
 
+    def test_threshold_lower_above_u_26(self, capsys):
+        code, out, err = run(capsys, "bounds", "threshold-lower", "--u", "27", "--s", "28")
+        assert (code, err) == (0, "")
+        assert out.startswith("threshold-lower u=27 s=28 value=")
+
+    def test_lower_zu_tiny_value_is_positive(self, capsys):
+        code, out, _ = run(capsys, "bounds", "lower-zu", "--z", "60", "--u", "30",
+                           "--format", "csv")
+        assert code == 0
+        value = out.splitlines()[1].split(",")[5]
+        assert float(value) > 0 and not value.startswith("-")
+
     def test_asymptotic(self, capsys):
         code, out, _ = run(capsys, "bounds", "asymptotic", "--form", "exact-size-upper",
                            "--s", "10")
@@ -94,6 +107,25 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "6", "3", "1", str(tmp_path / "x"))
         assert code == 2
         assert "error" in err
+
+    def test_expansion_too_large_exits_2_without_allocating(self, tmp_path):
+        # q=256 k=2 r=0 expands to a 65792 x 65536 matrix: 4 GiB of bits. The
+        # address-space limit turns an attempt to allocate it into a failure.
+        out_path = tmp_path / "out.sic"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sic.__file__)))
+        limit = 2**31
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from sic.cli import main; sys.exit(main())",
+             "construct", "256", "2", "0", str(out_path)],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "too large to materialize" in proc.stderr
+        assert not out_path.exists()
 
     def test_unwritable_output(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.sic"

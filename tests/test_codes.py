@@ -141,6 +141,12 @@ class TestBinaryExpand:
         with pytest.raises(ParameterOutOfRange):
             binary_expand(QaryCode(q=3, symbols=np.array(symbols)))
 
+    def test_output_over_the_cap_raises_before_allocating(self):
+        # 2 rows x 65536 values x 2000 columns: 262M bits from a 4000-symbol code
+        code = QaryCode(q=65536, symbols=np.zeros((2, 2000), dtype=np.uint16))
+        with pytest.raises(ParameterOutOfRange, match="too large to materialize"):
+            binary_expand(code)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
     def test_symbol_dtype_narrower_or_wider_than_q(self, dtype):
         code = QaryCode(q=300, symbols=np.array([[0, 255, 44], [17, 1, 2]], dtype=dtype))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import read_matrix_by_lines
 from sic.codes import BinaryCode, random_code
-from sic.errors import MalformedFile
+from sic.errors import MalformedFile, ParameterOutOfRange
 from sic.matrixfile import read_matrix, write_matrix
 
 
@@ -42,6 +42,24 @@ def test_unencodable_comment_leaves_no_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_matrix(random_code(2, 3, 0.5, seed=1), path, comments=["caf\u00e9"])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("comment", ["a\nb", "a\rb", "a\r", "\x0b", "a\x0cb", "a\x1cb",
+                                     "a\x85b", "a\u2028b"])
+def test_comment_with_a_line_break_leaves_no_file(tmp_path, comment):
+    path = tmp_path / "x.sic"
+    with pytest.raises(ParameterOutOfRange, match="line break"):
+        write_matrix(random_code(2, 3, 0.5, seed=1), path, comments=["ok", comment])
+    assert not path.exists()
+
+
+def test_plain_comments_round_trip(tmp_path):
+    code = random_code(3, 4, 0.5, seed=1)
+    path = tmp_path / "c.sic"
+    comments = ["", "q=2 k=3 r=1 lambda=2", "tab\tinside"]
+    write_matrix(code, path, comments=iter(comments))
+    assert path.read_text().splitlines()[-3:] == [f"# {c}" for c in comments]
+    assert np.array_equal(read_matrix(path).bits, code.bits)
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"])

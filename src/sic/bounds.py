@@ -259,6 +259,19 @@ def threshold_lower_simple(u: int, s: int) -> float:
     return lower_zu(s - u + 1, u)
 
 
+def _hit(count: int, beta, u: int, misses: int):
+    """count * beta**u * (1 - beta)**misses, for a float beta or a beta array.
+
+    A count beyond the float range is taken through its logarithm; every
+    other count keeps the plain product.
+    """
+    try:
+        count = float(count)
+    except OverflowError:
+        return np.exp(math.log(count) + u * np.log(beta) + misses * np.log1p(-beta))
+    return count * beta**u * (1.0 - beta) ** misses
+
+
 def threshold_rc_term(beta: float, u: int, group: int, extra: int) -> float:
     """One term of the exact-hit random-coding bound: group size `group`
     (>= u) and `extra` blockers (0 <= extra <= group).  Degenerate
@@ -268,7 +281,7 @@ def threshold_rc_term(beta: float, u: int, group: int, extra: int) -> float:
     denom = group + extra - 1
     if denom == 0:
         return math.inf
-    hit = math.comb(group - 1, u - 1) * beta**u * (1.0 - beta) ** (group + extra - u)
+    hit = _hit(math.comb(group - 1, u - 1), beta, u, group + extra - u)
     if hit < 2.0**-26:  # 1 - hit would drop most of hit's digits
         return -math.log1p(-hit) * LOG2E / denom
     return -math.log2(1.0 - hit) / denom
@@ -299,8 +312,11 @@ def _threshold_grid_objective(u: int, s: int) -> np.ndarray:
     for start in range(u, s + 1, _GROUP_BLOCK):
         stop = min(start + _GROUP_BLOCK, s + 1)
         g = np.arange(start, stop)[:, None]
-        comb = np.array([[float(math.comb(k - 1, u - 1))] for k in range(start, stop)])
-        hit = comb * _GRID**u * (1.0 - _GRID) ** (2 * g - u)
+        counts = [math.comb(k - 1, u - 1) for k in range(start, stop)]
+        try:
+            hit = np.array(counts, dtype=float)[:, None] * _GRID**u * (1.0 - _GRID) ** (2 * g - u)
+        except OverflowError:  # a count beyond the float range: row by row
+            hit = np.array([_hit(c, _GRID, u, 2 * k - u) for k, c in enumerate(counts, start)])
         terms = -np.log1p(-hit) * LOG2E / (2 * g - 1)
         np.minimum(low, terms.min(axis=0), out=low)
     return low
@@ -319,6 +335,8 @@ def threshold_lower(u: int, s: int) -> RateBound:
         raise ParameterOutOfRange(f"need 1 <= u < s, got {(u, s)}")
     approx = _threshold_grid_objective(u, s)
     top = approx.max()
+    if not top > 0.0:  # the bound is below the float range on the whole grid
+        raise ConvergenceFailure(f"degenerate threshold bound at {(u, s)}")
     best_i = 0
     best_v = -math.inf
     for i in np.flatnonzero(approx >= top - _RECHECK_BAND * abs(top)).tolist():

@@ -9,13 +9,15 @@ witnesses) are identical across runs:
 * pairs of subsets are ordered by the outer subset first, then the inner;
 * within a tuple, the distinguished element is scanned in ascending order.
 
-All checkers share one enumeration: `_lex` yields the subsets in this
-order as fixed-width tuples, padding shorter subsets with -1 (a prefix
-still sorts before its extensions), and `_batches` packs them into integer
-arrays.  Index -1 selects an all-zero column appended to the matrix, so
-padding never counts as a hit.  Each checker tests a whole batch with numpy
-and reports the first failing row.  A batch holds at most about 4*10^6 row
-entries (rows times subset width times batch size).
+All checkers share one enumeration, `sic.subsets.lex_batches`, which
+yields the subsets in this order as rows of integer arrays built with
+numpy copies, padding shorter subsets with -1 (a prefix still sorts
+before its extensions).  Index -1 selects an all-zero column appended to
+the matrix, so padding never counts as a hit.  Each checker tests a whole
+batch with numpy and reports the first failing row.  A batch holds at
+most about 4*10^6 row entries (rows times subset width times batch size;
+for `check_d_code`, batch size times the larger of rows times width and
+the column count).
 
 Checkers refuse inputs whose enumeration would exceed a row-scan budget
 (tuple count times matrix length, default 10^9) by raising BudgetExceeded
@@ -24,11 +26,9 @@ instead of running unbounded.  Column indices in reports are 0-based.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from itertools import combinations
 from math import comb
-from operator import add
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .errors import (
     ParameterOutOfRange,
     TooFewColumns,
 )
+from .subsets import lex_batches
 
 DEFAULT_BUDGET = 1_000_000_000
 _MAX_BATCH = 16384          # subsets per batch
@@ -116,25 +117,9 @@ def _bits(X) -> np.ndarray:
     return arr
 
 
-def _lex(items, lo: int, hi: int):
-    """Subsets of `items` with sizes in [lo, hi] in lexicographic order, as
-    hi-tuples padded with -1."""
-    if lo == hi:
-        return combinations(items, hi)  # a merge of one iterable, without its per-item cost
-    return heapq.merge(*(map(add, combinations(items, k), repeat((-1,) * (hi - k)))
-                         for k in range(lo, hi + 1)))
-
-
-def _batches(subsets, width: int, rows: int):
-    """(size, width) index arrays of consecutive padded subsets, sized so a
-    gather of `rows` rows per member holds at most _BATCH_ENTRIES entries."""
-    size = max(1, min(_MAX_BATCH, _BATCH_ENTRIES // max(1, rows * width)))
-    flat = chain.from_iterable(subsets)
-    while True:
-        batch = np.fromiter(islice(flat, size * width), dtype=np.intp)
-        if not batch.size:
-            return
-        yield batch.reshape(-1, width)
+def _batch_size(entries: int) -> int:
+    """Subsets per batch when each costs `entries` row entries."""
+    return max(1, min(_MAX_BATCH, _BATCH_ENTRIES // max(1, entries)))
 
 
 def _columns(bits: np.ndarray) -> np.ndarray:
@@ -180,7 +165,7 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     for U in combinations(range(t), u):
         rows = cols[:, cols[list(U)].all(axis=0)]  # the rows that are 1 on all of U
         rest = [c for c in range(t) if c not in U]
-        for batch in _batches(_lex(rest, z, z), z, rows.shape[1]):
+        for batch in lex_batches(rest, z, z, _batch_size(rows.shape[1] * z)):
             blocked = rows[batch].any(axis=1).all(axis=1)
             if blocked.any():
                 r = int(np.argmax(blocked))
@@ -205,7 +190,8 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
     cols = _columns(bits)
     float_bits = bits.astype(np.float32)
     offset = 0
-    for batch in _batches(_lex(range(t), s, s), s, N):
+    # a batch's coverage counts are (batch, t), its gather (batch, s, N)
+    for batch in lex_batches(range(t), s, s, _batch_size(max(N * s, t))):
         qualifying = (_hits(cols, batch) <= l - 1).astype(np.float32)  # rows usable per S
         covered = qualifying @ float_bits                       # (batch, t) counts
         np.put_along_axis(covered, batch, 1.0, axis=1)          # members of S exempt
@@ -256,11 +242,12 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     _check_budget(m_code_scans(t, s, u, N), budget)
     cols = _columns(bits)
     checked = 0
-    for U in map(_subset, _lex(range(t), u, s)):
+    outer = lex_batches(range(t), u, s, _batch_size(s))
+    for U in (_subset(row) for block in outer for row in block.tolist()):
         rows = cols[:, cols[list(U)].sum(axis=0) == u]  # the rows with exactly u hits in U
         at_j = rows[list(U)].T.astype(bool)              # (rows, |U|): row is 1 at j
         rest = [c for c in range(t) if c not in U]
-        for batch in _batches(_lex(rest, 0, len(U)), len(U), rows.shape[1]):
+        for batch in lex_batches(rest, 0, len(U), _batch_size(rows.shape[1] * len(U))):
             avoid = ~rows[batch].any(axis=1)                              # (batch, rows): 0 on Z
             bad = np.flatnonzero(~(avoid[:, :, None] & at_j).any(axis=1))  # over (Z, j) pairs
             if bad.size:
@@ -303,15 +290,19 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     labels = np.unique(F.values, return_inverse=True)[1].astype(np.min_scalar_type(F.l))
     cols = _columns(bits)
     seen: dict[bytes, int] = {}  # outcome key -> enumeration index of its first subset
-    for batch in _batches(_lex(range(t), lo, hi), hi, N):
+    size = _batch_size(N * hi)
+    for batch in lex_batches(range(t), lo, hi, size):
         outcomes = labels[np.minimum(_hits(cols, batch), F.l)]
         for r, key in enumerate(map(bytes, outcomes)):
             n = len(seen)
             prev = seen.setdefault(key, n)
             if prev != n:
-                P = next(islice(_lex(range(t), lo, hi), prev, None))
-                return VerificationReport(False, {"P": _subset(P), "Pprime": _subset(batch[r])},
-                                          n + 1)
+                for block in lex_batches(range(t), lo, hi, size):  # to subset number prev
+                    if prev < len(block):
+                        break
+                    prev -= len(block)
+                return VerificationReport(False, {"P": _subset(block[prev]),
+                                                  "Pprime": _subset(batch[r])}, n + 1)
     return VerificationReport(True, None, len(seen))
 
 
@@ -323,7 +314,7 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     n_sets = sum(comb(t, i) for i in range(u, s + 1))
     _check_budget(n_sets * (n_sets - 1) * N, budget)
     cols = _columns(bits)
-    batches = list(_batches(_lex(range(t), u, s), s, N))
+    batches = list(lex_batches(range(t), u, s, _batch_size(N * s)))
     sets = np.concatenate(batches)
     # bit-packed rows: fire[i] marks the rows with >= u hits in set i
     fire = np.concatenate([np.packbits(_hits(cols, b) >= u, axis=1) for b in batches])

@@ -5,12 +5,15 @@ code it checks: brute-force pairwise statistics, explicit polynomial
 evaluation, rank computations over the field tables, the per-pair
 polynomial construction of the field tables, the unpruned parameter
 search, the element-wise construct path (Reed-Solomon encoding by digit
-arrays, binary expansion by scatter, the matrix reader by per-line loop), and
-the bound optimizers' unpruned grid scans.
+arrays, binary expansion by scatter, the matrix reader by per-line loop),
+the bound optimizers' unpruned grid scans, and the checkers' subset
+enumeration as a merge of Python tuples packed by `np.fromiter`.
 """
 
+import heapq
 import math
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product, repeat
+from operator import add
 
 import numpy as np
 
@@ -298,6 +301,26 @@ def lex_subsets(items, lo: int, hi: int) -> list[tuple]:
     """Subsets with sizes in [lo, hi] in the order documented in `sic.verify`
     (Python orders a tuple before its extensions)."""
     return sorted(S for k in range(lo, hi + 1) for S in combinations(items, k))
+
+
+def lex_by_merge(items, lo: int, hi: int):
+    """Subsets of `items` with sizes in [lo, hi] in lexicographic order, as
+    hi-tuples padded with -1: the rows of `sic.subsets.lex_batches`."""
+    if lo == hi:
+        return combinations(items, hi)  # a merge of one iterable, without its per-item cost
+    return heapq.merge(*(map(add, combinations(items, k), repeat((-1,) * (hi - k)))
+                         for k in range(lo, hi + 1)))
+
+
+def batches_by_fromiter(subsets, width: int, size: int):
+    """(size, width) index arrays of consecutive padded subsets (the last
+    one shorter); nothing for width 0."""
+    flat = chain.from_iterable(subsets)
+    while True:
+        batch = np.fromiter(islice(flat, size * width), dtype=np.intp)
+        if not batch.size:
+            return
+        yield batch.reshape(-1, width)
 
 
 def brute_report(prop: str, bits, params: dict):

@@ -396,6 +396,19 @@ class TestThresholdLower:
                            for g in range(u, s + 1))
         assert rb.value == pytest.approx(float(expected), rel=1e-9)
 
+    def test_count_beyond_float_range_against_mpmath(self):
+        # C(g - 1, u - 1) exceeds the float range for the largest groups
+        u, s = 400, 1200
+        assert math.comb(s - 1, u - 1) > 2**1024
+        rb = threshold_lower(u, s)
+        assert math.isfinite(rb.value) and rb.value > 0
+        with mpmath.workdps(50):
+            beta = mpmath.mpf(rb.optimizer["beta"])
+            expected = min(-mpmath.log1p(-mpmath.binomial(g - 1, u - 1) * beta**u
+                                         * (1 - beta) ** (2 * g - u)) / mpmath.log(2) / (2 * g - 1)
+                           for g in range(u, s + 1))
+        assert rb.value == pytest.approx(float(expected), rel=1e-9)
+
     def test_2_5_logged_against_simple_bound(self):
         maxmin = threshold_lower(2, 5).value
         simple = threshold_lower_simple(2, 5)

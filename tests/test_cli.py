@@ -75,6 +75,16 @@ class TestBounds:
         assert (code, err) == (0, "")
         assert out.startswith("threshold-lower u=27 s=28 value=")
 
+    def test_threshold_lower_count_beyond_float_range(self, capsys):
+        # C(1199, 399) and C(1199, 599) exceed the float range; at u = 600 the
+        # bound itself (below 4^-600 / 1199) is under the smallest float
+        code, out, err = run(capsys, "bounds", "threshold-lower", "--u", "400", "--s", "1200")
+        assert (code, err) == (0, "")
+        assert out.startswith("threshold-lower u=400 s=1200 value=")
+        code, out, err = run(capsys, "bounds", "threshold-lower", "--u", "600", "--s", "1200")
+        assert (code, out) == (2, "")
+        assert err == "error: degenerate threshold bound at (600, 1200)\n"
+
     def test_lower_zu_tiny_value_is_positive(self, capsys):
         code, out, _ = run(capsys, "bounds", "lower-zu", "--z", "60", "--u", "30",
                            "--format", "csv")

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_report, lex_subsets, qary_agreement_matrix
-from sic import verify
+from helpers import (batches_by_fromiter, brute_report, lex_by_merge, lex_subsets,
+                     qary_agreement_matrix)
+from sic import subsets, verify
 from sic.codes import BinaryCode, QaryCode, binary_expand, random_code, rs_extended, shorten
 from sic.errors import (
     BudgetExceeded,
@@ -29,7 +31,6 @@ from sic.verify import (
     check_threshold_design,
     coincidence,
 )
-from sic.verify import _lex
 
 
 def identity_code(t):
@@ -80,21 +81,46 @@ class TestOutcomeFunction:
             OutcomeFunction(values=(7,))
 
 
+def lex_rows(items, lo, hi):
+    """The padded subsets of `lex_batches`, flattened to tuples."""
+    return [tuple(row) for batch in subsets.lex_batches(items, lo, hi, verify._MAX_BATCH)
+            for row in batch.tolist()]
+
+
 class TestLex:
     def test_order(self):
-        got = list(_lex(range(3), 0, 2))
+        got = lex_rows(range(3), 0, 2)
         assert got == [(-1, -1), (0, -1), (0, 1), (0, 2), (1, -1), (1, 2), (2, -1)]
         for n, hi in [(5, 3), (7, 7)]:
-            got = [tuple(c for c in S if c >= 0) for S in _lex(range(n), 0, hi)]
+            got = [tuple(c for c in S if c >= 0) for S in lex_rows(range(n), 0, hi)]
             assert got == lex_subsets(range(n), 0, hi)
 
     def test_counts(self):
         for items, lo, hi in [(range(6), 2, 4), ([1, 4, 5, 8, 9], 1, 3), (range(6), 3, 3)]:
-            got = list(_lex(items, lo, hi))
+            got = lex_rows(items, lo, hi)
             assert all(len(S) == hi for S in got)
             got = [tuple(c for c in S if c >= 0) for S in got]
             assert len(got) == sum(comb(len(items), k) for k in range(lo, hi + 1))
             assert got == lex_subsets(items, lo, hi)
+
+    @pytest.mark.parametrize("tails", [None, 0], ids=["pair-tails", "single-tails"])
+    @pytest.mark.parametrize("size", [verify._MAX_BATCH, 1, 7], ids=["default", "batch1", "batch7"])
+    @given(items=st.lists(st.integers(0, 40), max_size=12, unique=True).map(sorted),
+           sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)).map(sorted))
+    def test_matches_merge_oracle(self, tails, size, items, sizes):
+        """The same rows as the tuple merge, cut into the same batches, also
+        when batch boundaries fall inside a run of tails and when the tails
+        have one element."""
+        lo, hi = sizes
+        patch = (contextlib.nullcontext() if tails is None
+                 else mock.patch.object(subsets, "PAIR_TABLE_ENTRIES", tails))
+        with patch:
+            got = list(subsets.lex_batches(items, lo, hi, size))
+        assert [tuple(row) for b in got for row in b.tolist()] == list(lex_by_merge(items, lo, hi))
+        assert all(b.dtype == np.intp and b.shape[1] == hi for b in got)
+        if hi:  # the oracle packs no batch for width 0
+            want = list(batches_by_fromiter(lex_by_merge(items, lo, hi), hi, size))
+            assert [b.tolist() for b in got] == [b.tolist() for b in want]
 
 
 class TestCoverFree:
@@ -190,6 +216,19 @@ class TestDCode:
             if brute:
                 break
         assert rep.witness == brute
+
+    def test_wide_matrix_batch_memory(self):
+        # the (batch, t) coverage counts are inside the batch bound, and the
+        # enumeration builds no table quadratic in t
+        X = np.ones((1, 3000), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            rep = check_d_code(X, 2, 1, budget=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.satisfied, rep.witness, rep.tuples_checked) == (False, {"S": (0, 1), "j": 2}, 1)
+        assert peak < 48 * 2**20
 
     def test_parameters(self):
         with pytest.raises(ParameterOutOfRange):
@@ -474,9 +513,9 @@ def checker_inputs(draw, prop):
 
 class TestAgainstBruteForce:
     """Every checker gives the report of the plain-loop oracle, also when
-    each batch holds a single subset."""
+    each batch holds one subset or seven."""
 
-    @pytest.mark.parametrize("batch", [None, 1], ids=["default", "batch1"])
+    @pytest.mark.parametrize("batch", [None, 1, 7], ids=["default", "batch1", "batch7"])
     @pytest.mark.parametrize("prop", sorted(CHECKERS))
     @settings(deadline=None)  # the oracle takes a few hundred ms on satisfying inputs
     @given(data=st.data())

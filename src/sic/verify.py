@@ -19,6 +19,14 @@ most about 4*10^6 row entries (rows times subset width times batch size;
 for `check_d_code`, batch size times the larger of rows times width and
 the column count).
 
+The pair and duplicate scans compare rows packed into uint64 words
+(`sic.words`).  The threshold checkers compare a block of outer sets with
+all sets at once, at most PAIR_WORDS words per operand (at least one
+outer set).  `check_design` keeps one packed outcome key per candidate,
+b bits per row (b = 1 for a threshold map), and finds the first repeated
+key by sorting the keys so far after 1, 2, 4, ... batches; keys plus sort
+index, domain * (8W + 8) bytes, may not exceed DESIGN_KEY_BYTES.
+
 Checkers refuse inputs whose enumeration would exceed a row-scan budget
 (tuple count times matrix length, default 10^9) by raising BudgetExceeded
 instead of running unbounded.  Column indices in reports are 0-based.
@@ -40,11 +48,14 @@ from .errors import (
     TooFewColumns,
 )
 from .subsets import lex_batches
+from .words import first_repeat, overlap, pack
 
 DEFAULT_BUDGET = 1_000_000_000
 _MAX_BATCH = 16384          # subsets per batch
 _BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
 _BLOCK_ENTRIES = _BATCH_ENTRIES // 2  # coincidence block columns * t (counter and scratch)
+PAIR_WORDS = 8192           # words per block of the threshold pair scans
+DESIGN_KEY_BYTES = 2**30    # check_design's key store plus its sort index
 
 
 @dataclass(frozen=True)
@@ -286,24 +297,42 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
         raise ParameterOutOfRange(f"need 1 <= l <= s < t, got l={F.l}, s={s}, t={t}")
     _check_budget(design_scans(t, F, s, mode, N), budget)
     lo, hi = design_domain_sizes(F, s, mode)
+    domain = sum(comb(t, i) for i in range(lo, hi + 1))
     # outcome vectors are equal iff their vectors of label indices are
-    labels = np.unique(F.values, return_inverse=True)[1].astype(np.min_scalar_type(F.l))
+    index = {v: i for i, v in enumerate(sorted(set(F.values)))}
+    width = (len(index) - 1).bit_length()  # bits of one label index
+    label_bits = np.array([[index[v] >> b & 1 for b in range(width)] for v in F.values],
+                          dtype=bool)  # (l + 1, width)
+    words = max(1, -(-N * width // 64))
+    store = domain * (8 * words + 8)
+    if store > DESIGN_KEY_BYTES:
+        raise BudgetExceeded(f"design key store of {store} bytes exceeds {DESIGN_KEY_BYTES}")
+    keys = np.empty((domain, words), dtype=np.uint64)
     cols = _columns(bits)
-    seen: dict[bytes, int] = {}  # outcome key -> enumeration index of its first subset
     size = _batch_size(N * hi)
+    n = 0
+    for k, batch in enumerate(lex_batches(range(t), lo, hi, size), 1):
+        hits = _hits(cols, batch)
+        if F.is_threshold:  # the one label bit is "reached l" or its negation
+            outcomes = hits >= F.l
+        else:
+            outcomes = label_bits[np.minimum(hits, F.l)].reshape(len(batch), -1)
+        keys[n:n + len(batch)] = pack(outcomes)
+        n += len(batch)
+        if k & (k - 1) == 0 or n == domain:  # after 1, 2, 4, ... batches and the last
+            repeat = first_repeat(keys[:n])
+            if repeat is not None:
+                P, Pprime = (_nth_subset(t, lo, hi, size, i) for i in repeat)
+                return VerificationReport(False, {"P": P, "Pprime": Pprime}, repeat[1] + 1)
+    return VerificationReport(True, None, domain)
+
+
+def _nth_subset(t: int, lo: int, hi: int, size: int, n: int) -> tuple:
+    """Subset number n of the enumeration of `check_design`."""
     for batch in lex_batches(range(t), lo, hi, size):
-        outcomes = labels[np.minimum(_hits(cols, batch), F.l)]
-        for r, key in enumerate(map(bytes, outcomes)):
-            n = len(seen)
-            prev = seen.setdefault(key, n)
-            if prev != n:
-                for block in lex_batches(range(t), lo, hi, size):  # to subset number prev
-                    if prev < len(block):
-                        break
-                    prev -= len(block)
-                return VerificationReport(False, {"P": _subset(block[prev]),
-                                                  "Pprime": _subset(batch[r])}, n + 1)
-    return VerificationReport(True, None, len(seen))
+        if n < len(batch):
+            return _subset(batch[n])
+        n -= len(batch)
 
 
 def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> VerificationReport:
@@ -316,28 +345,40 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     cols = _columns(bits)
     batches = list(lex_batches(range(t), u, s, _batch_size(N * s)))
     sets = np.concatenate(batches)
-    # bit-packed rows: fire[i] marks the rows with >= u hits in set i
-    fire = np.concatenate([np.packbits(_hits(cols, b) >= u, axis=1) for b in batches])
-    silent = ~fire
+    # fire[i] marks the rows with >= u hits in set i and member[i] its
+    # columns; silent and outside, transposed, mark the other rows and columns
+    fire, silent, member, outside = [], [], [], []
+    for b in batches:
+        on = _hits(cols, b) >= u
+        fire.append(pack(on))
+        silent.append(pack(~on))
+        if bar:
+            flags = np.zeros((len(b), t + 1), dtype=bool)
+            np.put_along_axis(flags, b, True, axis=1)
+            member.append(pack(flags[:, :t]))
+            outside.append(pack(~flags[:, :t]))
+    fire, silent = np.concatenate(fire), np.concatenate(silent).T.copy()
+    words = fire.shape[1]
     if bar:
-        member = np.zeros((n_sets, t + 1), dtype=bool)
-        np.put_along_axis(member, sets, True, axis=1)
-        member = np.packbits(member[:, :t], axis=1)
-        outside = ~member
+        member, outside = np.concatenate(member), np.concatenate(outside).T.copy()
+        words = max(words, member.shape[1])
     else:
         sizes = (sets >= 0).sum(axis=1)
+    rows = max(1, PAIR_WORDS // (n_sets * words))  # outer sets per block
     checked = 0
-    for i in range(n_sets):
+    for i0 in range(0, n_sets, rows):
+        i1 = min(i0 + rows, n_sets)
         if bar:
-            applies = (member[i] & outside).any(axis=1)  # P is not a subset of P'
+            applies = overlap(member[i0:i1], outside)  # P is not a subset of P'
         else:
-            applies = sizes <= sizes[i]
-        applies[i] = False
-        bad = applies & ~(fire[i] & silent).any(axis=1)  # no row fires on P but not on P'
+            applies = sizes[None, :] <= sizes[i0:i1, None]
+        applies[np.arange(i1 - i0), np.arange(i0, i1)] = False
+        bad = applies & ~overlap(fire[i0:i1], silent)  # no row fires on P but not on P'
         if bad.any():
-            j = int(np.argmax(bad))
-            witness = {"P": _subset(sets[i]), "Pprime": _subset(sets[j])}
-            return VerificationReport(False, witness, checked + int(applies[:j + 1].sum()))
+            k = int(np.argmax(bad))  # row-major: outer set first
+            i, j = divmod(k, n_sets)
+            witness = {"P": _subset(sets[i0 + i]), "Pprime": _subset(sets[j])}
+            return VerificationReport(False, witness, checked + int(applies.ravel()[:k + 1].sum()))
         checked += int(applies.sum())
     return VerificationReport(True, None, checked)
 

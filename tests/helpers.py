@@ -6,13 +6,16 @@ evaluation, rank computations over the field tables, the per-pair
 polynomial construction of the field tables, the unpruned parameter
 search, the element-wise construct path (Reed-Solomon encoding by digit
 arrays, binary expansion by scatter, the matrix reader by per-line loop),
-the bound optimizers' unpruned grid scans, and the checkers' subset
-enumeration as a merge of Python tuples packed by `np.fromiter`.
+the bound optimizers' unpruned grid scans, the checkers' subset
+enumeration as a merge of Python tuples packed by `np.fromiter`, the
+design check by a dict of `bytes` keys and the threshold pair scans by one
+loop iteration per outer set.
 """
 
 import heapq
 import math
 from itertools import chain, combinations, islice, product, repeat
+from math import comb
 from operator import add
 
 import numpy as np
@@ -20,8 +23,12 @@ import numpy as np
 from sic.bounds import (RateBound, _golden_max, _lower_z1_objective, threshold_objective,
                         threshold_rc_term)
 from sic.codes import BinaryCode, QaryCode, RSMeta
-from sic.errors import MalformedFile
+from sic.errors import MalformedFile, ParameterOutOfRange
 from sic.fields import FiniteField, is_prime_power
+from sic.subsets import lex_batches
+from sic.verify import (OutcomeFunction, VerificationReport, _batch_size, _bits,
+                        _check_budget, _columns, _hits, _subset, design_domain_sizes,
+                        design_scans)
 
 
 def _poly_mul_mod(a, b, p: int) -> list[int]:
@@ -391,3 +398,72 @@ def brute_report(prop: str, bits, params: dict):
     else:
         raise ValueError(f"unknown property {prop!r}")
     return True, None, checked
+
+
+def design_by_dict(X, F: OutcomeFunction, s: int, mode: str = "at-most",
+                   budget: int | None = None) -> VerificationReport:
+    """`sic.verify.check_design` with one `bytes` key per candidate in a
+    dict from key to the enumeration index of its first subset."""
+    bits = _bits(X)
+    N, t = bits.shape
+    if not 1 <= F.l <= s < t:
+        raise ParameterOutOfRange(f"need 1 <= l <= s < t, got l={F.l}, s={s}, t={t}")
+    _check_budget(design_scans(t, F, s, mode, N), budget)
+    lo, hi = design_domain_sizes(F, s, mode)
+    # outcome vectors are equal iff their vectors of label indices are
+    labels = np.unique(F.values, return_inverse=True)[1].astype(np.min_scalar_type(F.l))
+    cols = _columns(bits)
+    seen: dict[bytes, int] = {}  # outcome key -> enumeration index of its first subset
+    size = _batch_size(N * hi)
+    for batch in lex_batches(range(t), lo, hi, size):
+        outcomes = labels[np.minimum(_hits(cols, batch), F.l)]
+        for r, key in enumerate(map(bytes, outcomes)):
+            n = len(seen)
+            prev = seen.setdefault(key, n)
+            if prev != n:
+                for block in lex_batches(range(t), lo, hi, size):  # to subset number prev
+                    if prev < len(block):
+                        break
+                    prev -= len(block)
+                return VerificationReport(False, {"P": _subset(block[prev]),
+                                                  "Pprime": _subset(batch[r])}, n + 1)
+    return VerificationReport(True, None, len(seen))
+
+
+def threshold_pairs_by_loop(X, u: int, s: int, bar: bool,
+                            budget: int | None = None) -> VerificationReport:
+    """`sic.verify._check_threshold_pairs` with one Python iteration per
+    outer set over bit-packed rows and a (sets, t + 1) bool membership."""
+    bits = _bits(X)
+    N, t = bits.shape
+    if not (1 <= u < s and 2 * s < t):
+        raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
+    n_sets = sum(comb(t, i) for i in range(u, s + 1))
+    _check_budget(n_sets * (n_sets - 1) * N, budget)
+    cols = _columns(bits)
+    batches = list(lex_batches(range(t), u, s, _batch_size(N * s)))
+    sets = np.concatenate(batches)
+    # bit-packed rows: fire[i] marks the rows with >= u hits in set i
+    fire = np.concatenate([np.packbits(_hits(cols, b) >= u, axis=1) for b in batches])
+    silent = ~fire
+    if bar:
+        member = np.zeros((n_sets, t + 1), dtype=bool)
+        np.put_along_axis(member, sets, True, axis=1)
+        member = np.packbits(member[:, :t], axis=1)
+        outside = ~member
+    else:
+        sizes = (sets >= 0).sum(axis=1)
+    checked = 0
+    for i in range(n_sets):
+        if bar:
+            applies = (member[i] & outside).any(axis=1)  # P is not a subset of P'
+        else:
+            applies = sizes <= sizes[i]
+        applies[i] = False
+        bad = applies & ~(fire[i] & silent).any(axis=1)  # no row fires on P but not on P'
+        if bad.any():
+            j = int(np.argmax(bad))
+            witness = {"P": _subset(sets[i]), "Pprime": _subset(sets[j])}
+            return VerificationReport(False, witness, checked + int(applies[:j + 1].sum()))
+        checked += int(applies.sum())
+    return VerificationReport(True, None, checked)

@@ -208,6 +208,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "threshold-bar", "1", "2")
         assert code == 0
 
+    def test_readme_verify_examples_run(self, capsys, tmp_path, monkeypatch):
+        # each `sic verify ex1.sic ...` line of README's CLI block ends with a
+        # verdict, not with the budget or a usage error
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            blocks = fh.read().split("```sh\n")[1:]
+        lines = [line.split("#")[0].split() for block in blocks
+                 for line in block.split("```")[0].splitlines()
+                 if line.startswith("sic verify ex1.sic ")]
+        assert {argv[3] for argv in lines} >= {"design", "threshold", "threshold-bar"}
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SIC_BUDGET", raising=False)
+        assert run(capsys, "construct", "5", "5", "2", "ex1.sic")[0] == 0
+        for argv in lines:
+            code, _, err = run(capsys, *argv[1:])
+            assert code in (0, 1), (argv, err)
+
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", str(tmp_path / "absent.sic"), "cover-free",
                              "1", "1")

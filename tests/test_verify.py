@@ -1,4 +1,8 @@
 import contextlib
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -9,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (batches_by_fromiter, brute_report, lex_by_merge, lex_subsets,
-                     qary_agreement_matrix)
+from helpers import (batches_by_fromiter, brute_report, design_by_dict, lex_by_merge,
+                     lex_subsets, qary_agreement_matrix, threshold_pairs_by_loop)
+import sic
 from sic import subsets, verify
 from sic.codes import BinaryCode, QaryCode, binary_expand, random_code, rs_extended, shorten
 from sic.errors import (
@@ -22,6 +27,7 @@ from sic.errors import (
 from sic.fields import FiniteField
 from sic.verify import (
     OutcomeFunction,
+    VerificationReport,
     check_cover_free,
     check_d_certificate,
     check_d_code,
@@ -335,6 +341,31 @@ class TestDesign:
             check_design(random_code(20, 40, 0.5, seed=1), OutcomeFunction.threshold(1),
                          s=10, mode="at-most", budget=10**5)
 
+    def test_key_store_over_byte_limit_raises_at_once(self):
+        # 3000 singletons and 4498500 pairs with 47-word keys: 1728576000
+        # bytes of keys and sort index, within the row-scan budget but over
+        # DESIGN_KEY_BYTES.  The address-space limit turns an attempt to
+        # store the keys into a failure.
+        script = ("import numpy as np\n"
+                  "from sic.errors import BudgetExceeded\n"
+                  "from sic.verify import OutcomeFunction, check_design\n"
+                  "F = OutcomeFunction.threshold(1)\n"
+                  "try:\n"
+                  "    check_design(np.eye(3000, dtype=np.uint8), F, 2, budget=10**11)\n"
+                  "except BudgetExceeded as exc:\n"
+                  "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sic.__file__)))
+        limit = 2**31
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                              preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "design key store of 1728576000 bytes exceeds 1073741824\n"
+
 
 class TestThresholdDesigns:
     def test_m_code_implies_threshold(self):
@@ -526,3 +557,107 @@ class TestAgainstBruteForce:
         with patch:
             rep = CHECKERS[prop](bits, params)
         assert (rep.satisfied, rep.witness, rep.tuples_checked) == brute_report(prop, bits, params)
+
+
+def pair_blocks(rows, X, u, s, bar):
+    """Make the threshold pair scans of X take `rows` outer sets per block
+    (None: the default)."""
+    if rows is None:
+        return contextlib.nullcontext()
+    N, t = np.shape(X)
+    n_sets = sum(comb(t, i) for i in range(u, s + 1))
+    words = max(1, -(-N // 64), -(-t // 64) if bar else 1)
+    return mock.patch.object(verify, "PAIR_WORDS", rows * n_sets * words)
+
+
+def design_batches(size):
+    """Make check_design write `size` candidates per batch (None: the default)."""
+    if size is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(verify, "_MAX_BATCH", size)
+
+
+@st.composite
+def packed_inputs(draw, t_min, t_max):
+    """A matrix with t_min..t_max columns and 1..12 or 63..130 rows, so that
+    row flags and design keys take one, two or three words (up to seven with
+    three-bit labels); sometimes with identity rows on top, so that strong
+    properties can hold."""
+    t = draw(st.integers(t_min, t_max))
+    N = draw(st.integers(1, 12) | st.integers(63, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = (rng.random((N, t)) < draw(st.sampled_from([0.1, 0.25, 0.5]))).astype(np.uint8)
+    if draw(st.booleans()):
+        k = min(N, t)
+        X[:k] = np.eye(t, dtype=np.uint8)[:k]
+    return X
+
+
+class TestPackedScansAgainstOracles:
+    """The word-packed pair and duplicate scans give the reports of the
+    loop and dict scans they replaced, also when a block holds one or seven
+    outer sets and when a batch holds one or seven candidates."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "block1", "block7"])
+    @pytest.mark.parametrize("bar", [False, True], ids=["threshold", "threshold_bar"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_threshold_pairs_match_loop(self, bar, rows, data):
+        X = data.draw(packed_inputs(5, 10))
+        s = data.draw(st.integers(2, (X.shape[1] - 1) // 2))
+        u = data.draw(st.integers(1, s - 1))
+        with pair_blocks(rows, X, u, s, bar):
+            got = verify._check_threshold_pairs(X, u, s, bar, None)
+        assert got == threshold_pairs_by_loop(X, u, s, bar)
+
+    @pytest.mark.parametrize("size", [None, 1, 7], ids=["default", "batch1", "batch7"])
+    @pytest.mark.parametrize("n_labels", [2, 3, 5])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_design_matches_dict(self, n_labels, size, data):
+        # n_labels distinct labels take b = 1, 2 or 3 bits of key per row;
+        # the labels are relabelled at random, so the saturated one varies
+        X = data.draw(packed_inputs(5, 8))
+        s = data.draw(st.integers(n_labels - 1, X.shape[1] - 1))
+        l = data.draw(st.integers(n_labels - 1, s))
+        rest = data.draw(st.lists(st.integers(0, n_labels - 2), min_size=l - n_labels + 1,
+                                  max_size=l - n_labels + 1))
+        labels = data.draw(st.permutations(list(range(n_labels - 1)) + rest))
+        relabel = data.draw(st.permutations(range(n_labels)))
+        F = OutcomeFunction(values=tuple(relabel[v] for v in (*labels, n_labels - 1)))
+        mode = data.draw(st.sampled_from(["at-most", "exactly"]))
+        with design_batches(size):
+            got = check_design(X, F, s, mode)
+        assert got == design_by_dict(X, F, s, mode)
+
+    def test_design_first_repeat_just_after_doubling_boundary(self):
+        # one candidate per batch: the keys are sorted after 1, 2, 4 and 8.
+        # The fifth candidate (4,) repeats (2,), so the sort at 4 finds
+        # nothing, and the sort at 8 also holds the later repeat (6,) of (0,).
+        X = np.eye(8, dtype=np.uint8)
+        X[:, 4] = X[:, 2]
+        X[:, 6] = X[:, 0]
+        F = OutcomeFunction.threshold(1)
+        want = VerificationReport(False, {"P": (2,), "Pprime": (4,)}, 5)
+        for size in (1, 2):
+            with design_batches(size):
+                assert check_design(X, F, 1, "exactly") == want
+        assert design_by_dict(X, F, 1, "exactly") == want
+
+    def test_threshold_witness_in_second_block(self):
+        # column 4 fires nowhere, so the outer set (0, 4), number 4, fires
+        # only where (0,) does; with three outer sets per block it lies in
+        # the second block, after 6 + 3 * 27 checked pairs.
+        X = np.eye(7, dtype=np.uint8)
+        X[:, 4] = 0
+        want = VerificationReport(False, {"P": (0, 4), "Pprime": (0,)}, 88)
+        with pair_blocks(3, X, 1, 2, bar=False):
+            assert check_threshold_design(X, 1, 2) == want
+        assert threshold_pairs_by_loop(X, 1, 2, bar=False) == want
+
+    def test_threshold_bar_two_member_words(self):
+        # 70 columns: each set's columns take two words
+        X = np.eye(70, dtype=np.uint8)
+        for Y in (X, np.hstack([X[:, :69], X[:, :1]])):
+            assert check_threshold_bar_design(Y, 1, 2) == threshold_pairs_by_loop(Y, 1, 2, True)
+

@@ -22,6 +22,7 @@ import itertools
 import json
 import os
 import sys
+from functools import partial
 
 from . import bounds as B
 from . import verify as V
@@ -123,25 +124,23 @@ def _cmd_bounds(args) -> int:
         seq = B.recurrent_upper(args.z_max)
         for z, val in enumerate(seq, start=1):
             rows.append(_rate_row(kind, val, z=z, reciprocal=1.0 / val))
-    elif kind == "asymptotic":
-        if args.form is None:
-            raise SicError("kind 'asymptotic' needs --form")
-        params = {name: None if getattr(args, name) is None
-                  else _parse_range(getattr(args, name), name)[0] for name in ("z", "u", "s")}
-        value = B.asymptotic_rate(args.form, **params)
-        rows.append(_rate_row(f"asymptotic:{args.form}", value, **params))
     else:
-        axes = BOUND_AXES[kind]
+        if kind == "asymptotic":
+            if args.form is None:
+                raise SicError("kind 'asymptotic' needs --form")
+            axes = tuple(name for name in ("z", "u", "s") if getattr(args, name) is not None)
+            kind, bound = f"asymptotic:{args.form}", partial(B.asymptotic_rate, args.form)
+        else:
+            axes, bound = BOUND_AXES[kind], getattr(B, kind.replace("-", "_"))
         grids = []
         for name in axes:
             flag = getattr(args, name)
             if flag is None:
                 raise SicError(f"kind {kind!r} needs --{name}")
             grids.append(_parse_range(flag, name))
-        bound = getattr(B, kind.replace("-", "_"))
         for point in itertools.product(*grids):
             params = dict(zip(axes, point))
-            value = bound(*point)
+            value = bound(**params)
             if isinstance(value, B.RateBound):
                 params.update(optimizer=value.optimizer, note=value.note)
                 value = value.value

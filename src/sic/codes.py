@@ -177,7 +177,9 @@ def search_params(s: int, m: int, q_max: int = 64) -> CodeParams | None:
 
     Scans prime powers q <= q_max and coincidences lam >= 1, taking the
     minimal admissible weight w = s*lam + 1; returns the feasible set
-    minimizing N = w*q (ties: smaller q, then smaller lam), or None.
+    minimizing N = w*q (ties: smaller q, then smaller lam), or None.  The
+    scan ends at the first q with q^2 >= 2^(m+1), past which t = q^(lam+1)
+    is too large for every lam.
     """
     if s < 2 or m < 1 or q_max < 2:
         raise ParameterOutOfRange(f"need s >= 2, m >= 1, q_max >= 2, got {(s, m, q_max)}")
@@ -185,6 +187,8 @@ def search_params(s: int, m: int, q_max: int = 64) -> CodeParams | None:
     best = None
     best_key = None
     for q in range(2, q_max + 1):
+        if q * q >= hi:  # no lam fits, here or at any larger q
+            break
         if is_prime_power(q) is None:
             continue
         lam = 1

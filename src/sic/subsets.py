@@ -1,9 +1,9 @@
-"""Subsets in lexicographic order, in numpy batches.
+"""Subsets of range(n) in lexicographic order, as tuples or numpy batches.
 
-Subsets of sorted items are ordered lexicographically, a subset before its
-extensions: (0,) < (0,1) < (0,1,2) < (0,2) < (1,).  `lex_batches` yields
-them as rows of integer arrays, padding subsets shorter than the widest
-with -1, which keeps that order.
+The order puts a subset before its extensions, (0,) < (0,1) < (0,1,2) <
+(0,2) < (1,), which is Python's tuple order.  `lex_batches` yields index
+rows padded with -1 to the widest size, which keeps that order; a caller
+with other items maps the rows through an array of them.
 
 The rows are built with numpy copies, not Python tuples.  The subsets that
 share a prefix of all but their last two members are one contiguous run of
@@ -15,6 +15,8 @@ one element, which is as fast there.
 
 from __future__ import annotations
 
+from heapq import merge
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -22,81 +24,73 @@ import numpy as np
 PAIR_TABLE_ENTRIES = 1_000_000
 
 
-def _pair_tails(lookup: np.ndarray, singles: bool) -> tuple[np.ndarray, list[int]]:
-    """The tails (i, j), i < j, of the n = len(lookup) - 1 items in
-    lexicographic order, with (i, -1) before the pairs of each i if
-    `singles`, mapped through `lookup`; and the row where the tails of each
-    first index i (and n, the end) start."""
-    n = len(lookup) - 1
+def lex_tuples(n: int, lo: int, hi: int):
+    """The subsets of range(n) with sizes in [lo, hi] as tuples, in
+    lexicographic order."""
+    if lo == hi:  # one size needs no merge
+        return combinations(range(n), lo)
+    return merge(*(combinations(range(n), k) for k in range(lo, hi + 1)))
+
+
+def lex_count(n: int, lo: int, hi: int) -> int:
+    """The number of subsets of range(n) with sizes in [lo, hi]."""
+    return sum(comb(n, k) for k in range(lo, hi + 1))
+
+
+def _pair_tails(n: int, singles: bool) -> tuple[np.ndarray, list[int]]:
+    """The tails (i, j), i < j < n, in lexicographic order, with (i, -1)
+    before the pairs of each i if `singles`; and the row where the tails of
+    each first index i (and n, the end) start."""
     skip = int(not singles)
     counts = np.arange(n - skip, -skip, -1)  # tails with first index i
     starts = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(counts, out=starts[1:])
     tails = np.empty((starts[-1], 2), dtype=np.intp)
-    tails[:, 0] = np.repeat(lookup[:-1], counts)
-    second = np.arange(starts[-1]) + np.repeat(np.arange(skip, n + skip) - starts[:-1], counts)
+    tails[:, 0] = np.repeat(np.arange(n), counts)
+    tails[:, 1] = np.arange(starts[-1]) + np.repeat(np.arange(skip, n + skip) - starts[:-1], counts)
     if singles:
-        second[starts[:-1]] = n  # lookup[n] is -1
-    tails[:, 1] = lookup[second]
+        tails[starts[:-1], 1] = -1
     return tails, starts.tolist()
 
 
-def _pieces(items: list, lo: int, hi: int):
-    """(prefix, tails) pairs: writing the prefix list over each row of the
-    tails array, in turn, gives the padded subsets of `lex_batches`; tails
-    None stands for the prefix alone.
+def _pieces(n: int, lo: int, hi: int):
+    """(prefix, tails) pairs: writing the prefix over each row of the tails
+    array, in turn, gives the padded subsets of `lex_batches`; tails None
+    stands for the prefix alone.
 
-    The prefixes of size at most hi - 2 are walked in lexicographic order.
-    Each one of size at least lo is a row of its own, and each of size
-    hi - 2 is followed by the run of the 1- and 2-element tail table that
-    starts at its first item after its last.  Where that table would hold
-    more than PAIR_TABLE_ENTRIES entries, the tails have one element and
-    the prefixes go up to size hi - 1.
+    The prefixes have sizes up to top = hi - 2.  Each one of size at least
+    lo is a row of its own, and each of size top is followed by the run of
+    the 1- and 2-element tail table that starts at its first index after
+    its last.  Where that table would hold more than PAIR_TABLE_ENTRIES
+    entries, the tails have one element and top is hi - 1.
     """
-    n = len(items)
     width = min(hi, 2 if n * (n + 1) <= PAIR_TABLE_ENTRIES else 1)  # of a tail
     top = hi - width  # the prefix size that a run of tails follows
-    lookup = np.array(items + [-1], dtype=np.intp)
     if width == 2:
-        tails, starts = _pair_tails(lookup, singles=lo < hi)
+        tails, starts = _pair_tails(n, singles=lo < hi)
     else:
-        tails, starts = lookup[:-1, None], range(n + 1)
-    prefix: list[int] = []  # indices into items
-    values: list[int] = []  # the items at those indices
-    while True:
+        tails, starts = np.arange(n)[:, None], range(n + 1)
+    for prefix in lex_tuples(n, min(lo, top), top):
         if len(prefix) >= lo:
-            yield values, None
-        first = prefix[-1] + 1 if prefix else 0
-        if len(prefix) < top and first < n:
-            prefix.append(first)
-            values.append(items[first])
-            continue
+            yield prefix, None
         if len(prefix) == top and width:
-            yield values, tails[starts[first]:]
-        while prefix and prefix[-1] == n - 1:
-            prefix.pop()
-            values.pop()
-        if not prefix:
-            return
-        prefix[-1] += 1
-        values[-1] = items[prefix[-1]]
+            yield prefix, tails[starts[prefix[-1] + 1 if prefix else 0]:]
 
 
-def lex_batches(items, lo: int, hi: int, size: int):
-    """Subsets of the sorted `items` with sizes in [lo, hi] in lexicographic
-    order, as (size, hi) intp arrays of rows padded with -1; the last one
-    may be shorter.  Every array is a fresh one.
+def lex_batches(n: int, lo: int, hi: int, size: int):
+    """Subsets of range(n) with sizes in [lo, hi] in lexicographic order,
+    as (size, hi) intp arrays of rows padded with -1; the last one may be
+    shorter.  Every array is a fresh one.
     """
-    items = list(items)
-    left = sum(comb(len(items), k) for k in range(lo, hi + 1))
+    left = lex_count(n, lo, hi)
     batch = None
-    for values, tails in _pieces(items, lo, hi):
-        j, a, end = len(values), 0, 1 if tails is None else len(tails)
+    for prefix, tails in _pieces(n, lo, hi):
+        j, a, end = len(prefix), 0, 1 if tails is None else len(tails)
         while a < end:
             if batch is None:
                 batch, k = np.full((min(size, left), hi), -1, dtype=np.intp), 0
             take = min(len(batch) - k, end - a)
-            batch[k:k + take, :j] = values
+            batch[k:k + take, :j] = prefix
             if tails is not None:
                 batch[k:k + take, j:] = tails[a:a + take]
             k += take

@@ -10,10 +10,13 @@ witnesses) are identical across runs:
 * within a tuple, the distinguished element is scanned in ascending order.
 
 All checkers share one enumeration, `sic.subsets.lex_batches`, which
-yields the subsets in this order as rows of integer arrays built with
-numpy copies, padding shorter subsets with -1 (a prefix still sorts
+yields the subsets of range(n) in this order as rows of index arrays built
+with numpy copies, padding shorter subsets with -1 (a prefix still sorts
 before its extensions).  Index -1 selects an all-zero column appended to
-the matrix, so padding never counts as a hit.  Each checker tests a whole
+the matrix, so padding never counts as a hit.  `check_cover_free` and
+`check_m_code` enumerate Z over the columns outside U: once per U they
+restrict the column table to those columns, the zero column last, and map
+only the witness back to column indices.  Each checker tests a whole
 batch with numpy and reports the first failing row.  A batch holds at
 most about 4*10^6 row entries (rows times subset width times batch size;
 for `check_d_code`, batch size times the larger of rows times width and
@@ -27,15 +30,16 @@ b bits per row (b = 1 for a threshold map), and finds the first repeated
 key by sorting the keys so far after 1, 2, 4, ... batches; keys plus sort
 index, domain * (8W + 8) bytes, may not exceed DESIGN_KEY_BYTES.
 
-Checkers refuse inputs whose enumeration would exceed a row-scan budget
-(tuple count times matrix length, default 10^9) by raising BudgetExceeded
-instead of running unbounded.  Column indices in reports are 0-based.
+Checkers take a 0/1 matrix, a BinaryCode or a 2-D array, and raise
+ParameterOutOfRange on any other entry.  They refuse inputs whose
+enumeration would exceed a row-scan budget (tuple count times matrix
+length, default 10^9) by raising BudgetExceeded instead of running
+unbounded.  Column indices in reports are 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -47,7 +51,7 @@ from .errors import (
     ParameterOutOfRange,
     TooFewColumns,
 )
-from .subsets import lex_batches
+from .subsets import lex_batches, lex_count, lex_tuples
 from .words import first_repeat, overlap, pack
 
 DEFAULT_BUDGET = 1_000_000_000
@@ -119,13 +123,17 @@ class VerificationReport:
     tuples_checked: int
 
 
-def _bits(X) -> np.ndarray:
-    if isinstance(X, BinaryCode):
-        return X.bits
-    arr = np.asarray(X, dtype=np.uint8)
+def _bits(X, binary: bool = True) -> np.ndarray:
+    """The matrix of a BinaryCode as stored, or of a 2-D array as uint8.
+    With `binary`, any entry outside {0, 1} raises ParameterOutOfRange; the
+    entries are read before the cast, which would turn -1 into 255."""
+    arr = X.bits if isinstance(X, BinaryCode) else np.asarray(X)
     if arr.ndim != 2:
         raise ParameterOutOfRange("binary code must be a 2-D matrix")
-    return arr
+    if binary and not (arr.max(initial=0) <= 1 if arr.dtype.kind in "bu"
+                       else ((arr == 0) | (arr == 1)).all()):
+        raise ParameterOutOfRange("binary code entries must be 0 or 1")
+    return arr if isinstance(X, BinaryCode) else arr.astype(np.uint8, copy=False)
 
 
 def _batch_size(entries: int) -> int:
@@ -173,14 +181,16 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     _check_budget(cover_free_scans(t, z, u, N), budget)
     cols = _columns(bits)
     checked = 0
-    for U in combinations(range(t), u):
+    for U in lex_tuples(t, u, u):
         rows = cols[:, cols[list(U)].all(axis=0)]  # the rows that are 1 on all of U
-        rest = [c for c in range(t) if c not in U]
-        for batch in lex_batches(rest, z, z, _batch_size(rows.shape[1] * z)):
+        rest = [c for c in range(t) if c not in U] + [-1]
+        rows = rows[rest]  # Z indexes the columns outside U, then the zero column
+        for batch in lex_batches(t - u, z, z, _batch_size(rows.shape[1] * z)):
             blocked = rows[batch].any(axis=1).all(axis=1)
             if blocked.any():
                 r = int(np.argmax(blocked))
-                return VerificationReport(False, {"U": U, "Z": _subset(batch[r])}, checked + r + 1)
+                Z = _subset(rest[c] for c in batch[r])
+                return VerificationReport(False, {"U": U, "Z": Z}, checked + r + 1)
             checked += len(batch)
     return VerificationReport(True, None, checked)
 
@@ -202,7 +212,7 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
     float_bits = bits.astype(np.float32)
     offset = 0
     # a batch's coverage counts are (batch, t), its gather (batch, s, N)
-    for batch in lex_batches(range(t), s, s, _batch_size(max(N * s, t))):
+    for batch in lex_batches(t, s, s, _batch_size(max(N * s, t))):
         qualifying = (_hits(cols, batch) <= l - 1).astype(np.float32)  # rows usable per S
         covered = qualifying @ float_bits                       # (batch, t) counts
         np.put_along_axis(covered, batch, 1.0, axis=1)          # members of S exempt
@@ -234,11 +244,7 @@ def check_d_certificate(X, s: int, l: int) -> bool:
 
 
 def m_code_scans(t: int, s: int, u: int, N: int) -> int:
-    total = 0
-    for a in range(u, s + 1):
-        inner = sum(comb(t - a, b) for b in range(0, a + 1))
-        total += comb(t, a) * inner * a
-    return total * N
+    return sum(comb(t, a) * lex_count(t - a, 0, a) * a for a in range(u, s + 1)) * N
 
 
 def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationReport:
@@ -253,17 +259,17 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     _check_budget(m_code_scans(t, s, u, N), budget)
     cols = _columns(bits)
     checked = 0
-    outer = lex_batches(range(t), u, s, _batch_size(s))
-    for U in (_subset(row) for block in outer for row in block.tolist()):
+    for U in lex_tuples(t, u, s):
         rows = cols[:, cols[list(U)].sum(axis=0) == u]  # the rows with exactly u hits in U
         at_j = rows[list(U)].T.astype(bool)              # (rows, |U|): row is 1 at j
-        rest = [c for c in range(t) if c not in U]
-        for batch in lex_batches(rest, 0, len(U), _batch_size(rows.shape[1] * len(U))):
+        rest = [c for c in range(t) if c not in U] + [-1]
+        rows = rows[rest]  # Z indexes the columns outside U, then the zero column
+        for batch in lex_batches(t - len(U), 0, len(U), _batch_size(rows.shape[1] * len(U))):
             avoid = ~rows[batch].any(axis=1)                              # (batch, rows): 0 on Z
             bad = np.flatnonzero(~(avoid[:, :, None] & at_j).any(axis=1))  # over (Z, j) pairs
             if bad.size:
                 r, pos = divmod(int(bad[0]), len(U))
-                witness = {"U": U, "Z": _subset(batch[r]), "j": U[pos]}
+                witness = {"U": U, "Z": _subset(rest[c] for c in batch[r]), "j": U[pos]}
                 return VerificationReport(False, witness, checked + int(bad[0]) + 1)
             checked += batch.size
     return VerificationReport(True, None, checked)
@@ -279,7 +285,7 @@ def design_domain_sizes(F: OutcomeFunction, s: int, mode: str) -> tuple[int, int
 
 def design_scans(t: int, F: OutcomeFunction, s: int, mode: str, N: int) -> int:
     lo, hi = design_domain_sizes(F, s, mode)
-    return sum(comb(t, i) for i in range(lo, hi + 1)) * N
+    return lex_count(t, lo, hi) * N
 
 
 def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
@@ -297,7 +303,7 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
         raise ParameterOutOfRange(f"need 1 <= l <= s < t, got l={F.l}, s={s}, t={t}")
     _check_budget(design_scans(t, F, s, mode, N), budget)
     lo, hi = design_domain_sizes(F, s, mode)
-    domain = sum(comb(t, i) for i in range(lo, hi + 1))
+    domain = lex_count(t, lo, hi)
     # outcome vectors are equal iff their vectors of label indices are
     index = {v: i for i, v in enumerate(sorted(set(F.values)))}
     width = (len(index) - 1).bit_length()  # bits of one label index
@@ -311,7 +317,7 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     cols = _columns(bits)
     size = _batch_size(N * hi)
     n = 0
-    for k, batch in enumerate(lex_batches(range(t), lo, hi, size), 1):
+    for k, batch in enumerate(lex_batches(t, lo, hi, size), 1):
         hits = _hits(cols, batch)
         if F.is_threshold:  # the one label bit is "reached l" or its negation
             outcomes = hits >= F.l
@@ -329,7 +335,7 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
 
 def _nth_subset(t: int, lo: int, hi: int, size: int, n: int) -> tuple:
     """Subset number n of the enumeration of `check_design`."""
-    for batch in lex_batches(range(t), lo, hi, size):
+    for batch in lex_batches(t, lo, hi, size):
         if n < len(batch):
             return _subset(batch[n])
         n -= len(batch)
@@ -340,10 +346,10 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    n_sets = sum(comb(t, i) for i in range(u, s + 1))
+    n_sets = lex_count(t, u, s)
     _check_budget(n_sets * (n_sets - 1) * N, budget)
     cols = _columns(bits)
-    batches = list(lex_batches(range(t), u, s, _batch_size(N * s)))
+    batches = list(lex_batches(t, u, s, _batch_size(N * s)))
     sets = np.concatenate(batches)
     # fire[i] marks the rows with >= u hits in set i and member[i] its
     # columns; silent and outside, transposed, mark the other rows and columns
@@ -415,7 +421,7 @@ def coincidence(code) -> int:
     2*10^6.
     """
     qary = isinstance(code, QaryCode)
-    cols = code.symbols if qary else _bits(code)
+    cols = code.symbols if qary else _bits(code, binary=False)
     n, t = cols.shape
     if t < 2:
         raise TooFewColumns("coincidence needs at least two columns")

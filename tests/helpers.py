@@ -415,13 +415,13 @@ def design_by_dict(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     cols = _columns(bits)
     seen: dict[bytes, int] = {}  # outcome key -> enumeration index of its first subset
     size = _batch_size(N * hi)
-    for batch in lex_batches(range(t), lo, hi, size):
+    for batch in lex_batches(t, lo, hi, size):
         outcomes = labels[np.minimum(_hits(cols, batch), F.l)]
         for r, key in enumerate(map(bytes, outcomes)):
             n = len(seen)
             prev = seen.setdefault(key, n)
             if prev != n:
-                for block in lex_batches(range(t), lo, hi, size):  # to subset number prev
+                for block in lex_batches(t, lo, hi, size):  # to subset number prev
                     if prev < len(block):
                         break
                     prev -= len(block)
@@ -441,7 +441,7 @@ def threshold_pairs_by_loop(X, u: int, s: int, bar: bool,
     n_sets = sum(comb(t, i) for i in range(u, s + 1))
     _check_budget(n_sets * (n_sets - 1) * N, budget)
     cols = _columns(bits)
-    batches = list(lex_batches(range(t), u, s, _batch_size(N * s)))
+    batches = list(lex_batches(t, u, s, _batch_size(N * s)))
     sets = np.concatenate(batches)
     # bit-packed rows: fire[i] marks the rows with >= u hits in set i
     fire = np.concatenate([np.packbits(_hits(cols, b) >= u, axis=1) for b in batches])

@@ -98,6 +98,14 @@ class TestBounds:
         assert code == 0
         assert "value=0.132877" in out
 
+    def test_asymptotic_range_prints_a_grid(self, capsys):
+        argv = ["bounds", "asymptotic", "--form", "lower-zu", "--u", "2", "--z"]
+        code, out, _ = run(capsys, *argv, "3:5")
+        assert code == 0
+        singles = [run(capsys, *argv, str(z)) for z in (3, 4, 5)]
+        assert [c for c, _, _ in singles] == [0, 0, 0]
+        assert out.splitlines() == [line for _, o, _ in singles for line in o.splitlines()]
+
 
 class TestConstruct:
     @pytest.mark.parametrize("q,k,r,t,N,w", [
@@ -314,6 +322,20 @@ class TestSearch:
         assert lines[0] == "no feasible parameters for s=5 m=100000 q_max=64"
         code, seconds = lines[1].split()
         assert code == "1"
+        assert float(seconds) < 0.5
+
+    def test_huge_q_max_stops_at_the_size_bracket(self):
+        # from q^2 >= 2^(m+1) on no lam is admissible, so q_max = 3*10^6
+        # scans the same q <= 45 as the default
+        script = ("import time\nfrom sic.codes import search_params\nstart = time.perf_counter()\n"
+                  "same = search_params(2, 10, q_max=3_000_000) == search_params(2, 10)\n"
+                  "print(same, time.perf_counter() - start)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sic.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        same, seconds = proc.stdout.split()
+        assert same == "True"
         assert float(seconds) < 0.5
 
 

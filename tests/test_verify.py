@@ -88,9 +88,10 @@ class TestOutcomeFunction:
 
 
 def lex_rows(items, lo, hi):
-    """The padded subsets of `lex_batches`, flattened to tuples."""
-    return [tuple(row) for batch in subsets.lex_batches(items, lo, hi, verify._MAX_BATCH)
-            for row in batch.tolist()]
+    """The padded subsets of `lex_batches` mapped to `items`, flattened to tuples."""
+    values = np.array(list(items) + [-1])
+    return [tuple(row) for batch in subsets.lex_batches(len(values) - 1, lo, hi, verify._MAX_BATCH)
+            for row in values[batch].tolist()]
 
 
 class TestLex:
@@ -121,12 +122,28 @@ class TestLex:
         patch = (contextlib.nullcontext() if tails is None
                  else mock.patch.object(subsets, "PAIR_TABLE_ENTRIES", tails))
         with patch:
-            got = list(subsets.lex_batches(items, lo, hi, size))
-        assert [tuple(row) for b in got for row in b.tolist()] == list(lex_by_merge(items, lo, hi))
+            got = list(subsets.lex_batches(len(items), lo, hi, size))
         assert all(b.dtype == np.intp and b.shape[1] == hi for b in got)
+        got = [np.array(items + [-1])[b] for b in got]  # index rows to items
+        assert [tuple(row) for b in got for row in b.tolist()] == list(lex_by_merge(items, lo, hi))
         if hi:  # the oracle packs no batch for width 0
             want = list(batches_by_fromiter(lex_by_merge(items, lo, hi), hi, size))
             assert [b.tolist() for b in got] == [b.tolist() for b in want]
+
+    @pytest.mark.parametrize("n,lo,hi", [(16, 8, 8), (14, 0, 7)], ids=["16-choose-8", "14-upto-7"])
+    def test_deep_walks_match_merge_oracle(self, n, lo, hi):
+        """Prefixes six and five members deep, in batches of 7 rows."""
+        got = list(subsets.lex_batches(n, lo, hi, 7))
+        want = list(batches_by_fromiter(lex_by_merge(range(n), lo, hi), hi, 7))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @given(n=st.integers(0, 12), sizes=st.tuples(st.integers(0, 7), st.integers(0, 7)).map(sorted))
+    def test_tuples_and_count(self, n, sizes):
+        lo, hi = sizes
+        assert list(subsets.lex_tuples(n, lo, hi)) == lex_subsets(range(n), lo, hi)
+        rows = sum(len(b) for b in subsets.lex_batches(n, lo, hi, 7))
+        assert subsets.lex_count(n, lo, hi) == rows == len(lex_subsets(range(n), lo, hi))
 
 
 class TestCoverFree:
@@ -481,6 +498,32 @@ class TestCoincidence:
         # 4096 x 4096: the one-hot expansion of the q=64, k=3, r=1 RS code
         code = binary_expand(shorten(rs_extended(FiniteField(64), 3), 1))
         assert coincidence(code) == 1
+
+
+class TestBinaryInput:
+    CALLS = {
+        "cover_free": lambda X: check_cover_free(X, 2, 1),
+        "d_code": lambda X: check_d_code(X, 2, 1),
+        "d_certificate": lambda X: check_d_certificate(X, 2, 1),
+        "m_code": lambda X: check_m_code(X, 2, 1),
+        "design": lambda X: check_design(X, OutcomeFunction.saturating(1), 2),
+        "threshold": lambda X: check_threshold_design(X, 1, 2),
+        "threshold_bar": lambda X: check_threshold_bar_design(X, 1, 2),
+    }
+
+    I7 = np.eye(7, dtype=int)
+    BAD = {"2I": 2 * I7, "-I": -I7, "256I": 256 * I7, "2I-uint8": 2 * I7.astype(np.uint8),
+           "I/2": I7 / 2}
+
+    @pytest.mark.parametrize("wrap", [np.asarray, BinaryCode], ids=["array", "BinaryCode"])
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("name", CALLS)
+    def test_entries_outside_0_1_raise(self, name, bad, wrap):
+        # a uint8 cast would read -1 as 255, 256 as 0 and 1/2 as 0; 2 counted
+        # as one hit in some checkers and as two in others
+        with pytest.raises(ParameterOutOfRange, match="0 or 1"):
+            self.CALLS[name](wrap(self.BAD[bad]))
+        self.CALLS[name](wrap(self.I7))
 
 
 class TestDeterminism:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -150,9 +149,41 @@ def _split_penalty(i: int, j: int) -> float:
     return (i + j) ** (i + j) / (i**i * j**j)
 
 
-@lru_cache(maxsize=None)
+# Split evaluations that one upper_zu table may take.  z = u = 60 takes
+# 1.6*10^6 of them, about 3 s on a 2-vCPU VM; z = u = 990 would take 10^11.
+_MAX_SPLITS = 10**8
+_UPPER_ZU: dict[tuple[int, int], tuple[float, tuple[int, int] | None, str | None]] = {}
+
+
+def _upper_zu_splits(z: int, u: int) -> int:
+    """Split evaluations of the table up to (z, u), (a - 1)(b - 1) for each
+    entry (a, b); the count stops once it exceeds _MAX_SPLITS."""
+    splits = 0
+    for b in range(2, u + 1):
+        splits += (b - 1) * (z * (z - 1) - (b - 1) * (b - 2)) // 2  # a = b..z
+        if splits > _MAX_SPLITS:
+            break
+    return splits
+
+
 def _upper_zu(z: int, u: int) -> tuple[float, tuple[int, int] | None, str | None]:
-    # normalized to z >= u >= 1
+    """The table entry (z, u), z >= u >= 1, filling every (a, b) with
+    b <= a <= z and b <= u in order of a + b, which each split lowers."""
+    if u == 1:  # the recurrent base row needs no table (z may be large)
+        return _upper_zu_entry(z, 1)
+    if (z, u) not in _UPPER_ZU:
+        if _upper_zu_splits(z, u) > _MAX_SPLITS:
+            raise ParameterOutOfRange(
+                f"upper-zu at {(z, u)} needs more than {_MAX_SPLITS} split evaluations")
+        for total in range(2, z + u + 1):
+            for b in range(max(1, total - z), min(u, total // 2) + 1):
+                if (total - b, b) not in _UPPER_ZU:
+                    _UPPER_ZU[total - b, b] = _upper_zu_entry(total - b, b)
+    return _UPPER_ZU[z, u]
+
+
+def _upper_zu_entry(z: int, u: int) -> tuple[float, tuple[int, int] | None, str | None]:
+    # z >= u >= 1, with every entry of a smaller z + u in the table
     if u == 1:
         return _recurrent(z), None, "recurrent base row" if z > 1 else "trivial rate 1"
     if (z, u) == (2, 2):
@@ -164,7 +195,7 @@ def _upper_zu(z: int, u: int) -> tuple[float, tuple[int, int] | None, str | None
             zz, uu = z - i, u - j
             if zz < uu:
                 zz, uu = uu, zz
-            base = _upper_zu(zz, uu)[0]
+            base = _UPPER_ZU[zz, uu][0]
             cand = base / (base + _split_penalty(i, j))
             if best is None or cand < best - 1e-15:
                 best, arg = cand, (i, j)
@@ -175,7 +206,9 @@ def upper_zu(z: int, u: int) -> RateBound:
     """Upper bound on the (z,u) rate via the splitting inequality.
 
     Built as a dynamic program over the recurrent base row; symmetric in
-    (z, u).  The optimizer records the minimizing split (i, j).
+    (z, u).  The optimizer records the minimizing split (i, j).  A table
+    that needs more than _MAX_SPLITS split evaluations raises
+    ParameterOutOfRange before it is filled.
     """
     if z < 1 or u < 1:
         raise ParameterOutOfRange(f"need z, u >= 1, got {(z, u)}")
@@ -290,12 +323,6 @@ def threshold_rc_term(beta: float, u: int, group: int, extra: int) -> float:
 def threshold_objective(beta: float, u: int, s: int) -> float:
     """min over group sizes u..s of the diagonal (extra = group) term."""
     return min(threshold_rc_term(beta, u, g, g) for g in range(u, s + 1))
-
-
-def threshold_objective_full(beta: float, u: int, s: int) -> float:
-    """Full double minimum over group sizes and blocker counts."""
-    return min(threshold_rc_term(beta, u, g, x)
-               for g in range(u, s + 1) for x in range(0, g + 1))
 
 
 # Group sizes per block of the whole-array threshold scan (bounds its memory).

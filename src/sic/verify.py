@@ -13,22 +13,27 @@ All checkers share one enumeration, `sic.subsets.lex_batches`, which
 yields the subsets of range(n) in this order as rows of index arrays built
 with numpy copies, padding shorter subsets with -1 (a prefix still sorts
 before its extensions).  Index -1 selects an all-zero column appended to
-the matrix, so padding never counts as a hit.  `check_cover_free` and
-`check_m_code` enumerate Z over the columns outside U: once per U they
-restrict the column table to those columns, the zero column last, and map
-only the witness back to column indices.  Each checker tests a whole
+the matrix, so padding never counts as a hit.  Each checker tests a whole
 batch with numpy and reports the first failing row.  A batch holds at
 most about 4*10^6 row entries (rows times subset width times batch size;
 for `check_d_code`, batch size times the larger of rows times width and
 the column count).
 
-The pair and duplicate scans compare rows packed into uint64 words
-(`sic.words`).  The threshold checkers compare a block of outer sets with
-all sets at once, at most PAIR_WORDS words per operand (at least one
-outer set).  `check_design` keeps one packed outcome key per candidate,
-b bits per row (b = 1 for a threshold map), and finds the first repeated
-key by sorting the keys so far after 1, 2, 4, ... batches; keys plus sort
-index, domain * (8W + 8) bytes, may not exceed DESIGN_KEY_BYTES.
+`check_cover_free`, `check_m_code` and the threshold checkers run one
+pair scan over rows packed into uint64 words (`sic.words`).  It stores a
+family of outer sets and one of inner sets (the threshold checkers use
+one family in both roles), each set's index row with its columns and its
+flagged rows as words; m-code has one outer row per slot j of U.  It
+compares a block of outer rows with every inner set at once, the block
+holding PAIR_WORDS // (inner sets * W) outer rows, W the widest operand in
+words (at least one outer set, and whole U groups for m-code).  Inner
+sets run over all columns in lex order; a pair that does not apply (Z
+meets U, say) is not counted, which leaves the documented order.
+`check_design` keeps one packed outcome key per candidate, b bits per row
+(b = 1 for a threshold map), and finds the first repeated key by sorting
+the keys so far after 1, 2, 4, ... batches.  Before enumerating, the
+families' index rows and words, or the design keys plus their sort index
+(domain * (8W + 8) bytes), are checked against one cap, STORE_BYTES.
 
 Checkers take a 0/1 matrix, a BinaryCode or a 2-D array, and raise
 ParameterOutOfRange on any other entry.  They refuse inputs whose
@@ -51,15 +56,15 @@ from .errors import (
     ParameterOutOfRange,
     TooFewColumns,
 )
-from .subsets import lex_batches, lex_count, lex_tuples
+from .subsets import lex_batches, lex_count
 from .words import first_repeat, overlap, pack
 
 DEFAULT_BUDGET = 1_000_000_000
 _MAX_BATCH = 16384          # subsets per batch
 _BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
 _BLOCK_ENTRIES = _BATCH_ENTRIES // 2  # coincidence block columns * t (counter and scratch)
-PAIR_WORDS = 8192           # words per block of the threshold pair scans
-DESIGN_KEY_BYTES = 2**30    # check_design's key store plus its sort index
+PAIR_WORDS = 8192           # words per block of the pair scans
+STORE_BYTES = 2**30         # check_design's key store, or a pair scan's families
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,71 @@ def _check_budget(scans: int, budget: int | None) -> int:
     return limit
 
 
+def _check_families(t: int, N: int, *families) -> None:
+    """Raise BudgetExceeded unless the index rows and words of `_family` for
+    each (lo, hi, group) fit in STORE_BYTES."""
+    store = sum(lex_count(t, lo, hi) * 8 * (hi + _words(t) + group * _words(N))
+                for lo, hi, group in families)
+    if store > STORE_BYTES:
+        raise BudgetExceeded(f"pair families of {store} bytes exceed {STORE_BYTES}")
+
+
+def _words(m: int) -> int:
+    """uint64 words of a packed row of m flags."""
+    return max(1, -(-m // 64))
+
+
+def _family(cols: np.ndarray, t: int, lo: int, hi: int, flags, group: int = 1):
+    """The subsets of range(t) with sizes in [lo, hi] in lex order: their
+    index rows, their columns as packed words, and the packed words of
+    flags(hits, batch), `group` rows of N flags per subset."""
+    n, N = lex_count(t, lo, hi), cols.shape[1]
+    sets = np.empty((n, hi), dtype=np.intp)
+    member = np.empty((n, _words(t)), dtype=np.uint64)
+    words = np.empty((n * group, _words(N)), dtype=np.uint64)
+    k = 0
+    # a batch's gather is (batch, hi, N) and its column flags (batch, t + 1)
+    for batch in lex_batches(t, lo, hi, _batch_size(max(N * hi, t + 1))):
+        m = len(batch)
+        sets[k:k + m] = batch
+        inside = np.zeros((m, t + 1), dtype=bool)
+        inside[np.arange(m)[:, None], batch] = True
+        member[k:k + m] = pack(inside[:, :t])
+        rows = flags(_hits(cols, batch), batch).reshape(m * group, -1)  # -1: N may be 0
+        words[k * group:(k + m) * group] = pack(rows)
+        k += m
+    return sets, member, words
+
+
+def _pair_scan(fire, free, applies, witness, group: int = 1, words: int = 1) -> VerificationReport:
+    """The report of the first bad pair (i, j) of outer row i and inner set
+    j: one that applies where no row flagged in fire[i] is flagged in
+    free[j].
+
+    applies(r0, r1) is the (r1 - r0, inner sets) bool of the pairs that
+    count, and witness(i, j) the witness of a bad pair.  Outer rows come in
+    groups of `group`; pairs run by group, then inner set, then row in the
+    group.  A block holds PAIR_WORDS // (inner sets * W) outer rows in
+    whole groups (at least one), W the larger of `words` and the words of
+    a row of fire.  tuples_checked counts the pairs that apply, up to the
+    first bad one.
+    """
+    inner = len(free)
+    rows = group * max(1, PAIR_WORDS // (inner * max(words, fire.shape[1]) * group))
+    checked = 0
+    for r0 in range(0, len(fire), rows):
+        ok = applies(r0, min(r0 + rows, len(fire)))
+        bad = ok & ~overlap(fire[r0:r0 + rows], free)
+        if bad.any():
+            ok, bad = (a.reshape(-1, group, inner).transpose(0, 2, 1) for a in (ok, bad))
+            k = int(np.argmax(bad))
+            g, j, slot = np.unravel_index(k, bad.shape)
+            return VerificationReport(False, witness(r0 + g * group + slot, j),
+                                      checked + int(ok.ravel()[:k + 1].sum()))
+        checked += int(ok.sum())
+    return VerificationReport(True, None, checked)
+
+
 def cover_free_scans(t: int, z: int, u: int, N: int) -> int:
     return comb(t, u) * comb(t - u, z) * N
 
@@ -179,20 +249,13 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
     _check_budget(cover_free_scans(t, z, u, N), budget)
+    _check_families(t, N, (u, u, 1), (z, z, 1))
     cols = _columns(bits)
-    checked = 0
-    for U in lex_tuples(t, u, u):
-        rows = cols[:, cols[list(U)].all(axis=0)]  # the rows that are 1 on all of U
-        rest = [c for c in range(t) if c not in U] + [-1]
-        rows = rows[rest]  # Z indexes the columns outside U, then the zero column
-        for batch in lex_batches(t - u, z, z, _batch_size(rows.shape[1] * z)):
-            blocked = rows[batch].any(axis=1).all(axis=1)
-            if blocked.any():
-                r = int(np.argmax(blocked))
-                Z = _subset(rest[c] for c in batch[r])
-                return VerificationReport(False, {"U": U, "Z": Z}, checked + r + 1)
-            checked += len(batch)
-    return VerificationReport(True, None, checked)
+    U, in_U, fire = _family(cols, t, u, u, lambda hits, batch: hits >= u)  # 1 on all of U
+    Z, in_Z, free = _family(cols, t, z, z, lambda hits, batch: hits <= 0)  # 0 on all of Z
+    return _pair_scan(fire, free, lambda r0, r1: ~overlap(in_U[r0:r1], in_Z),
+                      lambda i, j: {"U": _subset(U[i]), "Z": _subset(Z[j])},
+                      words=in_U.shape[1])
 
 
 def d_code_scans(t: int, s: int, N: int) -> int:
@@ -257,22 +320,24 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     _check_budget(m_code_scans(t, s, u, N), budget)
+    _check_families(t, N, (u, s, s), (0, s, 1))
     cols = _columns(bits)
-    checked = 0
-    for U in lex_tuples(t, u, s):
-        rows = cols[:, cols[list(U)].sum(axis=0) == u]  # the rows with exactly u hits in U
-        at_j = rows[list(U)].T.astype(bool)              # (rows, |U|): row is 1 at j
-        rest = [c for c in range(t) if c not in U] + [-1]
-        rows = rows[rest]  # Z indexes the columns outside U, then the zero column
-        for batch in lex_batches(t - len(U), 0, len(U), _batch_size(rows.shape[1] * len(U))):
-            avoid = ~rows[batch].any(axis=1)                              # (batch, rows): 0 on Z
-            bad = np.flatnonzero(~(avoid[:, :, None] & at_j).any(axis=1))  # over (Z, j) pairs
-            if bad.size:
-                r, pos = divmod(int(bad[0]), len(U))
-                witness = {"U": U, "Z": _subset(rest[c] for c in batch[r]), "j": U[pos]}
-                return VerificationReport(False, witness, checked + int(bad[0]) + 1)
-            checked += batch.size
-    return VerificationReport(True, None, checked)
+    # outer row j of U: the rows with exactly u hits in U and a 1 at U[j]
+    U, in_U, fire = _family(cols, t, u, s, group=s, flags=lambda hits, batch:
+                            cols[batch].view(bool) & (hits == u)[:, None])
+    Z, in_Z, free = _family(cols, t, 0, s, lambda hits, batch: hits <= 0)
+    size_U, size_Z = (U >= 0).sum(axis=1), (Z >= 0).sum(axis=1)
+
+    def applies(r0, r1):  # U and Z disjoint, |Z| <= |U|, and j in U
+        g = slice(r0 // s, r1 // s)
+        pairs = ~overlap(in_U[g], in_Z) & (size_Z <= size_U[g, None])
+        slots = np.arange(s) < size_U[g, None]
+        return (slots[:, :, None] & pairs[:, None]).reshape(-1, len(Z))
+
+    def witness(i, j):
+        return {"U": _subset(U[i // s]), "Z": _subset(Z[j]), "j": int(U[i // s, i % s])}
+
+    return _pair_scan(fire, free, applies, witness, group=s, words=in_U.shape[1])
 
 
 def design_domain_sizes(F: OutcomeFunction, s: int, mode: str) -> tuple[int, int]:
@@ -311,8 +376,8 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
                           dtype=bool)  # (l + 1, width)
     words = max(1, -(-N * width // 64))
     store = domain * (8 * words + 8)
-    if store > DESIGN_KEY_BYTES:
-        raise BudgetExceeded(f"design key store of {store} bytes exceeds {DESIGN_KEY_BYTES}")
+    if store > STORE_BYTES:
+        raise BudgetExceeded(f"design key store of {store} bytes exceeds {STORE_BYTES}")
     keys = np.empty((domain, words), dtype=np.uint64)
     cols = _columns(bits)
     size = _batch_size(N * hi)
@@ -348,45 +413,27 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     n_sets = lex_count(t, u, s)
     _check_budget(n_sets * (n_sets - 1) * N, budget)
-    cols = _columns(bits)
-    batches = list(lex_batches(t, u, s, _batch_size(N * s)))
-    sets = np.concatenate(batches)
-    # fire[i] marks the rows with >= u hits in set i and member[i] its
-    # columns; silent and outside, transposed, mark the other rows and columns
-    fire, silent, member, outside = [], [], [], []
-    for b in batches:
-        on = _hits(cols, b) >= u
-        fire.append(pack(on))
-        silent.append(pack(~on))
-        if bar:
-            flags = np.zeros((len(b), t + 1), dtype=bool)
-            np.put_along_axis(flags, b, True, axis=1)
-            member.append(pack(flags[:, :t]))
-            outside.append(pack(~flags[:, :t]))
-    fire, silent = np.concatenate(fire), np.concatenate(silent).T.copy()
-    words = fire.shape[1]
+    _check_families(t, N, (u, s, 1), (u, s, 1))
+    sets, member, fire = _family(_columns(bits), t, u, s, lambda hits, batch: hits >= u)
+    # ^ ones flips every bit; numpy's uint64 ~ would map 64 KB more of its code
+    ones = np.uint64(2**64 - 1)
     if bar:
-        member, outside = np.concatenate(member), np.concatenate(outside).T.copy()
-        words = max(words, member.shape[1])
+        outside = member ^ ones
+
+        def applies(r0, r1):  # P is not a subset of P'
+            return overlap(member[r0:r1], outside)
     else:
         sizes = (sets >= 0).sum(axis=1)
-    rows = max(1, PAIR_WORDS // (n_sets * words))  # outer sets per block
-    checked = 0
-    for i0 in range(0, n_sets, rows):
-        i1 = min(i0 + rows, n_sets)
-        if bar:
-            applies = overlap(member[i0:i1], outside)  # P is not a subset of P'
-        else:
-            applies = sizes[None, :] <= sizes[i0:i1, None]
-        applies[np.arange(i1 - i0), np.arange(i0, i1)] = False
-        bad = applies & ~overlap(fire[i0:i1], silent)  # no row fires on P but not on P'
-        if bad.any():
-            k = int(np.argmax(bad))  # row-major: outer set first
-            i, j = divmod(k, n_sets)
-            witness = {"P": _subset(sets[i0 + i]), "Pprime": _subset(sets[j])}
-            return VerificationReport(False, witness, checked + int(applies.ravel()[:k + 1].sum()))
-        checked += int(applies.sum())
-    return VerificationReport(True, None, checked)
+
+        def applies(r0, r1):  # |P'| <= |P| and P' != P
+            pairs = sizes[None, :] <= sizes[r0:r1, None]
+            pairs[np.arange(r1 - r0), np.arange(r0, r1)] = False
+            return pairs
+
+    # no row fires on P but not on P'
+    return _pair_scan(fire, fire ^ ones, applies,
+                      lambda i, j: {"P": _subset(sets[i]), "Pprime": _subset(sets[j])},
+                      words=member.shape[1] if bar else 1)
 
 
 def check_threshold_design(X, u: int, s: int, budget: int | None = None) -> VerificationReport:

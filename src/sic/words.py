@@ -21,12 +21,11 @@ def pack(flags: np.ndarray) -> np.ndarray:
     return np.packbits(padded).view(np.uint64).reshape(n, -1)  # one flat pass
 
 
-def overlap(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-    """(len(a), b_t.shape[1]) bool: does row a[i] share a set bit with
-    column b_t[:, j] (the words of b, transposed)?"""
-    out = (a[:, :1] & b_t[:1]) != 0
+def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) bool: does row a[i] share a set bit with row b[j]?"""
+    out = (a[:, :1] & b[:, 0]) != 0
     for w in range(1, a.shape[1]):
-        out |= (a[:, w:w + 1] & b_t[w:w + 1]) != 0
+        out |= (a[:, w:w + 1] & b[:, w]) != 0
     return out
 
 

@@ -8,27 +8,30 @@ search, the element-wise construct path (Reed-Solomon encoding by digit
 arrays, binary expansion by scatter, the matrix reader by per-line loop),
 the bound optimizers' unpruned grid scans, the checkers' subset
 enumeration as a merge of Python tuples packed by `np.fromiter`, the
-design check by a dict of `bytes` keys and the threshold pair scans by one
-loop iteration per outer set.
+design check by a dict of `bytes` keys, the threshold pair scans by one
+loop iteration per outer set, the cover-free and m-code checks by one loop
+iteration per U over the rows that U selects, and the (z, u) upper-bound
+table by recursion through `lru_cache`.
 """
 
 import heapq
 import math
+from functools import lru_cache
 from itertools import chain, combinations, islice, product, repeat
 from math import comb
 from operator import add
 
 import numpy as np
 
-from sic.bounds import (RateBound, _golden_max, _lower_z1_objective, threshold_objective,
-                        threshold_rc_term)
+from sic.bounds import (SEEDED_UPPER_2_2, RateBound, _golden_max, _lower_z1_objective,
+                        _recurrent, _split_penalty, threshold_objective, threshold_rc_term)
 from sic.codes import BinaryCode, QaryCode, RSMeta
 from sic.errors import MalformedFile, ParameterOutOfRange
 from sic.fields import FiniteField, is_prime_power
-from sic.subsets import lex_batches
+from sic.subsets import lex_batches, lex_tuples
 from sic.verify import (OutcomeFunction, VerificationReport, _batch_size, _bits,
-                        _check_budget, _columns, _hits, _subset, design_domain_sizes,
-                        design_scans)
+                        _check_budget, _columns, _hits, _subset, cover_free_scans,
+                        design_domain_sizes, design_scans, m_code_scans)
 
 
 def _poly_mul_mod(a, b, p: int) -> list[int]:
@@ -178,6 +181,33 @@ def threshold_lower_by_loop(u: int, s: int) -> RateBound:
     argmin = min(range(u, s + 1), key=lambda g: threshold_rc_term(beta, u, g, g))
     return RateBound(kind="threshold-lower", value=float(value), u=u, s=s,
                      optimizer={"beta": float(beta), "group": argmin})
+
+
+def threshold_objective_full(beta: float, u: int, s: int) -> float:
+    """Full double minimum over group sizes and blocker counts."""
+    return min(threshold_rc_term(beta, u, g, x)
+               for g in range(u, s + 1) for x in range(0, g + 1))
+
+
+@lru_cache(maxsize=None)
+def upper_zu_by_recursion(z: int, u: int) -> tuple[float, tuple[int, int] | None, str | None]:
+    """`sic.bounds._upper_zu` by recursion through `lru_cache` (z >= u >= 1)."""
+    if u == 1:
+        return _recurrent(z), None, "recurrent base row" if z > 1 else "trivial rate 1"
+    if (z, u) == (2, 2):
+        return SEEDED_UPPER_2_2, None, "seeded constant, not derived from the splitting inequality"
+    best = None
+    arg = None
+    for i in range(1, z):
+        for j in range(1, u):
+            zz, uu = z - i, u - j
+            if zz < uu:
+                zz, uu = uu, zz
+            base = upper_zu_by_recursion(zz, uu)[0]
+            cand = base / (base + _split_penalty(i, j))
+            if best is None or cand < best - 1e-15:
+                best, arg = cand, (i, j)
+    return best, arg, None
 
 
 def lower_z1_full_grid(z: int) -> RateBound:
@@ -466,4 +496,56 @@ def threshold_pairs_by_loop(X, u: int, s: int, bar: bool,
             witness = {"P": _subset(sets[i]), "Pprime": _subset(sets[j])}
             return VerificationReport(False, witness, checked + int(applies[:j + 1].sum()))
         checked += int(applies.sum())
+    return VerificationReport(True, None, checked)
+
+
+def cover_free_by_rows(X, z: int, u: int, budget: int | None = None) -> VerificationReport:
+    """`sic.verify.check_cover_free` with one loop iteration per U over the
+    rows that are 1 on all of U, enumerating Z as indices into the columns
+    outside U and mapping the witness back."""
+    bits = _bits(X)
+    N, t = bits.shape
+    if z < 1 or u < 1 or z + u > t:
+        raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
+    _check_budget(cover_free_scans(t, z, u, N), budget)
+    cols = _columns(bits)
+    checked = 0
+    for U in lex_tuples(t, u, u):
+        rows = cols[:, cols[list(U)].all(axis=0)]  # the rows that are 1 on all of U
+        rest = [c for c in range(t) if c not in U] + [-1]
+        rows = rows[rest]  # Z indexes the columns outside U, then the zero column
+        for batch in lex_batches(t - u, z, z, _batch_size(rows.shape[1] * z)):
+            blocked = rows[batch].any(axis=1).all(axis=1)
+            if blocked.any():
+                r = int(np.argmax(blocked))
+                Z = _subset(rest[c] for c in batch[r])
+                return VerificationReport(False, {"U": U, "Z": Z}, checked + r + 1)
+            checked += len(batch)
+    return VerificationReport(True, None, checked)
+
+
+def m_code_by_rows(X, s: int, u: int, budget: int | None = None) -> VerificationReport:
+    """`sic.verify.check_m_code` with one loop iteration per U over the rows
+    with exactly u hits in U, enumerating Z as indices into the columns
+    outside U and mapping the witness back."""
+    bits = _bits(X)
+    N, t = bits.shape
+    if not (1 <= u < s and 2 * s < t):
+        raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
+    _check_budget(m_code_scans(t, s, u, N), budget)
+    cols = _columns(bits)
+    checked = 0
+    for U in lex_tuples(t, u, s):
+        rows = cols[:, cols[list(U)].sum(axis=0) == u]  # the rows with exactly u hits in U
+        at_j = rows[list(U)].T.astype(bool)              # (rows, |U|): row is 1 at j
+        rest = [c for c in range(t) if c not in U] + [-1]
+        rows = rows[rest]  # Z indexes the columns outside U, then the zero column
+        for batch in lex_batches(t - len(U), 0, len(U), _batch_size(rows.shape[1] * len(U))):
+            avoid = ~rows[batch].any(axis=1)                              # (batch, rows): 0 on Z
+            bad = np.flatnonzero(~(avoid[:, :, None] & at_j).any(axis=1))  # over (Z, j) pairs
+            if bad.size:
+                r, pos = divmod(int(bad[0]), len(U))
+                witness = {"U": U, "Z": _subset(rest[c] for c in batch[r]), "j": U[pos]}
+                return VerificationReport(False, witness, checked + int(bad[0]) + 1)
+            checked += batch.size
     return VerificationReport(True, None, checked)

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import pairwise_min_distance, rs_min_distance_structural
+from helpers import pairwise_min_distance, rs_min_distance_structural, threshold_objective_full
 from test_fields import PRIME_POWERS_64, exhaustive_axioms
 from sic.bounds import (
     lower_z1,
@@ -18,7 +18,6 @@ from sic.bounds import (
     nonrecurrent_upper,
     recurrent_upper,
     threshold_lower,
-    threshold_objective_full,
     universal_upper,
     upper_zu,
 )

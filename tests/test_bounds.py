@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sic
-from helpers import lower_z1_full_grid, threshold_lower_by_loop
+from helpers import (lower_z1_full_grid, threshold_lower_by_loop, threshold_objective_full,
+                     upper_zu_by_recursion)
 from sic import bounds
 from sic.bounds import (
     RateBound,
@@ -24,7 +25,6 @@ from sic.bounds import (
     threshold_lower,
     threshold_lower_simple,
     threshold_objective,
-    threshold_objective_full,
     threshold_rc_term,
     universal_upper,
     upper_zu,
@@ -229,6 +229,38 @@ class TestUpperZU:
             base = upper_zu(z - i, u - j).value
             penalty = (i + j) ** (i + j) / (i**i * j**j)
             assert rb.value == pytest.approx(base / (base + penalty), abs=1e-9)
+
+    def test_table_matches_recursion_bit_for_bit(self, monkeypatch):
+        # a cold table filled up to (40, 40) in order of z + u against the
+        # recursion it replaced: same values, splits and notes
+        monkeypatch.setattr(bounds, "_UPPER_ZU", {})
+        for z in range(1, 41):
+            for u in range(1, 41):
+                a, b = max(z, u), min(z, u)
+                value, arg, note = bounds._upper_zu(a, b)
+                want = upper_zu_by_recursion(a, b)
+                assert (value.hex(), arg, note) == (want[0].hex(), want[1], want[2])
+                rb = upper_zu(z, u)
+                assert (rb.value, rb.note) == (value, note)
+
+    def test_split_count(self):
+        for z in range(1, 25):
+            for u in range(1, z + 1):
+                brute = sum((a - 1) * (b - 1) for a in range(1, z + 1)
+                            for b in range(1, min(a, u) + 1))
+                assert bounds._upper_zu_splits(z, u) == brute
+
+    def test_table_over_split_limit_refused_before_filling(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_UPPER_ZU", {})
+        with pytest.raises(ParameterOutOfRange, match="split evaluations"):
+            upper_zu(990, 990)
+        with pytest.raises(ParameterOutOfRange):
+            upper_zu(10**9, 2)
+        assert bounds._UPPER_ZU == {}
+        monkeypatch.setattr(bounds, "_MAX_SPLITS", bounds._upper_zu_splits(6, 4))
+        assert upper_zu(4, 6).value == upper_zu(6, 4).value
+        with pytest.raises(ParameterOutOfRange):
+            upper_zu(7, 4)
 
 
 class TestLowerZU:

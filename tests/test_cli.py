@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestBounds:
         _, out1, _ = run(capsys, "bounds", "lower-z1", "--z", "2:4", "--format", "json")
         _, out2, _ = run(capsys, "bounds", "lower-z1", "--z", "2:4", "--format", "json")
         assert out1 == out2
+
+    def test_upper_zu_table_too_large_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "upper-zu", "--z", "990", "--u", "990")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "bounds", "upper-zu", "--z", "3")

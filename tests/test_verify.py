@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (batches_by_fromiter, brute_report, design_by_dict, lex_by_merge,
-                     lex_subsets, qary_agreement_matrix, threshold_pairs_by_loop)
+from helpers import (batches_by_fromiter, brute_report, cover_free_by_rows, design_by_dict,
+                     lex_by_merge, lex_subsets, m_code_by_rows, qary_agreement_matrix,
+                     threshold_pairs_by_loop)
 import sic
 from sic import subsets, verify
 from sic.codes import BinaryCode, QaryCode, binary_expand, random_code, rs_extended, shorten
@@ -361,7 +362,7 @@ class TestDesign:
     def test_key_store_over_byte_limit_raises_at_once(self):
         # 3000 singletons and 4498500 pairs with 47-word keys: 1728576000
         # bytes of keys and sort index, within the row-scan budget but over
-        # DESIGN_KEY_BYTES.  The address-space limit turns an attempt to
+        # STORE_BYTES.  The address-space limit turns an attempt to
         # store the keys into a failure.
         script = ("import numpy as np\n"
                   "from sic.errors import BudgetExceeded\n"
@@ -382,6 +383,50 @@ class TestDesign:
                               preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "design key store of 1728576000 bytes exceeds 1073741824\n"
+
+
+class TestPairFamilies:
+    def test_over_byte_limit_raise_at_once(self):
+        # On the 3000 x 3000 identity each set's row flags and column flags
+        # take 47 words each, besides its index row.  Within the row-scan
+        # budget, the families of every pair checker exceed STORE_BYTES:
+        # cover-free 3000 U and 4498500 Z, m-code 4501500 U with two slots
+        # each and 4501501 Z, and the threshold checkers 4501500 sets in
+        # both roles.  The address-space limit turns an attempt to store
+        # them into a failure.
+        script = ("import numpy as np\n"
+                  "from sic.errors import BudgetExceeded\n"
+                  "from sic import verify\n"
+                  "X = np.eye(3000, dtype=np.uint8)\n"
+                  "for check in (lambda: verify.check_cover_free(X, 2, 1, budget=10**14),\n"
+                  "              lambda: verify.check_m_code(X, 2, 1, budget=10**18),\n"
+                  "              lambda: verify.check_threshold_design(X, 1, 2, budget=10**17),\n"
+                  "              lambda: verify.check_threshold_bar_design(X, 1, 2, budget=10**17)):\n"
+                  "    try:\n"
+                  "        check()\n"
+                  "    except BudgetExceeded as exc:\n"
+                  "        print(exc)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sic.__file__)))
+        limit = 2**31
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                              preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"pair families of {n} bytes exceed 1073741824"
+            for n in (3457128000, 8606868768, 6914304000, 6914304000)]
+
+
+    @pytest.mark.parametrize("prop", ["cover_free", "m_code", "threshold", "threshold_bar"])
+    def test_matrix_without_rows(self, prop):
+        bits = np.zeros((0, 7), dtype=np.uint8)
+        params = {"z": 2, "u": 1} if prop == "cover_free" else {"s": 2, "u": 1}
+        rep = CHECKERS[prop](bits, params)
+        assert (rep.satisfied, rep.witness, rep.tuples_checked) == brute_report(prop, bits, params)
 
 
 class TestThresholdDesigns:
@@ -613,6 +658,20 @@ def pair_blocks(rows, X, u, s, bar):
     return mock.patch.object(verify, "PAIR_WORDS", rows * n_sets * words)
 
 
+def scan_sizes(size, X, inner, group=1):
+    """Make the pair scans of X, with `inner` inner sets and outer rows in
+    groups of `group`, take one or seven groups per block ("block1",
+    "block7") or one or seven subsets per batch ("batch1", "batch7");
+    "default" changes nothing."""
+    if size == "default":
+        return contextlib.nullcontext()
+    n = int(size[5:])
+    if size.startswith("batch"):
+        return mock.patch.object(verify, "_MAX_BATCH", n)
+    N, t = np.shape(X)
+    return mock.patch.object(verify, "PAIR_WORDS", n * inner * max(-(-N // 64), -(-t // 64)) * group)
+
+
 def design_batches(size):
     """Make check_design write `size` candidates per batch (None: the default)."""
     if size is None:
@@ -704,3 +763,50 @@ class TestPackedScansAgainstOracles:
         for Y in (X, np.hstack([X[:, :69], X[:, :1]])):
             assert check_threshold_bar_design(Y, 1, 2) == threshold_pairs_by_loop(Y, 1, 2, True)
 
+
+    @pytest.mark.parametrize("size", ["default", "block1", "block7", "batch1", "batch7"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_cover_free_matches_rows(self, size, data):
+        X = data.draw(packed_inputs(2, 10))
+        t = X.shape[1]
+        z = data.draw(st.integers(1, t - 1))
+        u = data.draw(st.integers(1, t - z))
+        with scan_sizes(size, X, comb(t, z)):
+            got = check_cover_free(X, z, u)
+        assert got == cover_free_by_rows(X, z, u)
+
+    @pytest.mark.parametrize("size", ["default", "block1", "block7", "batch1", "batch7"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_m_code_matches_rows(self, size, data):
+        X = data.draw(packed_inputs(5, 10))
+        s = data.draw(st.integers(2, (X.shape[1] - 1) // 2))
+        u = data.draw(st.integers(1, s - 1))
+        with scan_sizes(size, X, subsets.lex_count(X.shape[1], 0, s), group=s):
+            got = check_m_code(X, s, u)
+        assert got == m_code_by_rows(X, s, u)
+
+    def test_m_code_pairs_run_by_z_then_j(self):
+        # within U = (0, 1) the first bad pair in (U, Z, j) order is
+        # Z = (2, 4), j = 1; in (U, j, Z) order it would be Z = (3, 5), j = 0
+        rows = ("0011101", "1001000", "0100101", "0100100", "1010011", "0110001", "1000110")
+        X = np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)
+        want = VerificationReport(False, {"U": (0, 1), "Z": (2, 4), "j": 1}, 15)
+        for size in ("default", "block1", "batch1"):
+            with scan_sizes(size, X, subsets.lex_count(7, 0, 2), group=2):
+                assert check_m_code(X, 2, 1) == want
+        assert m_code_by_rows(X, 2, 1) == want
+
+    def test_m_code_witness_in_second_block(self):
+        # column 1 repeats column 2, so only row 2 has a 1 at column 1.  The
+        # first U group, (0,), passes its 7 pairs; the second, (0, 1), fails
+        # at Z = (2,), j = 1, its fourth pair.  With one group of two rows
+        # per block that pair lies in the second block.
+        X = np.eye(7, dtype=np.uint8)
+        X[:, 1] = X[:, 2]
+        want = VerificationReport(False, {"U": (0, 1), "Z": (2,), "j": 1}, 11)
+        for size in ("default", "block1"):
+            with scan_sizes(size, X, subsets.lex_count(7, 0, 2), group=2):
+                assert check_m_code(X, 2, 1) == want
+        assert m_code_by_rows(X, 2, 1) == want

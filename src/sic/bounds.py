@@ -149,41 +149,44 @@ def _split_penalty(i: int, j: int) -> float:
     return (i + j) ** (i + j) / (i**i * j**j)
 
 
-# Split evaluations that one upper_zu table may take.  z = u = 60 takes
+# Split evaluations that one upper_zu entry may take.  z = u = 60 takes
 # 1.6*10^6 of them, about 3 s on a 2-vCPU VM; z = u = 990 would take 10^11.
 _MAX_SPLITS = 10**8
 _UPPER_ZU: dict[tuple[int, int], tuple[float, tuple[int, int] | None, str | None]] = {}
 
 
 def _upper_zu_splits(z: int, u: int) -> int:
-    """Split evaluations of the table up to (z, u), (a - 1)(b - 1) for each
-    entry (a, b); the count stops once it exceeds _MAX_SPLITS."""
-    splits = 0
-    for b in range(2, u + 1):
-        splits += (b - 1) * (z * (z - 1) - (b - 1) * (b - 2)) // 2  # a = b..z
+    """Split evaluations of the entry (z, u) and of the rows 2..u-1 it
+    reads: (a - 1)(b - 1) for each entry (a, b) with b <= a < z, plus
+    (z - 1)(u - 1); the count stops once it exceeds _MAX_SPLITS."""
+    splits = (z - 1) * (u - 1)
+    for b in range(2, u):
+        splits += (b - 1) * ((z - 1) * (z - 2) - (b - 1) * (b - 2)) // 2  # a = b..z-1
         if splits > _MAX_SPLITS:
             break
     return splits
 
 
 def _upper_zu(z: int, u: int) -> tuple[float, tuple[int, int] | None, str | None]:
-    """The table entry (z, u), z >= u >= 1, filling every (a, b) with
-    b <= a <= z and b <= u in order of a + b, which each split lowers."""
+    """The table entry (z, u), z >= u >= 1.  A split of an entry (a, b)
+    reads rows below b only, at columns below a, so the rows 2..u-1 are
+    filled up to column z - 1 in order of b, and then (z, u) itself."""
     if u == 1:  # the recurrent base row needs no table (z may be large)
         return _upper_zu_entry(z, 1)
     if (z, u) not in _UPPER_ZU:
         if _upper_zu_splits(z, u) > _MAX_SPLITS:
             raise ParameterOutOfRange(
                 f"upper-zu at {(z, u)} needs more than {_MAX_SPLITS} split evaluations")
-        for total in range(2, z + u + 1):
-            for b in range(max(1, total - z), min(u, total // 2) + 1):
-                if (total - b, b) not in _UPPER_ZU:
-                    _UPPER_ZU[total - b, b] = _upper_zu_entry(total - b, b)
+        for b in range(2, u):
+            for a in range(b, z):
+                if (a, b) not in _UPPER_ZU:
+                    _UPPER_ZU[a, b] = _upper_zu_entry(a, b)
+        _UPPER_ZU[z, u] = _upper_zu_entry(z, u)
     return _UPPER_ZU[z, u]
 
 
 def _upper_zu_entry(z: int, u: int) -> tuple[float, tuple[int, int] | None, str | None]:
-    # z >= u >= 1, with every entry of a smaller z + u in the table
+    # z >= u >= 1, with the rows 2..u-1 in the table up to column z - 1
     if u == 1:
         return _recurrent(z), None, "recurrent base row" if z > 1 else "trivial rate 1"
     if (z, u) == (2, 2):
@@ -195,7 +198,7 @@ def _upper_zu_entry(z: int, u: int) -> tuple[float, tuple[int, int] | None, str 
             zz, uu = z - i, u - j
             if zz < uu:
                 zz, uu = uu, zz
-            base = _UPPER_ZU[zz, uu][0]
+            base = _recurrent(zz) if uu == 1 else _UPPER_ZU[zz, uu][0]
             cand = base / (base + _split_penalty(i, j))
             if best is None or cand < best - 1e-15:
                 best, arg = cand, (i, j)

@@ -62,7 +62,9 @@ def _pieces(n: int, lo: int, hi: int):
     lo is a row of its own, and each of size top is followed by the run of
     the 1- and 2-element tail table that starts at its first index after
     its last.  Where that table would hold more than PAIR_TABLE_ENTRIES
-    entries, the tails have one element and top is hi - 1.
+    entries, the tails have one element and top is hi - 1.  Where lo > top,
+    a prefix needs lo - top items after its last, so the prefixes are drawn
+    from range(n - (lo - top)).
     """
     width = min(hi, 2 if n * (n + 1) <= PAIR_TABLE_ENTRIES else 1)  # of a tail
     top = hi - width  # the prefix size that a run of tails follows
@@ -70,7 +72,7 @@ def _pieces(n: int, lo: int, hi: int):
         tails, starts = _pair_tails(n, singles=lo < hi)
     else:
         tails, starts = np.arange(n)[:, None], range(n + 1)
-    for prefix in lex_tuples(n, min(lo, top), top):
+    for prefix in lex_tuples(n - max(0, lo - top), min(lo, top), top):
         if len(prefix) >= lo:
             yield prefix, None
         if len(prefix) == top and width:

@@ -20,20 +20,22 @@ for `check_d_code`, batch size times the larger of rows times width and
 the column count).
 
 `check_cover_free`, `check_m_code` and the threshold checkers run one
-pair scan over rows packed into uint64 words (`sic.words`).  It stores a
-family of outer sets and one of inner sets (the threshold checkers use
-one family in both roles), each set's index row with its columns and its
-flagged rows as words; m-code has one outer row per slot j of U.  It
-compares a block of outer rows with every inner set at once, the block
-holding PAIR_WORDS // (inner sets * W) outer rows, W the widest operand in
-words (at least one outer set, and whole U groups for m-code).  Inner
-sets run over all columns in lex order; a pair that does not apply (Z
-meets U, say) is not counted, which leaves the documented order.
+pair scan over rows packed into uint64 words (`sic.words`).  It compares
+a block of outer sets with every inner set at once; for each set it has
+its index row, its columns and its flagged rows as words, and m-code has
+one outer row per slot j of U.  A block holds PAIR_WORDS // (inner sets *
+W) outer rows, W the widest operand in words, in whole sets (at least
+one).  The inner family (Z, or the threshold checkers' one family, used
+in both roles) is stored; the outer blocks (U) are enumerated as the scan
+reaches them, and the first block reads the inner family batch by batch
+as it fills, so a first set that fails returns before the rest is built.
+Inner sets run over all columns in lex order; a pair that does not apply
+(Z meets U, say) is not counted, which leaves the documented order.
 `check_design` keeps one packed outcome key per candidate, b bits per row
 (b = 1 for a threshold map), and finds the first repeated key by sorting
 the keys so far after 1, 2, 4, ... batches.  Before enumerating, the
-families' index rows and words, or the design keys plus their sort index
-(domain * (8W + 8) bytes), are checked against one cap, STORE_BYTES.
+stored family's index rows and words, or the design keys plus their sort
+index (domain * (8W + 8) bytes), are checked against one cap, STORE_BYTES.
 
 Checkers take a 0/1 matrix, a BinaryCode or a 2-D array, and raise
 ParameterOutOfRange on any other entry.  They refuse inputs whose
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,14 +60,14 @@ from .errors import (
     TooFewColumns,
 )
 from .subsets import lex_batches, lex_count
-from .words import first_repeat, overlap, pack
+from .words import first_repeat, overlap, pack, word_count
 
 DEFAULT_BUDGET = 1_000_000_000
 _MAX_BATCH = 16384          # subsets per batch
 _BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
 _BLOCK_ENTRIES = _BATCH_ENTRIES // 2  # coincidence block columns * t (counter and scratch)
 PAIR_WORDS = 8192           # words per block of the pair scans
-STORE_BYTES = 2**30         # check_design's key store, or a pair scan's families
+STORE_BYTES = 2**30         # check_design's key store, or a pair scan's stored family
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,13 @@ def _columns(bits: np.ndarray) -> np.ndarray:
 
 
 def _hits(cols: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """(subsets, rows) count of each subset's columns that each row hits."""
-    return cols[batch].sum(axis=1, dtype=np.int32)
+    """(subsets, rows) count of each subset's columns that each row hits,
+    one gathered column of each subset at a time (a sum over the short
+    subset axis of one 3-D gather is about twice as slow)."""
+    hits = cols[batch[:, 0]].astype(np.int32)
+    for k in range(1, batch.shape[1]):
+        hits += cols[batch[:, k]]
+    return hits
 
 
 def _subset(row) -> tuple:
@@ -169,66 +177,96 @@ def _check_budget(scans: int, budget: int | None) -> int:
     return limit
 
 
-def _check_families(t: int, N: int, *families) -> None:
-    """Raise BudgetExceeded unless the index rows and words of `_family` for
-    each (lo, hi, group) fit in STORE_BYTES."""
-    store = sum(lex_count(t, lo, hi) * 8 * (hi + _words(t) + group * _words(N))
-                for lo, hi, group in families)
+def _check_family(t: int, N: int, lo: int, hi: int) -> None:
+    """Raise BudgetExceeded unless the stored family of a pair scan, the
+    subsets of range(t) with sizes in [lo, hi], fits in STORE_BYTES with
+    its index rows and words."""
+    store = lex_count(t, lo, hi) * 8 * (hi + word_count(t) + word_count(N))
     if store > STORE_BYTES:
-        raise BudgetExceeded(f"pair families of {store} bytes exceed {STORE_BYTES}")
+        raise BudgetExceeded(f"pair family of {store} bytes exceeds {STORE_BYTES}")
 
 
-def _words(m: int) -> int:
-    """uint64 words of a packed row of m flags."""
-    return max(1, -(-m // 64))
+def _block_sets(inner: int, words: int, group: int = 1) -> int:
+    """Outer sets per block of a pair scan: PAIR_WORDS // (inner sets *
+    words * group), at least one."""
+    return max(1, PAIR_WORDS // (inner * words * group))
 
 
-def _family(cols: np.ndarray, t: int, lo: int, hi: int, flags, group: int = 1):
-    """The subsets of range(t) with sizes in [lo, hi] in lex order: their
-    index rows, their columns as packed words, and the packed words of
-    flags(hits, batch), `group` rows of N flags per subset."""
-    n, N = lex_count(t, lo, hi), cols.shape[1]
-    sets = np.empty((n, hi), dtype=np.intp)
-    member = np.empty((n, _words(t)), dtype=np.uint64)
-    words = np.empty((n * group, _words(N)), dtype=np.uint64)
-    k = 0
+class _Sets(NamedTuple):
+    """Sets of a family, from set number `start` on: their index rows, and
+    their columns and `group` rows of row flags per set as packed words,
+    one row of words each (one column in a stored family, for `overlap`)."""
+    start: int
+    sets: np.ndarray
+    member: np.ndarray
+    flags: np.ndarray
+
+
+def _family(cols: np.ndarray, t: int, lo: int, hi: int, flags, size: int, group: int = 1):
+    """The subsets of range(t) with sizes in [lo, hi] in lex order, as
+    _Sets of at most `size` subsets each, with `group` rows of
+    flags(hits, batch) per subset."""
+    start = 0
     # a batch's gather is (batch, hi, N) and its column flags (batch, t + 1)
-    for batch in lex_batches(t, lo, hi, _batch_size(max(N * hi, t + 1))):
+    for batch in lex_batches(t, lo, hi, min(size, _batch_size(max(cols.shape[1] * hi, t + 1)))):
         m = len(batch)
-        sets[k:k + m] = batch
         inside = np.zeros((m, t + 1), dtype=bool)
         inside[np.arange(m)[:, None], batch] = True
-        member[k:k + m] = pack(inside[:, :t])
         rows = flags(_hits(cols, batch), batch).reshape(m * group, -1)  # -1: N may be 0
-        words[k * group:(k + m) * group] = pack(rows)
-        k += m
-    return sets, member, words
+        yield _Sets(start, batch, pack(inside[:, :t]), pack(rows))
+        start += m
 
 
-def _pair_scan(fire, free, applies, witness, group: int = 1, words: int = 1) -> VerificationReport:
-    """The report of the first bad pair (i, j) of outer row i and inner set
-    j: one that applies where no row flagged in fire[i] is flagged in
-    free[j].
+def _stored(cols: np.ndarray, t: int, lo: int, hi: int, flags):
+    """The subsets of range(t) with sizes in [lo, hi] as one stored _Sets of
+    np.empty arrays, one row of flags per subset, and a generator that
+    fills it with the parts of `_family` and yields each part as a view."""
+    n = lex_count(t, lo, hi)
+    whole = _Sets(0, np.empty((n, hi), dtype=np.intp),
+                  np.empty((word_count(t), n), dtype=np.uint64),
+                  np.empty((word_count(cols.shape[1]), n), dtype=np.uint64))
 
-    applies(r0, r1) is the (r1 - r0, inner sets) bool of the pairs that
-    count, and witness(i, j) the witness of a bad pair.  Outer rows come in
-    groups of `group`; pairs run by group, then inner set, then row in the
-    group.  A block holds PAIR_WORDS // (inner sets * W) outer rows in
-    whole groups (at least one), W the larger of `words` and the words of
-    a row of fire.  tuples_checked counts the pairs that apply, up to the
-    first bad one.
+    def fill():
+        for part in _family(cols, t, lo, hi, flags, _MAX_BATCH):
+            span = slice(part.start, part.start + len(part.sets))
+            whole.sets[span] = part.sets
+            whole.member[:, span] = part.member.T
+            whole.flags[:, span] = part.flags.T
+            yield _Sets(part.start, whole.sets[span], whole.member[:, span], whole.flags[:, span])
+
+    return whole, fill()
+
+
+def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationReport:
+    """The report of the first bad pair of an outer row and an inner set:
+    one that applies where no row flagged in the outer row is flagged in
+    the inner set.
+
+    `outer` yields the blocks of a family of _Sets, and `inner` is a stored
+    family with its parts, as `_stored` returns them: the first block reads
+    the parts as it needs them, the later ones the whole family.  Each
+    outer set has `group` outer rows, and pairs run by outer set, then
+    inner set, then row of the group.  applies(block, part) is the (rows,
+    sets) bool of the pairs that count, and witness(outer set, row of its
+    group, inner set) the witness of a bad pair.  tuples_checked counts the
+    pairs that apply, up to the first bad one.
     """
-    inner = len(free)
-    rows = group * max(1, PAIR_WORDS // (inner * max(words, fire.shape[1]) * group))
+    whole, parts = inner
     checked = 0
-    for r0 in range(0, len(fire), rows):
-        ok = applies(r0, min(r0 + rows, len(fire)))
-        bad = ok & ~overlap(fire[r0:r0 + rows], free)
+    for block in outer:
+        oks, bads = [], []
+        for part in parts:
+            oks.append(applies(block, part))
+            bads.append(oks[-1] & ~overlap(block.flags, part.flags))
+            if bads[-1][:group].any():  # a pair of the block's first set fails: no pair precedes it
+                break
+        parts = [whole]
+        ok, bad = np.hstack(oks), np.hstack(bads)
         if bad.any():
-            ok, bad = (a.reshape(-1, group, inner).transpose(0, 2, 1) for a in (ok, bad))
+            ok, bad = (a.reshape(-1, group, a.shape[1]).transpose(0, 2, 1) for a in (ok, bad))
             k = int(np.argmax(bad))
             g, j, slot = np.unravel_index(k, bad.shape)
-            return VerificationReport(False, witness(r0 + g * group + slot, j),
+            return VerificationReport(False, witness(block.sets[g], slot, whole.sets[j]),
                                       checked + int(ok.ravel()[:k + 1].sum()))
         checked += int(ok.sum())
     return VerificationReport(True, None, checked)
@@ -249,13 +287,13 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
     _check_budget(cover_free_scans(t, z, u, N), budget)
-    _check_families(t, N, (u, u, 1), (z, z, 1))
+    _check_family(t, N, z, z)
     cols = _columns(bits)
-    U, in_U, fire = _family(cols, t, u, u, lambda hits, batch: hits >= u)  # 1 on all of U
-    Z, in_Z, free = _family(cols, t, z, z, lambda hits, batch: hits <= 0)  # 0 on all of Z
-    return _pair_scan(fire, free, lambda r0, r1: ~overlap(in_U[r0:r1], in_Z),
-                      lambda i, j: {"U": _subset(U[i]), "Z": _subset(Z[j])},
-                      words=in_U.shape[1])
+    size = _block_sets(comb(t, z), max(word_count(t), word_count(N)))
+    U = _family(cols, t, u, u, lambda hits, batch: hits >= u, size)  # 1 on all of U
+    Z = _stored(cols, t, z, z, lambda hits, batch: hits <= 0)  # 0 on all of Z
+    return _pair_scan(U, Z, lambda U, Z: ~overlap(U.member, Z.member),
+                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)})
 
 
 def d_code_scans(t: int, s: int, N: int) -> int:
@@ -320,24 +358,22 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     _check_budget(m_code_scans(t, s, u, N), budget)
-    _check_families(t, N, (u, s, s), (0, s, 1))
+    _check_family(t, N, 0, s)
     cols = _columns(bits)
+    size = _block_sets(lex_count(t, 0, s), max(word_count(t), word_count(N)), s)
     # outer row j of U: the rows with exactly u hits in U and a 1 at U[j]
-    U, in_U, fire = _family(cols, t, u, s, group=s, flags=lambda hits, batch:
-                            cols[batch].view(bool) & (hits == u)[:, None])
-    Z, in_Z, free = _family(cols, t, 0, s, lambda hits, batch: hits <= 0)
-    size_U, size_Z = (U >= 0).sum(axis=1), (Z >= 0).sum(axis=1)
+    U = _family(cols, t, u, s, lambda hits, batch: cols[batch].view(bool) & (hits == u)[:, None],
+                size, group=s)
+    Z = _stored(cols, t, 0, s, lambda hits, batch: hits <= 0)
 
-    def applies(r0, r1):  # U and Z disjoint, |Z| <= |U|, and j in U
-        g = slice(r0 // s, r1 // s)
-        pairs = ~overlap(in_U[g], in_Z) & (size_Z <= size_U[g, None])
-        slots = np.arange(s) < size_U[g, None]
-        return (slots[:, :, None] & pairs[:, None]).reshape(-1, len(Z))
+    def applies(U, Z):  # U and Z disjoint, |Z| <= |U|, and j in U
+        size_U, size_Z = ((sets >= 0).sum(axis=1) for sets in (U.sets, Z.sets))
+        pairs = ~overlap(U.member, Z.member) & (size_Z <= size_U[:, None])
+        slots = np.arange(s) < size_U[:, None]
+        return (slots[:, :, None] & pairs[:, None]).reshape(-1, len(Z.sets))
 
-    def witness(i, j):
-        return {"U": _subset(U[i // s]), "Z": _subset(Z[j]), "j": int(U[i // s, i % s])}
-
-    return _pair_scan(fire, free, applies, witness, group=s, words=in_U.shape[1])
+    return _pair_scan(U, Z, applies,
+                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])}, group=s)
 
 
 def design_domain_sizes(F: OutcomeFunction, s: int, mode: str) -> tuple[int, int]:
@@ -374,7 +410,7 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     width = (len(index) - 1).bit_length()  # bits of one label index
     label_bits = np.array([[index[v] >> b & 1 for b in range(width)] for v in F.values],
                           dtype=bool)  # (l + 1, width)
-    words = max(1, -(-N * width // 64))
+    words = word_count(N * width)
     store = domain * (8 * words + 8)
     if store > STORE_BYTES:
         raise BudgetExceeded(f"design key store of {store} bytes exceeds {STORE_BYTES}")
@@ -413,27 +449,32 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     n_sets = lex_count(t, u, s)
     _check_budget(n_sets * (n_sets - 1) * N, budget)
-    _check_families(t, N, (u, s, 1), (u, s, 1))
-    sets, member, fire = _family(_columns(bits), t, u, s, lambda hits, batch: hits >= u)
+    _check_family(t, N, u, s)
+    family, parts = _stored(_columns(bits), t, u, s, lambda hits, batch: hits >= u)
+    for _ in parts:  # fill the family
+        pass
+    size = _block_sets(n_sets, max(word_count(t) if bar else 1, word_count(N)))
+    blocks = (_Sets(r, family.sets[r:r + size], family.member[:, r:r + size].T,
+                    family.flags[:, r:r + size].T) for r in range(0, n_sets, size))
     # ^ ones flips every bit; numpy's uint64 ~ would map 64 KB more of its code
     ones = np.uint64(2**64 - 1)
     if bar:
-        outside = member ^ ones
+        outside = family.member ^ ones
 
-        def applies(r0, r1):  # P is not a subset of P'
-            return overlap(member[r0:r1], outside)
+        def applies(P, Q):  # P is not a subset of Q
+            return overlap(P.member, outside)
     else:
-        sizes = (sets >= 0).sum(axis=1)
+        sizes = (family.sets >= 0).sum(axis=1)
 
-        def applies(r0, r1):  # |P'| <= |P| and P' != P
-            pairs = sizes[None, :] <= sizes[r0:r1, None]
-            pairs[np.arange(r1 - r0), np.arange(r0, r1)] = False
+        def applies(P, Q):  # |Q| <= |P| and Q != P
+            pairs = sizes[None, :] <= sizes[P.start:P.start + len(P.sets), None]
+            pairs[np.arange(len(P.sets)), np.arange(P.start, P.start + len(P.sets))] = False
             return pairs
 
-    # no row fires on P but not on P'
-    return _pair_scan(fire, fire ^ ones, applies,
-                      lambda i, j: {"P": _subset(sets[i]), "Pprime": _subset(sets[j])},
-                      words=member.shape[1] if bar else 1)
+    # no row fires on P but not on Q
+    free = family._replace(flags=family.flags ^ ones)
+    return _pair_scan(blocks, (free, [free]), applies,
+                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)})
 
 
 def check_threshold_design(X, u: int, s: int, budget: int | None = None) -> VerificationReport:

@@ -231,7 +231,7 @@ class TestUpperZU:
             assert rb.value == pytest.approx(base / (base + penalty), abs=1e-9)
 
     def test_table_matches_recursion_bit_for_bit(self, monkeypatch):
-        # a cold table filled up to (40, 40) in order of z + u against the
+        # a cold table filled row by row up to (40, 40) against the
         # recursion it replaced: same values, splits and notes
         monkeypatch.setattr(bounds, "_UPPER_ZU", {})
         for z in range(1, 41):
@@ -246,8 +246,8 @@ class TestUpperZU:
     def test_split_count(self):
         for z in range(1, 25):
             for u in range(1, z + 1):
-                brute = sum((a - 1) * (b - 1) for a in range(1, z + 1)
-                            for b in range(1, min(a, u) + 1))
+                brute = (z - 1) * (u - 1) + sum((a - 1) * (b - 1) for b in range(2, u)
+                                                for a in range(b, z))
                 assert bounds._upper_zu_splits(z, u) == brute
 
     def test_table_over_split_limit_refused_before_filling(self, monkeypatch):
@@ -255,12 +255,25 @@ class TestUpperZU:
         with pytest.raises(ParameterOutOfRange, match="split evaluations"):
             upper_zu(990, 990)
         with pytest.raises(ParameterOutOfRange):
-            upper_zu(10**9, 2)
+            upper_zu(10**9, 2)  # 10^9 - 1 splits over the recurrent base row
         assert bounds._UPPER_ZU == {}
         monkeypatch.setattr(bounds, "_MAX_SPLITS", bounds._upper_zu_splits(6, 4))
         assert upper_zu(4, 6).value == upper_zu(6, 4).value
         with pytest.raises(ParameterOutOfRange):
             upper_zu(7, 4)
+
+    def test_u2_reads_the_base_row_only(self, monkeypatch):
+        # (z, 2) splits into the recurrent row alone: z - 1 evaluations, so
+        # (15000, 2) is within the limit (its recurrent row takes about a
+        # minute, hence the smaller limit and z below)
+        assert bounds._upper_zu_splits(15000, 2) == 14999 <= bounds._MAX_SPLITS
+        monkeypatch.setattr(bounds, "_UPPER_ZU", {})
+        monkeypatch.setattr(bounds, "_MAX_SPLITS", 299)
+        rb = upper_zu(2, 300)
+        assert list(bounds._UPPER_ZU) == [(300, 2)]
+        assert rb.value.hex() == upper_zu_by_recursion(300, 2)[0].hex()
+        with pytest.raises(ParameterOutOfRange):
+            upper_zu(301, 2)
 
 
 class TestLowerZU:

@@ -38,6 +38,7 @@ from sic.verify import (
     check_threshold_design,
     coincidence,
 )
+from sic.words import word_count
 
 
 def identity_code(t):
@@ -389,11 +390,10 @@ class TestPairFamilies:
     def test_over_byte_limit_raise_at_once(self):
         # On the 3000 x 3000 identity each set's row flags and column flags
         # take 47 words each, besides its index row.  Within the row-scan
-        # budget, the families of every pair checker exceed STORE_BYTES:
-        # cover-free 3000 U and 4498500 Z, m-code 4501500 U with two slots
-        # each and 4501501 Z, and the threshold checkers 4501500 sets in
-        # both roles.  The address-space limit turns an attempt to store
-        # them into a failure.
+        # budget, the stored family of every pair checker exceeds
+        # STORE_BYTES: cover-free 4498500 Z, m-code 4501501 Z, and the
+        # threshold checkers 4501500 sets, used in both roles.  The
+        # address-space limit turns an attempt to store them into a failure.
         script = ("import numpy as np\n"
                   "from sic.errors import BudgetExceeded\n"
                   "from sic import verify\n"
@@ -417,8 +417,8 @@ class TestPairFamilies:
                               preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            f"pair families of {n} bytes exceed 1073741824"
-            for n in (3457128000, 8606868768, 6914304000, 6914304000)]
+            f"pair family of {n} bytes exceeds 1073741824"
+            for n in (3454848000, 3457152768, 3457152000, 3457152000)]
 
 
     @pytest.mark.parametrize("prop", ["cover_free", "m_code", "threshold", "threshold_bar"])
@@ -654,7 +654,7 @@ def pair_blocks(rows, X, u, s, bar):
         return contextlib.nullcontext()
     N, t = np.shape(X)
     n_sets = sum(comb(t, i) for i in range(u, s + 1))
-    words = max(1, -(-N // 64), -(-t // 64) if bar else 1)
+    words = max(word_count(N), word_count(t) if bar else 1)
     return mock.patch.object(verify, "PAIR_WORDS", rows * n_sets * words)
 
 
@@ -669,7 +669,8 @@ def scan_sizes(size, X, inner, group=1):
     if size.startswith("batch"):
         return mock.patch.object(verify, "_MAX_BATCH", n)
     N, t = np.shape(X)
-    return mock.patch.object(verify, "PAIR_WORDS", n * inner * max(-(-N // 64), -(-t // 64)) * group)
+    words = max(word_count(N), word_count(t))
+    return mock.patch.object(verify, "PAIR_WORDS", n * inner * words * group)
 
 
 def design_batches(size):
@@ -797,6 +798,26 @@ class TestPackedScansAgainstOracles:
             with scan_sizes(size, X, subsets.lex_count(7, 0, 2), group=2):
                 assert check_m_code(X, 2, 1) == want
         assert m_code_by_rows(X, 2, 1) == want
+
+    def test_first_set_failing_stops_both_families(self):
+        # column 0 is empty, so U = (0,) fails against its first disjoint
+        # Z, (1, 2), the eighth of 28 in lex order.  With seven subsets per
+        # batch the scan enumerates one batch of U and two of the four
+        # batches of Z.
+        X = np.eye(8, dtype=np.uint8)
+        X[0, 0] = 0
+        sizes = []
+
+        def spy(n, lo, hi, size):
+            for batch in subsets.lex_batches(n, lo, hi, size):
+                sizes.append((lo, len(batch)))
+                yield batch
+
+        with mock.patch.object(verify, "_MAX_BATCH", 7), mock.patch.object(verify, "lex_batches", spy):
+            got = check_cover_free(X, 2, 1)
+        assert got == cover_free_by_rows(X, 2, 1) == VerificationReport(
+            False, {"U": (0,), "Z": (1, 2)}, 1)
+        assert sizes == [(1, 7), (2, 7), (2, 7)]
 
     def test_m_code_witness_in_second_block(self):
         # column 1 repeats column 2, so only row 2 has a 1 at column 1.  The

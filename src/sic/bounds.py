@@ -150,7 +150,7 @@ def _split_penalty(i: int, j: int) -> float:
 
 
 # Split evaluations that one upper_zu entry may take.  z = u = 60 takes
-# 1.6*10^6 of them, about 3 s on a 2-vCPU VM; z = u = 990 would take 10^11.
+# 1.5*10^6 of them, about 3 s on a 2-vCPU VM; z = u = 990 would take 10^11.
 _MAX_SPLITS = 10**8
 _UPPER_ZU: dict[tuple[int, int], tuple[float, tuple[int, int] | None, str | None]] = {}
 

@@ -258,17 +258,18 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationRe
         for part in parts:
             oks.append(applies(block, part))
             bads.append(oks[-1] & ~overlap(block.flags, part.flags))
-            if bads[-1][:group].any():  # a pair of the block's first set fails: no pair precedes it
+            if bads[-1][:group].any():  # the block's first set fails, and its pairs come first
                 break
         parts = [whole]
-        ok, bad = np.hstack(oks), np.hstack(bads)
+        ok, bad = np.concatenate(oks, axis=1), np.concatenate(bads, axis=1)
         if bad.any():
-            ok, bad = (a.reshape(-1, group, a.shape[1]).transpose(0, 2, 1) for a in (ok, bad))
-            k = int(np.argmax(bad))
-            g, j, slot = np.unravel_index(k, bad.shape)
-            return VerificationReport(False, witness(block.sets[g], slot, whole.sets[j]),
-                                      checked + int(ok.ravel()[:k + 1].sum()))
-        checked += int(ok.sum())
+            g = int(np.argmax(bad.reshape(len(block.sets), -1).any(axis=1)))  # first failing set
+            rows = slice(g * group, (g + 1) * group)
+            j, slot = divmod(int(np.argmax(bad[rows].T)), group)  # by inner set, then row
+            checked += int(np.count_nonzero(ok[:rows.start]) + np.count_nonzero(ok[rows, :j])
+                           + np.count_nonzero(ok[rows.start:rows.start + slot + 1, j]))
+            return VerificationReport(False, witness(block.sets[g], slot, whole.sets[j]), checked)
+        checked += int(np.count_nonzero(ok))
     return VerificationReport(True, None, checked)
 
 

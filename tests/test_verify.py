@@ -799,6 +799,16 @@ class TestPackedScansAgainstOracles:
                 assert check_m_code(X, 2, 1) == want
         assert m_code_by_rows(X, 2, 1) == want
 
+    @pytest.mark.parametrize("prop", ["cover_free", "m_code", "threshold", "threshold_bar"])
+    def test_reports_hold_python_ints(self, prop):
+        # json.dumps refuses numpy integers, and repr shows them as np.int64(...)
+        params = {"z": 2, "u": 1} if prop == "cover_free" else {"s": 2, "u": 1}
+        for X in (np.eye(7, dtype=np.uint8), np.ones((3, 7), dtype=np.uint8)):
+            rep = CHECKERS[prop](X, params)
+            assert type(rep.tuples_checked) is int
+            assert all(type(c) is int for v in (rep.witness or {}).values()
+                       for c in (v if isinstance(v, tuple) else (v,)))
+
     def test_first_set_failing_stops_both_families(self):
         # column 0 is empty, so U = (0,) fails against its first disjoint
         # Z, (1, 2), the eighth of 28 in lex order.  With seven subsets per

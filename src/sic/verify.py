@@ -157,13 +157,11 @@ def _columns(bits: np.ndarray) -> np.ndarray:
 
 
 def _hits(cols: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """(subsets, rows) count of each subset's columns that each row hits,
-    one gathered column of each subset at a time (a sum over the short
-    subset axis of one 3-D gather is about twice as slow)."""
-    hits = cols[batch[:, 0]].astype(np.int32)
-    for k in range(1, batch.shape[1]):
-        hits += cols[batch[:, k]]
-    return hits
+    """(subsets, rows) count of each subset's columns that each row hits.
+    The gather puts the short subset axis first, so the sum adds whole
+    (subsets, rows) slices; summing over it in the middle is about twice
+    as slow."""
+    return cols[batch.T].sum(axis=0, dtype=np.int32)
 
 
 def _subset(row) -> tuple:

@@ -264,8 +264,9 @@ class TestUpperZU:
 
     def test_u2_reads_the_base_row_only(self, monkeypatch):
         # (z, 2) splits into the recurrent row alone: z - 1 evaluations, so
-        # (15000, 2) is within the limit (its recurrent row takes about a
-        # minute, hence the smaller limit and z below)
+        # (15000, 2) is within the limit.  Its splits take about 45 s (the
+        # penalties of large splits are exact integers with tens of
+        # thousands of digits), hence the smaller limit and z below.
         assert bounds._upper_zu_splits(15000, 2) == 14999 <= bounds._MAX_SPLITS
         monkeypatch.setattr(bounds, "_UPPER_ZU", {})
         monkeypatch.setattr(bounds, "_MAX_SPLITS", 299)

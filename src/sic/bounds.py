@@ -171,8 +171,6 @@ def _upper_zu(z: int, u: int) -> tuple[float, tuple[int, int] | None, str | None
     """The table entry (z, u), z >= u >= 1.  A split of an entry (a, b)
     reads rows below b only, at columns below a, so the rows 2..u-1 are
     filled up to column z - 1 in order of b, and then (z, u) itself."""
-    if u == 1:  # the recurrent base row needs no table (z may be large)
-        return _upper_zu_entry(z, 1)
     if (z, u) not in _UPPER_ZU:
         if _upper_zu_splits(z, u) > _MAX_SPLITS:
             raise ParameterOutOfRange(

@@ -180,7 +180,7 @@ def _cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise SicError(f"cannot read {args.path}: {exc}") from None
     prop, params = args.prop, args.params
-    if len(params) < 2:
+    if len(params) < 2 or (len(params) > 2 and prop != "design"):
         raise SicError(f"property {prop!r} needs 2 integer parameters")
     try:
         a, b = map(int, params[:2])

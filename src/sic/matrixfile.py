@@ -18,12 +18,29 @@ import numpy as np
 
 from .codes import BinaryCode
 from .errors import MalformedFile, ParameterOutOfRange
+from .verify import _bits
 
 MAGIC = "SIC"
 VERSION = "v1"
 
 
+def _check_weight(bits: np.ndarray, w: int | None, error: type) -> None:
+    """Raise `error` unless w is None or every column of bits has weight w."""
+    if w is not None:
+        weights = bits.sum(axis=0, dtype=np.min_scalar_type(len(bits)))  # holds N
+        bad = np.flatnonzero(weights != w)
+        if bad.size:
+            raise error(f"column {int(bad[0])} has weight {int(weights[bad[0]])}, header says {w}")
+
+
 def write_matrix(code: BinaryCode, path, comments: Iterable[str] = ()) -> None:
+    """Write `code` in the format above.  A matrix the reader would reject
+    or read differently (no rows or columns, an entry outside {0, 1}, a
+    column off the stated weight) raises ParameterOutOfRange before the
+    file opens."""
+    if 0 in _bits(code).shape:  # _bits refuses entries outside {0, 1}
+        raise ParameterOutOfRange(f"cannot write a {code.N} x {code.t} matrix")
+    _check_weight(code.bits, code.weight, ParameterOutOfRange)
     header = f"{MAGIC} {VERSION} {code.N} {code.t}"
     if code.weight is not None:
         header += f" {code.weight}"
@@ -68,10 +85,5 @@ def read_matrix(path) -> BinaryCode:
     for extra, line in enumerate(lines[1 + N:], start=N + 2):
         if line and not line.startswith("#"):
             raise MalformedFile(f"line {extra}: unexpected content after data rows")
-    if w is not None:
-        weights = bits.sum(axis=0)
-        bad = np.flatnonzero(weights != w)
-        if bad.size:
-            raise MalformedFile(
-                f"column {int(bad[0])} has weight {int(weights[bad[0]])}, header says {w}")
+    _check_weight(bits, w, MalformedFile)
     return BinaryCode(bits=bits, weight=w)

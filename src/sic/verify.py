@@ -23,14 +23,15 @@ the column count).
 pair scan over rows packed into uint64 words (`sic.words`).  It compares
 a block of outer sets with every inner set at once; for each set it has
 its index row, its columns and its flagged rows as words, and m-code has
-one outer row per slot j of U.  A block holds PAIR_WORDS // (inner sets *
-W) outer rows, W the widest operand in words, in whole sets (at least
-one).  The inner family (Z, or the threshold checkers' one family, used
-in both roles) is stored; the outer blocks (U) are enumerated as the scan
-reaches them, and the first block reads the inner family batch by batch
-as it fills, so a first set that fails returns before the rest is built.
-Inner sets run over all columns in lex order; a pair that does not apply
-(Z meets U, say) is not counted, which leaves the documented order.
+one outer row per slot j of U.  A block holds
+PAIR_WORDS // (inner sets * W) outer rows, W = max(word_count(t),
+word_count(N)), in whole sets (at least one).  The inner family (Z, or the threshold checkers' one
+family, used in both roles) is stored; the outer blocks (U) are
+enumerated as the scan reaches them, and the first block reads the inner
+family batch by batch as it fills, so a first set that fails returns
+before the rest is built.  Inner sets run over all columns in lex order;
+a pair that does not apply (Z meets U, say) is not counted in
+tuples_checked, which leaves the documented order.
 `check_design` keeps one packed outcome key per candidate, b bits per row
 (b = 1 for a threshold map), and finds the first repeated key by sorting
 the keys so far after 1, 2, 4, ... batches.  Before enumerating, the
@@ -39,9 +40,12 @@ index (domain * (8W + 8) bytes), are checked against one cap, STORE_BYTES.
 
 Checkers take a 0/1 matrix, a BinaryCode or a 2-D array, and raise
 ParameterOutOfRange on any other entry.  They refuse inputs whose
-enumeration would exceed a row-scan budget (tuple count times matrix
-length, default 10^9) by raising BudgetExceeded instead of running
-unbounded.  Column indices in reports are 0-based.
+enumeration would exceed a row-scan budget (default 10^9) by raising
+BudgetExceeded instead of running unbounded.  A row scan is one matrix
+row read for one tuple: a pair scan costs outer rows * inner sets * N,
+every pair it compares, whether or not the pair applies; `check_d_code`
+and `check_design` cost their tuple count * N.  Column indices in reports
+are 0-based.
 """
 
 from __future__ import annotations
@@ -168,26 +172,27 @@ def _subset(row) -> tuple:
     return tuple(int(c) for c in row if c >= 0)
 
 
-def _check_budget(scans: int, budget: int | None) -> int:
+def _check_budget(scans: int, budget: int | None) -> None:
     limit = DEFAULT_BUDGET if budget is None else budget
     if scans > limit:
         raise BudgetExceeded(f"{scans} row scans exceed budget {limit}")
-    return limit
 
 
-def _check_family(t: int, N: int, lo: int, hi: int) -> None:
-    """Raise BudgetExceeded unless the stored family of a pair scan, the
-    subsets of range(t) with sizes in [lo, hi], fits in STORE_BYTES with
-    its index rows and words."""
-    store = lex_count(t, lo, hi) * 8 * (hi + word_count(t) + word_count(N))
+def _check_pairs(outer: int, t: int, N: int, lo: int, hi: int, budget: int | None,
+                 group: int = 1) -> int:
+    """Outer sets per block of a pair scan of `outer` outer sets, `group`
+    rows each, against the stored family of the subsets of range(t) with
+    sizes in [lo, hi]: PAIR_WORDS // (inner sets * W * group), at least
+    one, W = max(word_count(t), word_count(N)).  Raises BudgetExceeded when
+    the scan, which compares every outer row with every inner set, takes
+    more row scans than the budget (outer rows * inner sets * N), and then
+    when the family's index rows and words exceed STORE_BYTES."""
+    inner = lex_count(t, lo, hi)
+    _check_budget(outer * group * inner * N, budget)
+    store = inner * 8 * (hi + word_count(t) + word_count(N))
     if store > STORE_BYTES:
         raise BudgetExceeded(f"pair family of {store} bytes exceeds {STORE_BYTES}")
-
-
-def _block_sets(inner: int, words: int, group: int = 1) -> int:
-    """Outer sets per block of a pair scan: PAIR_WORDS // (inner sets *
-    words * group), at least one."""
-    return max(1, PAIR_WORDS // (inner * words * group))
+    return max(1, PAIR_WORDS // (inner * max(word_count(t), word_count(N)) * group))
 
 
 class _Sets(NamedTuple):
@@ -271,10 +276,6 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationRe
     return VerificationReport(True, None, checked)
 
 
-def cover_free_scans(t: int, z: int, u: int, N: int) -> int:
-    return comb(t, u) * comb(t - u, z) * N
-
-
 def check_cover_free(X, z: int, u: int, budget: int | None = None) -> VerificationReport:
     """Does every u-subset keep a private row against every disjoint z-subset?
 
@@ -285,10 +286,8 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     N, t = bits.shape
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
-    _check_budget(cover_free_scans(t, z, u, N), budget)
-    _check_family(t, N, z, z)
+    size = _check_pairs(comb(t, u), t, N, z, z, budget)
     cols = _columns(bits)
-    size = _block_sets(comb(t, z), max(word_count(t), word_count(N)))
     U = _family(cols, t, u, u, lambda hits, batch: hits >= u, size)  # 1 on all of U
     Z = _stored(cols, t, z, z, lambda hits, batch: hits <= 0)  # 0 on all of Z
     return _pair_scan(U, Z, lambda U, Z: ~overlap(U.member, Z.member),
@@ -343,10 +342,6 @@ def check_d_certificate(X, s: int, l: int) -> bool:
     return s * lam <= l * w - 1
 
 
-def m_code_scans(t: int, s: int, u: int, N: int) -> int:
-    return sum(comb(t, a) * lex_count(t - a, 0, a) * a for a in range(u, s + 1)) * N
-
-
 def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationReport:
     """Exact-hit check: for every disjoint (U, Z) with u <= |U| <= s and
     |Z| <= |U|, and every j in U, some row has a 1 at j, exactly u ones in
@@ -356,10 +351,8 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    _check_budget(m_code_scans(t, s, u, N), budget)
-    _check_family(t, N, 0, s)
+    size = _check_pairs(lex_count(t, u, s), t, N, 0, s, budget, group=s)
     cols = _columns(bits)
-    size = _block_sets(lex_count(t, 0, s), max(word_count(t), word_count(N)), s)
     # outer row j of U: the rows with exactly u hits in U and a 1 at U[j]
     U = _family(cols, t, u, s, lambda hits, batch: cols[batch].view(bool) & (hits == u)[:, None],
                 size, group=s)
@@ -446,17 +439,16 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    n_sets = lex_count(t, u, s)
-    _check_budget(n_sets * (n_sets - 1) * N, budget)
-    _check_family(t, N, u, s)
-    family, parts = _stored(_columns(bits), t, u, s, lambda hits, batch: hits >= u)
+    size = _check_pairs(lex_count(t, u, s), t, N, u, s, budget)
+    # the stored flags are the rows that do not fire on a set (< u hits; the
+    # <= kernel is the one the other checkers already map)
+    family, parts = _stored(_columns(bits), t, u, s, lambda hits, batch: hits <= u - 1)
     for _ in parts:  # fill the family
         pass
-    size = _block_sets(n_sets, max(word_count(t) if bar else 1, word_count(N)))
-    blocks = (_Sets(r, family.sets[r:r + size], family.member[:, r:r + size].T,
-                    family.flags[:, r:r + size].T) for r in range(0, n_sets, size))
     # ^ ones flips every bit; numpy's uint64 ~ would map 64 KB more of its code
     ones = np.uint64(2**64 - 1)
+    blocks = (_Sets(r, family.sets[r:r + size], family.member[:, r:r + size].T,
+                    family.flags[:, r:r + size].T ^ ones) for r in range(0, len(family.sets), size))
     if bar:
         outside = family.member ^ ones
 
@@ -471,8 +463,7 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
             return pairs
 
     # no row fires on P but not on Q
-    free = family._replace(flags=family.flags ^ ones)
-    return _pair_scan(blocks, (free, [free]), applies,
+    return _pair_scan(blocks, (family, [family]), applies,
                       lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)})
 
 

@@ -28,10 +28,10 @@ from sic.bounds import (SEEDED_UPPER_2_2, RateBound, _golden_max, _lower_z1_obje
 from sic.codes import BinaryCode, QaryCode, RSMeta
 from sic.errors import MalformedFile, ParameterOutOfRange
 from sic.fields import FiniteField, is_prime_power
-from sic.subsets import lex_batches, lex_tuples
+from sic.subsets import lex_batches, lex_count, lex_tuples
 from sic.verify import (OutcomeFunction, VerificationReport, _batch_size, _bits,
-                        _check_budget, _columns, _hits, _subset, cover_free_scans,
-                        design_domain_sizes, design_scans, m_code_scans)
+                        _check_budget, _columns, _hits, _subset, design_domain_sizes,
+                        design_scans)
 
 
 def _poly_mul_mod(a, b, p: int) -> list[int]:
@@ -507,7 +507,7 @@ def cover_free_by_rows(X, z: int, u: int, budget: int | None = None) -> Verifica
     N, t = bits.shape
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
-    _check_budget(cover_free_scans(t, z, u, N), budget)
+    _check_budget(comb(t, u) * comb(t - u, z) * N, budget)  # the disjoint pairs
     cols = _columns(bits)
     checked = 0
     for U in lex_tuples(t, u, u):
@@ -532,7 +532,8 @@ def m_code_by_rows(X, s: int, u: int, budget: int | None = None) -> Verification
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    _check_budget(m_code_scans(t, s, u, N), budget)
+    applying = sum(comb(t, a) * lex_count(t - a, 0, a) * a for a in range(u, s + 1))  # (U, Z, j)
+    _check_budget(applying * N, budget)
     cols = _columns(bits)
     checked = 0
     for U in lex_tuples(t, u, s):

@@ -177,6 +177,19 @@ class TestVerify:
         assert code == 0
         assert "satisfied" in out
 
+    @pytest.mark.parametrize("prop, params", [
+        ("cover-free", ["1", "1"]), ("d-code", ["2", "1"]), ("d-cert", ["2", "1"]),
+        ("m-code", ["2", "1"]), ("threshold", ["1", "2"]), ("threshold-bar", ["1", "2"])])
+    def test_parameter_count(self, capsys, tmp_path, prop, params):
+        path = tmp_path / "id.sic"
+        write_matrix(BinaryCode(bits=np.eye(6, dtype=np.uint8), weight=1), path)
+        code, _, _ = run(capsys, "verify", str(path), prop, *params)
+        assert code in (0, 1)
+        for wrong in ([*params, "9"], params[:1]):
+            code, out, err = run(capsys, "verify", str(path), prop, *wrong)
+            assert code == 2 and out == ""
+            assert err == f"error: property {prop!r} needs 2 integer parameters\n"
+
     def test_d_cert(self, capsys, tmp_path, ex3):
         path = tmp_path / "ex3.sic"
         write_matrix(ex3, path)

@@ -53,6 +53,20 @@ def test_comment_with_a_line_break_leaves_no_file(tmp_path, comment):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("code, match", [
+    (BinaryCode(bits=np.zeros((0, 3), dtype=np.uint8)), "0 x 3 matrix"),
+    (BinaryCode(bits=np.zeros((3, 0), dtype=np.uint8)), "3 x 0 matrix"),
+    (BinaryCode(bits=np.eye(3, dtype=np.uint8), weight=2), "column 0 has weight 1, header says 2"),
+    (BinaryCode(bits=2 * np.eye(3, dtype=np.uint8)), "entries must be 0 or 1"),
+    (BinaryCode(bits=-np.eye(3, dtype=np.int8)), "entries must be 0 or 1"),
+])
+def test_matrix_the_reader_rejects_leaves_no_file(tmp_path, code, match):
+    path = tmp_path / "x.sic"
+    with pytest.raises(ParameterOutOfRange, match=match):
+        write_matrix(code, path)
+    assert not path.exists()
+
+
 def test_plain_comments_round_trip(tmp_path):
     code = random_code(3, 4, 0.5, seed=1)
     path = tmp_path / "c.sic"

@@ -421,6 +421,30 @@ class TestPairFamilies:
             for n in (3454848000, 3457152768, 3457152000, 3457152000)]
 
 
+    def test_budget_counts_every_pair_compared(self):
+        # The scan compares all 66 2-subsets U with all 66 10-subsets Z of
+        # the 12 columns, on 66 rows, though just 66 of the pairs are
+        # disjoint: 66 * 66 * 66 row scans.
+        X = pair_matrix(12)
+        with pytest.raises(BudgetExceeded, match="^287496 row scans exceed budget 10000$"):
+            check_cover_free(X, 10, 2, budget=10**4)
+        assert check_cover_free(X, 10, 2, budget=10**6) == cover_free_by_rows(X, 10, 2)
+
+    @pytest.mark.parametrize("prop, params, scans", [
+        ("cover_free", {"z": 2, "u": 1}, 7 * 21 * 7),  # outer U, inner Z, rows
+        ("m_code", {"s": 2, "u": 1}, 2 * 28 * 29 * 7),  # s rows per U, |Z| from 0
+        ("threshold", {"u": 1, "s": 2}, 28 * 28 * 7),
+        ("threshold_bar", {"u": 1, "s": 2}, 28 * 28 * 7),
+    ])
+    def test_budget_edge(self, prop, params, scans):
+        X = np.eye(7, dtype=np.uint8)
+        check = {"cover_free": check_cover_free, "m_code": check_m_code,
+                 "threshold": check_threshold_design,
+                 "threshold_bar": check_threshold_bar_design}[prop]
+        assert check(X, *params.values(), budget=scans) == CHECKERS[prop](X, params)
+        with pytest.raises(BudgetExceeded, match=f"^{scans} row scans exceed budget {scans - 1}$"):
+            check(X, *params.values(), budget=scans - 1)
+
     @pytest.mark.parametrize("prop", ["cover_free", "m_code", "threshold", "threshold_bar"])
     def test_matrix_without_rows(self, prop):
         bits = np.zeros((0, 7), dtype=np.uint8)

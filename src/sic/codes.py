@@ -7,9 +7,11 @@ evaluation points, and expand each q-ary symbol into the weight-1 binary
 indicator column of length q.  The result is a binary constant-weight code
 whose maximum pairwise column intersection equals the q-ary coincidence.
 
-Every step works on whole arrays.  The encoder applies Horner's rule by
-rows of the addition table: row x of add_table is x + c for every next
-digit c, so one gather appends a digit to every partial value at once.
+Every step works on whole arrays.  The encoder appends one message digit
+at a time to every partial value by one gather of rows of the addition
+table (Horner's rule).  `rs_extended` encodes when its symbols are first read,
+and `shorten` of such a code encodes only the q^(k-r) codewords it keeps,
+so a shortened code never allocates its parent's (q+1) x q^k array.
 
 Codes are immutable value objects; every constructor is deterministic, so
 identical parameters always give bit-identical matrices.
@@ -18,14 +20,15 @@ identical parameters always give bit-identical matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidDimension, InvalidShortening, ParameterOutOfRange
 from .fields import FiniteField, is_prime_power
 
-# rs_extended materializes the full (q+1) x q^k symbol matrix; refuse sizes
-# that cannot sensibly live in memory.
+# The most symbols (or bits) a code's array may hold when it is materialized;
+# larger ones are refused before they are allocated.
 MAX_MATERIALIZED_SYMBOLS = 200_000_000
 
 
@@ -93,29 +96,97 @@ def rs_extended(field: FiniteField, k: int) -> QaryCode:
     at field element a and the last row holds the leading coefficient.
     Minimum distance is exactly q - k + 2.
 
-    Row a starts from the leading digits and takes k - 1 Horner steps
-    acc -> add_table[mul_table[a, acc]].ravel(), each appending the next
-    lower digit so that the least significant one varies fastest.
+    The symbols are encoded when first read, so that `shorten` of this
+    code encodes only the codewords it keeps.
+    """
+    if not 2 <= k <= field.q + 1:
+        raise InvalidDimension(f"k={k} outside [2, {field.q + 1}] for q={field.q}")
+    return _Unencoded(field, k)
+
+
+class _Unencoded(QaryCode):
+    """The code of rs_extended(field, k) before its symbols are read."""
+
+    def __init__(self, field: FiniteField, k: int):
+        for name, value in (("q", field.q), ("meta", RSMeta(k=k, r=0, d=field.q - k + 2)),
+                            ("field", field)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def symbols(self) -> np.ndarray:
+        return _encode(self.field, self.meta.k, 0)
+
+    @property
+    def n(self) -> int:
+        return self.q + 1
+
+    @property
+    def t(self) -> int:
+        return self.q ** self.meta.k
+
+    def __repr__(self) -> str:
+        return f"rs_extended({self.field!r}, {self.meta.k})"
+
+
+def _encode(field: FiniteField, k: int, r: int) -> np.ndarray:
+    """Symbols of rs_extended(field, k) shortened on the points 0..r-1,
+    encoded without the codewords that shortening drops.
+
+    The kept messages are the polynomials f that vanish at 0..r-1.  Their
+    high digits c_r..c_{k-1} are free and run in column order; their low r
+    digits, the r x r Vandermonde solve at 0..r-1, are those of
+    -sum_i c_i (x^i mod P), P = x (x - 1) ... (x - (r-1)).  So row a holds
+    sum_i c_i g_i(a) with g_i = x^i - (x^i mod P).  Row a keeps its partial
+    values as scale * acc, starting from the leading digit, and appends
+    each lower digit c, so that the least significant one varies fastest:
+    for g_i(a) != 0 by one row gather acc -> add_table[mul_table[scale /
+    g_i(a), acc]], which is Horner's rule when g_i(a) = a^i (r = 0), and
+    for g_i(a) = 0 by repeating acc.  One gather applies the last scale.
     """
     q = field.q
-    if not 2 <= k <= q + 1:
-        raise InvalidDimension(f"k={k} outside [2, {q + 1}] for q={q}")
-    t = q**k
-    if t * (q + 1) > MAX_MATERIALIZED_SYMBOLS:
+    t = q ** (k - r)
+    if t * (q + 1 - r) > MAX_MATERIALIZED_SYMBOLS:
         raise ParameterOutOfRange(f"code with {t} codewords is too large to materialize")
-    add, mul = field.add_table, field.mul_table
-    symbols = np.empty((q + 1, t), dtype=np.uint8 if q <= 256 else np.uint16)
-    for a in range(q):
-        acc = np.arange(q)  # partial values = the leading digit
-        for _ in range(k - 1):
-            acc = add[mul[a, acc]].ravel()
-        symbols[a] = acc
-    symbols[q] = np.repeat(np.arange(q), q ** (k - 1))
-    return QaryCode(q=q, symbols=symbols, meta=RSMeta(k=k, r=0, d=q - k + 2))
+    add, mul, neg = field.add_table, field.mul_table, field._neg_table
+    P = np.ones(1, dtype=np.int16)
+    for b in range(r):  # P = P * (x - b)
+        P = np.append(add[np.append(0, P[:-1]), mul[neg[b], P]], 1)
+    low = np.zeros((k - r, r), dtype=np.int16)  # low[i - r] = x^i mod P, low degree first
+    if r:
+        low[0] = neg[P[:r]]
+        for i in range(1, k - r):  # x^i = x * x^(i-1), with x^r replaced by low[0]
+            low[i] = add[np.append(0, low[i - 1, :-1]), mul[low[i - 1, -1], low[0]]]
+    points = np.arange(r, q)
+    rem = np.zeros((k - r, q - r), dtype=np.int16)  # (x^i mod P)(a), by Horner
+    for coeff in low.T[::-1]:
+        rem = add[mul[rem, points], coeff[:, None]]
+    power = np.ones(q - r, dtype=np.int16)
+    for _ in range(r):
+        power = mul[power, points]
+    gen = np.empty((k - r, q - r), dtype=np.int16)  # g_i(a)
+    for i in range(k - r):
+        gen[i] = add[power, neg[rem[i]]]
+        power = mul[power, points]
+    inv, digits = field._inv_table, np.arange(q)
+    symbols = np.empty((q + 1 - r, t), dtype=np.uint8 if q <= 256 else np.uint16)
+    for row, g in zip(symbols, gen.T):
+        acc, scale = digits, g[-1]  # the partial values are scale * acc
+        for gi in g[-2::-1]:
+            if gi:  # scale * acc + gi * c = gi * (acc * scale / gi + c)
+                acc, scale = add[mul[mul[scale, inv[gi]], acc]].ravel(), gi
+            else:
+                acc = np.repeat(acc, q)
+        row[:] = acc if scale == 1 else mul[scale, acc]
+    symbols[-1] = np.repeat(np.arange(q), t // q)
+    return symbols
 
 
 def shorten(code: QaryCode, r: int) -> QaryCode:
-    """Keep codewords with 0 in the first r positions and delete those rows."""
+    """Keep codewords with 0 in the first r positions and delete those rows.
+
+    A code straight from `rs_extended` is encoded on the kept codewords
+    only; any other code is encoded already and is masked.
+    """
     if code.meta is None:
         raise InvalidShortening("code carries no RS metadata")
     k = code.meta.k
@@ -124,8 +195,11 @@ def shorten(code: QaryCode, r: int) -> QaryCode:
         raise InvalidShortening(f"shortening depth {r} outside [0, {k - 1 - code.meta.r}]")
     if r == 0:
         return code
-    keep = (code.symbols[:r] == 0).all(axis=0)
-    symbols = np.ascontiguousarray(code.symbols[r:, keep])
+    if isinstance(code, _Unencoded):
+        symbols = _encode(code.field, k, r)
+    else:
+        keep = (code.symbols[:r] == 0).all(axis=0)
+        symbols = np.ascontiguousarray(code.symbols[r:, keep])
     return QaryCode(q=code.q, symbols=symbols, meta=RSMeta(k=k, r=total, d=code.meta.d))
 
 
@@ -137,10 +211,11 @@ def binary_expand(code: QaryCode) -> BinaryCode:
     A symbol outside [0, q), or an output of more than
     MAX_MATERIALIZED_SYMBOLS bits, raises ParameterOutOfRange.
     """
-    q, n, t, symbols = code.q, code.n, code.t, code.symbols
+    q, n, t = code.q, code.n, code.t
     if n * q * t > MAX_MATERIALIZED_SYMBOLS:
         raise ParameterOutOfRange(
             f"binary expansion with {n * q} rows and {t} columns is too large to materialize")
+    symbols = code.symbols
     if symbols.size and not (0 <= symbols.min() and symbols.max() < q):
         raise ParameterOutOfRange(f"symbols must lie in [0, {q})")
     values = np.arange(q, dtype=np.min_scalar_type(q - 1))  # RS symbol width: a fast compare

@@ -8,13 +8,15 @@ with other items maps the rows through an array of them.
 The rows are built with numpy copies, not Python tuples.  The subsets that
 share a prefix of all but their last two members are one contiguous run of
 a table of the 1- and 2-element tails, so each such prefix costs one copy
-of that run.  The table is built once per call and holds at most
-PAIR_TABLE_ENTRIES entries; above that (about 1000 items) the tails have
-one element, which is as fast there.
+of that run.  The last few tables built are kept, read-only, so that two
+families of one size share one.  A table holds at most PAIR_TABLE_ENTRIES
+entries; above that (about 1000 items) the tails have one element, which
+is as fast there.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import merge
 from itertools import combinations
 from math import comb
@@ -37,10 +39,12 @@ def lex_count(n: int, lo: int, hi: int) -> int:
     return sum(comb(n, k) for k in range(lo, hi + 1))
 
 
-def _pair_tails(n: int, singles: bool) -> tuple[np.ndarray, list[int]]:
+@lru_cache(maxsize=4)
+def _pair_tails(n: int, singles: bool) -> tuple[np.ndarray, tuple[int, ...]]:
     """The tails (i, j), i < j < n, in lexicographic order, with (i, -1)
     before the pairs of each i if `singles`; and the row where the tails of
-    each first index i (and n, the end) start."""
+    each first index i (and n, the end) start.  The table is cached, so it
+    is read-only."""
     skip = int(not singles)
     counts = np.arange(n - skip, -skip, -1)  # tails with first index i
     starts = np.zeros(n + 1, dtype=np.intp)
@@ -50,7 +54,8 @@ def _pair_tails(n: int, singles: bool) -> tuple[np.ndarray, list[int]]:
     tails[:, 1] = np.arange(starts[-1]) + np.repeat(np.arange(skip, n + skip) - starts[:-1], counts)
     if singles:
         tails[starts[:-1], 1] = -1
-    return tails, starts.tolist()
+    tails.setflags(write=False)
+    return tails, tuple(starts.tolist())
 
 
 def _pieces(n: int, lo: int, hi: int):

@@ -46,6 +46,15 @@ row read for one tuple: a pair scan costs outer rows * inner sets * N,
 every pair it compares, whether or not the pair applies; `check_d_code`
 and `check_design` cost their tuple count * N.  Column indices in reports
 are 0-based.
+
+Symmetry.  `sic.symmetry.translates` finds the columns of a code built
+by `sic` to be the translates of column 0 by an additive group, which
+makes every column look alike.  Where it does, `coincidence` compares
+column 0 with every other column, and `check_d_code` scans only the
+s-subsets that contain column 0, the first comb(t-1, s-1) of the lex
+order, with the same witness and tuples_checked, and a budget that counts
+the scans that run.  Anything else, plain arrays included, takes the full
+scan.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ from .errors import (
     TooFewColumns,
 )
 from .subsets import lex_batches, lex_count
+from .symmetry import translates
 from .words import first_repeat, overlap, pack, word_count
 
 DEFAULT_BUDGET = 1_000_000_000
@@ -301,17 +311,27 @@ def d_code_scans(t: int, s: int, N: int) -> int:
 def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationReport:
     """List-union cover check: satisfied iff for every s-subset S and every
     column j outside S some row has a 1 at j and at most l-1 ones inside S.
+
+    When `translates` finds the columns to be translates of column 0, only
+    the S that contain column 0 are scanned: every failing (S, j) has a
+    translate with 0 in S, so the first failure among them is the lex-first
+    one, with the same tuples_checked.  A satisfied report still counts the
+    whole domain, comb(t, s) * (t - s); the budget counts the scans that
+    run, comb(t-1, s-1) * (t - s) * N.
     """
     bits = _bits(X)
     N, t = bits.shape
     if not 1 <= l < s < t:
         raise ParameterOutOfRange(f"need 1 <= l < s < t, got {(l, s, t)}")
-    _check_budget(d_code_scans(t, s, N), budget)
+    # the S that contain column 0 come first in lex order, comb(t-1, s-1) of them
+    subsets = comb(t, s) if translates(X) is None else comb(t - 1, s - 1)
+    _check_budget(subsets * (t - s) * N, budget)
     cols = _columns(bits)
     float_bits = bits.astype(np.float32)
     offset = 0
     # a batch's coverage counts are (batch, t), its gather (batch, s, N)
     for batch in lex_batches(t, s, s, _batch_size(max(N * s, t))):
+        batch = batch[:subsets - offset]
         qualifying = (_hits(cols, batch) <= l - 1).astype(np.float32)  # rows usable per S
         covered = qualifying @ float_bits                       # (batch, t) counts
         np.put_along_axis(covered, batch, 1.0, axis=1)          # members of S exempt
@@ -323,6 +343,8 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
             checked = (offset + r) * (t - s) + within
             return VerificationReport(False, {"S": _subset(batch[r]), "j": j}, checked)
         offset += len(batch)
+        if offset == subsets:
+            break
     return VerificationReport(True, None, comb(t, s) * (t - s))
 
 
@@ -486,7 +508,11 @@ def coincidence(code) -> int:
     """Maximum pairwise column statistic: dot product for binary codes,
     agreement-position count for q-ary codes.
 
-    Each unordered pair of columns is counted once: a block of columns
+    When `translates` finds the columns to be the translates of column 0
+    (a QaryCode, or a BinaryCode laid out as `binary_expand` lays it out,
+    with its weight stated), two columns agree where their difference, a
+    column minus column 0, is zero; so column 0 is compared with each other
+    column, in O(n*t) after the check.  Otherwise each unordered pair of columns is counted once: a block of columns
     [a, a+B) is compared with the columns [a, t), and the pairs on or below
     the block's diagonal are dropped.  A q-ary code counts agreements row by
     row into one reused counter of the smallest unsigned type that holds n
@@ -503,6 +529,9 @@ def coincidence(code) -> int:
     n, t = cols.shape
     if t < 2:
         raise TooFewColumns("coincidence needs at least two columns")
+    symbols = translates(code)
+    if symbols is not None:
+        return int((symbols[:, 1:] == symbols[:, :1]).sum(axis=0).max())
     block = max(1, min(t, _BLOCK_ENTRIES // t))
     if qary:
         counts = np.empty(block * t, dtype=np.min_scalar_type(n))

@@ -5,7 +5,7 @@ code it checks: brute-force pairwise statistics, explicit polynomial
 evaluation, rank computations over the field tables, the per-pair
 polynomial construction of the field tables, the unpruned parameter
 search, the element-wise construct path (Reed-Solomon encoding by digit
-arrays, binary expansion by scatter, the matrix reader by per-line loop),
+arrays, shortening by evaluating and masking, binary expansion by scatter, the matrix reader by per-line loop),
 the bound optimizers' unpruned grid scans, the checkers' subset
 enumeration as a merge of Python tuples packed by `np.fromiter`, the
 design check by a dict of `bytes` keys, the threshold pair scans by one
@@ -152,6 +152,32 @@ def rs_extended_by_digits(field: FiniteField, k: int) -> QaryCode:
         symbols[a] = acc
     symbols[q] = digits[k - 1]
     return QaryCode(q=q, symbols=symbols, meta=RSMeta(k=k, r=0, d=q - k + 2))
+
+
+def shortened_by_mask(field: FiniteField, k: int, r: int) -> np.ndarray:
+    """The symbols of `shorten(rs_extended(field, k), r)` by evaluating
+    messages with digit arrays and masking: the value at point 0 is the
+    lowest digit, so for r >= 1 only the messages with lowest digit 0 are
+    evaluated at 1..r-1; those that vanish there are kept and evaluated at
+    every other point, element by element."""
+    q = field.q
+    idx = np.arange(q ** k if r == 0 else q ** (k - 1), dtype=np.int64) * (1 if r == 0 else q)
+    add, mul = field.add_table, field.mul_table
+
+    def evaluate(idx, a):
+        digits = [((idx // q**i) % q).astype(np.int16) for i in range(k)]
+        acc = digits[k - 1]
+        for i in range(k - 2, -1, -1):
+            acc = add[mul[acc, a], digits[i]]
+        return acc
+
+    for a in range(1, r):
+        idx = idx[evaluate(idx, a) == 0]
+    symbols = np.empty((q + 1 - r, len(idx)), dtype=np.uint8 if q <= 256 else np.uint16)
+    for a in range(r, q):
+        symbols[a - r] = evaluate(idx, a)
+    symbols[-1] = idx // q ** (k - 1)
+    return symbols
 
 
 def binary_expand_by_scatter(code: QaryCode) -> BinaryCode:

@@ -17,6 +17,7 @@ from sic.bounds import ASYMPTOTIC_KINDS
 from sic.cli import BOUND_KINDS, VERIFY_CHECKERS, main
 from sic.codes import BinaryCode
 from sic.matrixfile import read_matrix, write_matrix
+from sic.verify import coincidence
 
 
 def run(capsys, *argv):
@@ -153,6 +154,16 @@ class TestConstruct:
         assert "too large to materialize" in proc.stderr
         assert not out_path.exists()
 
+    def test_q64_k4_r2(self, capsys, tmp_path):
+        # its parent code has 64^4 codewords; only the 64^2 kept ones are encoded
+        out_path = tmp_path / "q64b.sic"
+        code, out, _ = run(capsys, "construct", "64", "4", "2", str(out_path))
+        assert code == 0
+        assert out == "t=4096 N=4032 w=63 lambda=1\n"
+        assert coincidence(read_matrix(out_path)) == 1
+        code, out, _ = run(capsys, "verify", str(out_path), "d-cert", "2", "1")
+        assert (code, out) == (0, "certified\n")
+
     def test_unwritable_output(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.sic"
         code, out, err = run(capsys, "construct", "5", "5", "2", str(out_path))
@@ -213,6 +224,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path), "d-code", "6", "2")
         assert code == 3
         assert "budget" in err
+
+    def test_d_code_budget_counts_the_subsets_with_column_0(self, capsys, tmp_path, ex1):
+        # example 1 needs 775,310,000 row scans for every S, 18,607,440 for
+        # the S that contain column 0; with rows 1 and 5 swapped its blocks
+        # of q = 5 rows are no longer one-hot and the scan is not reduced
+        path, other = tmp_path / "ex1.sic", tmp_path / "ex1-rows.sic"
+        write_matrix(ex1, path)
+        write_matrix(BinaryCode(bits=ex1.bits[[0, 5, 2, 3, 4, 1, *range(6, 20)]], weight=4), other)
+        code, out, _ = run(capsys, "verify", str(path), "d-code", "3", "2", "--budget", "18607440")
+        assert (code, out) == (0, "satisfied (tuples checked: 38765500)\n")
+        code, _, err = run(capsys, "verify", str(path), "d-code", "3", "2", "--budget", "18607439")
+        assert (code, err) == (3, "error: 18607440 row scans exceed budget 18607439\n")
+        code, _, err = run(capsys, "verify", str(other), "d-code", "3", "2", "--budget", "18607440")
+        assert (code, err) == (3, "error: 775310000 row scans exceed budget 18607440\n")
 
     def test_budget_env_override(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "id.sic"
@@ -376,6 +401,13 @@ class TestExamples:
         _, out1, _ = run(capsys, "examples", "--budget", "1000")
         _, out2, _ = run(capsys, "examples", "--budget", "1000")
         assert out1 == out2
+
+    def test_raised_budget_checks_example_2(self, capsys):
+        # its 6,608,580 subsets that contain column 0 take 7.8*10^10 row scans
+        code, out, _ = run(capsys, "examples", "--budget", "100000000000")
+        assert code == 0
+        assert "exhaustive d-code s=4 l=2: PASS (192106464165 tuples)" in out
+        assert "exhaustive d-code s=6 l=2: SKIPPED (688424849930481664 row scans" in out
 
     def test_small_budget_skips_exhaustive(self, capsys):
         code, out, _ = run(capsys, "examples", "--budget", "1000")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from helpers import (
     rs_extended_by_digits,
     rs_min_distance_structural,
     search_params_unpruned,
+    shortened_by_mask,
 )
 from sic.codes import (
     QaryCode,
@@ -113,6 +116,43 @@ class TestShorten:
             shorten(code, 3)
         with pytest.raises(InvalidShortening):
             shorten(QaryCode(q=2, symbols=np.zeros((2, 1), dtype=np.uint8)), 1)
+
+
+# Every prime power q <= 64 with 2 <= k <= min(4, q + 1)
+SUBCODE_CASES = [(q, k) for q in range(2, 65) if is_prime_power(q) for k in range(2, min(4, q + 1) + 1)]
+
+
+class TestSubcode:
+    @pytest.mark.parametrize("q,k", SUBCODE_CASES, ids=[f"q{q}-k{k}" for q, k in SUBCODE_CASES])
+    def test_matches_masked_evaluation(self, q, k):
+        field = FiniteField(q)
+        for r in range(k):
+            if r == 0 and q**k * (q + 1) > 2**22:  # the unshortened code itself, over 4M symbols
+                continue
+            got, want = shorten(rs_extended(field, k), r).symbols, shortened_by_mask(field, k, r)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), r
+            assert got.tobytes() == want.tobytes(), r
+
+    def test_parent_is_not_materialized(self):
+        # the q=64, k=4 parent has 65 x 64^4 symbols, over the cap
+        parent = rs_extended(FiniteField(64), 4)
+        assert (parent.n, parent.t, parent.meta.k) == (65, 64**4, 4)
+        with pytest.raises(ParameterOutOfRange, match="too large to materialize"):
+            parent.symbols
+        tracemalloc.start()
+        try:
+            code = shorten(parent, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code.symbols.shape == (63, 4096) and coincidence(code) == 1
+        assert peak < 2 * code.symbols.nbytes + 2**20
+
+    def test_materialized_parent_shortens_the_same(self):
+        parent = rs_extended(FiniteField(7), 4)
+        masked = shorten(QaryCode(q=7, symbols=parent.symbols, meta=parent.meta), 2)
+        assert np.array_equal(masked.symbols, shorten(parent, 2).symbols)
+        assert masked.meta == shorten(parent, 2).meta
 
 
 class TestBinaryExpand:

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import read_matrix_by_lines
-from sic.codes import BinaryCode, random_code
+from sic.codes import BinaryCode, binary_expand, random_code, rs_extended, shorten
 from sic.errors import MalformedFile, ParameterOutOfRange
+from sic.fields import FiniteField
 from sic.matrixfile import read_matrix, write_matrix
 
 
@@ -131,6 +134,19 @@ def test_first_bad_row_is_reported(tmp_path, rows, line):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("SIC v1 2 2\n01010\n", "line 3: expected 2 data rows, file ends early"),
+    ("SIC v1 2 2\n01\n10#\n", "line 3: expected 2 characters from 0/1"),
+])
+def test_rows_of_the_right_size_without_their_line_end(tmp_path, text, message):
+    # the bytes fill N rows of t + 1, but a row's last byte is no newline
+    path = tmp_path / "bad.sic"
+    path.write_text(text)
+    with pytest.raises(MalformedFile) as exc:
+        read_matrix(path)
+    assert str(exc.value) == message
+
+
 def test_untrusted_width_is_malformed(tmp_path):
     path = tmp_path / "wide.sic"
     path.write_text("SIC v1 1 99999999999\n0\n")
@@ -211,3 +227,22 @@ def test_read_matches_line_loop_oracle(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("oracle") / "m.sic"
     path.write_bytes(text.encode("ascii"))
     assert _outcome(read_matrix, path) == _outcome(read_matrix_by_lines, path)
+
+
+def test_reading_and_writing_peak_below_the_matrix(tmp_path):
+    # the 4096 x 4096 expansion of the q=64, k=3, r=1 code; the file is
+    # read and written in blocks of rows, never as one text or line list
+    code = binary_expand(shorten(rs_extended(FiniteField(64), 3), 1))
+    path = tmp_path / "q64.sic"
+    tracemalloc.start()
+    try:
+        write_matrix(code, path, comments=["q=64 k=3 r=1 lambda=1"])
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_matrix(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.bits, code.bits) and back.weight == 64
+    assert write_peak < 1.25 * code.bits.nbytes
+    assert read_peak < 1.25 * code.bits.nbytes

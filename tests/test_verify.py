@@ -17,7 +17,7 @@ from helpers import (batches_by_fromiter, brute_report, cover_free_by_rows, desi
                      lex_by_merge, lex_subsets, m_code_by_rows, qary_agreement_matrix,
                      threshold_pairs_by_loop)
 import sic
-from sic import subsets, verify
+from sic import subsets, symmetry, verify
 from sic.codes import BinaryCode, QaryCode, binary_expand, random_code, rs_extended, shorten
 from sic.errors import (
     BudgetExceeded,
@@ -97,6 +97,15 @@ def lex_rows(items, lo, hi):
 
 
 class TestLex:
+    def test_pair_tails_are_shared_and_read_only(self):
+        tails, starts = subsets._pair_tails(9, True)
+        assert subsets._pair_tails(9, True)[0] is tails
+        assert isinstance(starts, tuple) and starts[-1] == len(tails)
+        with pytest.raises(ValueError, match="read-only"):
+            tails[0, 1] = 5
+        batch = next(subsets.lex_batches(9, 1, 2, 100))  # a fresh copy of the table's rows
+        batch[0, 1] = 5
+
     def test_order(self):
         got = lex_rows(range(3), 0, 2)
         assert got == [(-1, -1), (0, -1), (0, 1), (0, 2), (1, -1), (1, 2), (2, -1)]
@@ -567,6 +576,91 @@ class TestCoincidence:
         # 4096 x 4096: the one-hot expansion of the q=64, k=3, r=1 RS code
         code = binary_expand(shorten(rs_extended(FiniteField(64), 3), 1))
         assert coincidence(code) == 1
+
+
+def rs_binary(q, k, r):
+    return binary_expand(shorten(rs_extended(FiniteField(q), k), r))
+
+
+def rows_swapped(code):
+    """Rows 1 and q swapped: block 0 then holds the rows of symbol 0 of the
+    first two positions, two 1s in the zero codeword, column 0 of an RS
+    code, so the rows are no longer canonical one-hot blocks."""
+    q = code.N // code.weight
+    rows = np.arange(code.N)
+    rows[[1, q]] = rows[[q, 1]]
+    return BinaryCode(bits=code.bits[rows], weight=code.weight)
+
+
+# every shortened RS code with q <= 8 and at most 4096 columns
+RS_CODES = [(q, k, r) for q in (2, 3, 4, 5, 7, 8) for k in range(2, q + 2) for r in range(k)
+            if q ** (k - r) <= 4096]
+
+
+class TestTranslates:
+    @pytest.mark.parametrize("q,k,r", RS_CODES, ids=[f"q{q}-k{k}-r{r}" for q, k, r in RS_CODES])
+    def test_reduced_scans_match_full_scans(self, q, k, r):
+        # every (s, l) whose full scan takes at most 10^7 row scans
+        code = rs_binary(q, k, r)
+        # one block (r = q) is one-hot in every row order: pass it as an array
+        full = rows_swapped(code) if code.weight > 1 else code.bits
+        assert symmetry.translates(code) is not None and symmetry.translates(full) is None
+        assert coincidence(code) == coincidence(full) == k - r - 1
+        N, t = code.bits.shape
+        for s in range(2, min(t, 8)):
+            for l in range(1, s):
+                if comb(t, s) * (t - s) * N <= 10**7:
+                    assert check_d_code(code, s, l) == check_d_code(full, s, l), (s, l)
+
+    def test_qary_columns_in_any_order(self):
+        qary = shorten(rs_extended(FiniteField(9), 3), 1)
+        sym = qary.symbols[:, np.random.default_rng(3).permutation(qary.t)]
+        code = QaryCode(q=9, symbols=sym)
+        assert np.array_equal(symmetry.translates(code), sym)
+        assert coincidence(code) == qary_agreement_matrix(sym)[~np.eye(81, dtype=bool)].max() == 1
+
+    def test_budget_counts_the_scans_that_run(self, ex1):
+        # example 1 scans the comb(124, 2) subsets that contain column 0
+        scans = comb(124, 2) * 122 * 20
+        assert check_d_code(ex1, 3, 2, budget=scans).tuples_checked == comb(125, 3) * 122
+        with pytest.raises(BudgetExceeded, match=f"^{scans} row scans exceed budget {scans - 1}$"):
+            check_d_code(ex1, 3, 2, budget=scans - 1)
+        with pytest.raises(BudgetExceeded):
+            check_d_code(rows_swapped(ex1), 3, 2, budget=scans)
+
+    @pytest.mark.parametrize("change", ["one symbol", "swap in a column"])
+    def test_perturbed_code_takes_the_full_scan(self, change):
+        qary = shorten(rs_extended(FiniteField(5), 3), 1)
+        sym = qary.symbols.copy()
+        if change == "one symbol":
+            sym[0, 7] = (sym[0, 7] + 1) % 5
+        else:
+            j = int(np.flatnonzero(sym[0] != sym[1])[3])
+            sym[[0, 1], j] = sym[[1, 0], j]
+        bad = QaryCode(q=5, symbols=sym)
+        code = binary_expand(bad)
+        assert symmetry.translates(bad) is None and symmetry.translates(code) is None
+        assert coincidence(bad) == qary_agreement_matrix(sym)[~np.eye(25, dtype=bool)].max()
+        assert coincidence(code) == coincidence(code.bits)
+        for s in range(2, 5):
+            for l in range(1, s):
+                assert check_d_code(code, s, l) == check_d_code(code.bits, s, l), (s, l)
+
+    def test_inputs_without_the_structure_are_declined(self, ex1, ex1_qary):
+        assert symmetry.translates(ex1) is not None
+        declined = {
+            "plain array": ex1.bits,
+            "no weight": BinaryCode(bits=ex1.bits),
+            "rows in another order": rows_swapped(ex1),
+            "q not a prime power": BinaryCode(bits=np.eye(6, dtype=np.uint8), weight=1),
+            "t not a power of p": BinaryCode(bits=ex1.bits[:, :124], weight=4),
+            "equal columns": BinaryCode(bits=ex1.bits[:, [0] * 125], weight=4),
+            "symbol out of range": QaryCode(q=5, symbols=ex1_qary.symbols + 1),
+        }
+        for name, code in declined.items():
+            assert symmetry.translates(code) is None, name
+        # GF(8) by identity columns: one block, the 8 translates of symbol 0
+        assert symmetry.translates(BinaryCode(bits=np.eye(8, dtype=np.uint8), weight=1)) is not None
 
 
 class TestBinaryInput:

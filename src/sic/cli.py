@@ -18,7 +18,6 @@ row-scan budget.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -59,17 +58,28 @@ EXAMPLE_SPECS = (
 )
 
 
-def _parse_range(text: str, name: str) -> list[int]:
+def _parse_range(text: str, name: str) -> range:
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            return range(lo, hi + 1)
+        return range(int(text), int(text) + 1)
     except ValueError:
         raise SicError(f"bad {name} range {text!r}; use an int or LO:HI") from None
+
+
+def _grid(ranges: list[range]):
+    """The points of the grid, the last axis fastest, as itertools.product
+    yields them but without storing any axis."""
+    if not ranges:
+        yield ()
+        return
+    for head in ranges[0]:
+        for tail in _grid(ranges[1:]):
+            yield (head, *tail)
 
 
 def _fmt_witness(opt: dict | None) -> str:
@@ -77,75 +87,76 @@ def _fmt_witness(opt: dict | None) -> str:
                     for key, val in (opt or {}).items())
 
 
-def _emit_rows(rows: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
-        print(json.dumps(rows, indent=2), file=out)
-        return
+def _format_row(r: dict, fmt: str) -> str:
+    """One table or CSV line of a bounds row."""
     if fmt == "csv":
-        print("kind,z,u,s,l,value,witness,note", file=out)
-        for r in rows:
-            cells = [r["kind"]]
-            for key in ("z", "u", "s", "l"):
-                cells.append("" if r.get(key) is None else str(r[key]))
-            cells.append(f"{r['value']:.12g}")
-            cells.append(_fmt_witness(r.get("optimizer")))
-            cells.append(r.get("note") or "")
-            print(",".join(cells), file=out)
-        return
-    for r in rows:
-        parts = [r["kind"]]
+        cells = [r["kind"]]
         for key in ("z", "u", "s", "l"):
-            if r.get(key) is not None:
-                parts.append(f"{key}={r[key]}")
-        parts.append(f"value={r['value']:.6f}")
-        if r.get("reciprocal") is not None:
-            parts.append(f"reciprocal={r['reciprocal']:.4f}")
-        wit = _fmt_witness(r.get("optimizer"))
-        if wit:
-            parts.append(f"witness[{wit}]")
-        if r.get("note"):
-            parts.append(f"({r['note']})")
-        print(" ".join(parts), file=out)
+            cells.append("" if r[key] is None else str(r[key]))
+        cells.append(f"{r['value']:.12g}")
+        cells.append(_fmt_witness(r["optimizer"]))
+        cells.append(r["note"] or "")
+        return ",".join(cells)
+    parts = [r["kind"]]
+    for key in ("z", "u", "s", "l"):
+        if r[key] is not None:
+            parts.append(f"{key}={r[key]}")
+    parts.append(f"value={r['value']:.6f}")
+    if r.get("reciprocal") is not None:
+        parts.append(f"reciprocal={r['reciprocal']:.4f}")
+    wit = _fmt_witness(r["optimizer"])
+    if wit:
+        parts.append(f"witness[{wit}]")
+    if r["note"]:
+        parts.append(f"({r['note']})")
+    return " ".join(parts)
 
 
-def _rate_row(kind, value, *, z=None, u=None, s=None, l=None, optimizer=None,
-              note=None, reciprocal=None):
-    row = {"kind": kind, "z": z, "u": u, "s": s, "l": l, "value": value,
-           "optimizer": optimizer, "note": note}
-    if reciprocal is not None:
-        row["reciprocal"] = reciprocal
-    return row
+def _bound_rows(args):
+    """The rows of `sic bounds`, each computed when it is read.  A kind
+    takes the grid flags of its axes and no others."""
+    kind = args.kind
+    blank = dict.fromkeys(("kind", "z", "u", "s", "l", "value", "optimizer", "note"))
+    if kind == "asymptotic":
+        if args.form is None:
+            raise SicError("kind 'asymptotic' needs --form")
+        axes = tuple(name for name in ("z", "u", "s") if getattr(args, name) is not None)
+        kind, bound = f"asymptotic:{args.form}", partial(B.asymptotic_rate, args.form)
+    else:
+        axes, bound = BOUND_AXES.get(kind, ()), getattr(B, kind.replace("-", "_"))
+    for name in ("z", "u", "s", "l"):
+        if name not in axes and getattr(args, name) is not None:
+            raise SicError(f"kind {args.kind!r} takes no --{name}")
+    if kind == "recurrent-upper":
+        for z, val in enumerate(bound(args.z_max), start=1):
+            yield {**blank, "kind": kind, "z": z, "value": val, "reciprocal": 1.0 / val}
+        return
+    ranges = []
+    for name in axes:
+        flag = getattr(args, name)
+        if flag is None:
+            raise SicError(f"kind {kind!r} needs --{name}")
+        ranges.append(_parse_range(flag, name))
+    for point in _grid(ranges):
+        params = dict(zip(axes, point))
+        value = bound(**params)
+        if isinstance(value, B.RateBound):
+            params.update(optimizer=value.optimizer, note=value.note)
+            value = value.value
+        yield {**blank, "kind": kind, **params, "value": value}
 
 
 def _cmd_bounds(args) -> int:
-    kind = args.kind
-    rows: list[dict] = []
-    if kind == "recurrent-upper":
-        seq = B.recurrent_upper(args.z_max)
-        for z, val in enumerate(seq, start=1):
-            rows.append(_rate_row(kind, val, z=z, reciprocal=1.0 / val))
-    else:
-        if kind == "asymptotic":
-            if args.form is None:
-                raise SicError("kind 'asymptotic' needs --form")
-            axes = tuple(name for name in ("z", "u", "s") if getattr(args, name) is not None)
-            kind, bound = f"asymptotic:{args.form}", partial(B.asymptotic_rate, args.form)
-        else:
-            axes, bound = BOUND_AXES[kind], getattr(B, kind.replace("-", "_"))
-        grids = []
-        for name in axes:
-            flag = getattr(args, name)
-            if flag is None:
-                raise SicError(f"kind {kind!r} needs --{name}")
-            grids.append(_parse_range(flag, name))
-        for point in itertools.product(*grids):
-            params = dict(zip(axes, point))
-            value = bound(**params)
-            if isinstance(value, B.RateBound):
-                params.update(optimizer=value.optimizer, note=value.note)
-                value = value.value
-            rows.append(_rate_row(kind, value, **params))
-    _emit_rows(rows, args.format, sys.stdout)
+    """Table and CSV rows print as they are computed, so a point that
+    fails (exit 2) leaves the rows before it printed; JSON prints once."""
+    rows = _bound_rows(args)
+    if args.format == "json":
+        print(json.dumps(list(rows), indent=2))
+        return 0
+    for i, row in enumerate(rows):
+        if args.format == "csv" and i == 0:
+            print("kind,z,u,s,l,value,witness,note")
+        print(_format_row(row, args.format))
     return 0
 
 
@@ -354,6 +365,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The console script: `main`, ended quietly by a reader closing the pipe."""
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):  # die of SIGPIPE, as a shell tool does
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

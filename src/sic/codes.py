@@ -7,11 +7,14 @@ evaluation points, and expand each q-ary symbol into the weight-1 binary
 indicator column of length q.  The result is a binary constant-weight code
 whose maximum pairwise column intersection equals the q-ary coincidence.
 
-Every step works on whole arrays.  The encoder appends one message digit
-at a time to every partial value by one gather of rows of the addition
-table (Horner's rule).  `rs_extended` encodes when its symbols are first read,
-and `shorten` of such a code encodes only the q^(k-r) codewords it keeps,
-so a shortened code never allocates its parent's (q+1) x q^k array.
+Every step works on whole arrays.  An RS code, shortened or not, is one
+lazy object: `rs_extended` and `shorten` only record (field, k, r), so n,
+t and the metadata are known at once, and the symbols are encoded when
+first read.  Encoding takes two steps: one recurrence builds the
+generator polynomials of the kept subcode and one Horner pass evaluates
+them at every point; then every partial value takes one message digit at
+a time by one gather of rows of the addition table.  Only the q^(k-r)
+kept codewords are encoded, never the parent's (q+1) x q^k array.
 
 Codes are immutable value objects; every constructor is deterministic, so
 identical parameters always give bit-identical matrices.
@@ -96,36 +99,37 @@ def rs_extended(field: FiniteField, k: int) -> QaryCode:
     at field element a and the last row holds the leading coefficient.
     Minimum distance is exactly q - k + 2.
 
-    The symbols are encoded when first read, so that `shorten` of this
-    code encodes only the codewords it keeps.
+    The symbols are encoded when first read, so that a code shortened
+    from this one encodes only the codewords it keeps.
     """
     if not 2 <= k <= field.q + 1:
         raise InvalidDimension(f"k={k} outside [2, {field.q + 1}] for q={field.q}")
-    return _Unencoded(field, k)
+    return _RSCode(field, k, 0)
 
 
-class _Unencoded(QaryCode):
-    """The code of rs_extended(field, k) before its symbols are read."""
+class _RSCode(QaryCode):
+    """rs_extended(field, k) shortened on the points 0..r-1, encoded when
+    its symbols are first read; n, t and meta need no encoding."""
 
-    def __init__(self, field: FiniteField, k: int):
-        for name, value in (("q", field.q), ("meta", RSMeta(k=k, r=0, d=field.q - k + 2)),
+    def __init__(self, field: FiniteField, k: int, r: int):
+        for name, value in (("q", field.q), ("meta", RSMeta(k=k, r=r, d=field.q - k + 2)),
                             ("field", field)):
             object.__setattr__(self, name, value)
 
     @cached_property
     def symbols(self) -> np.ndarray:
-        return _encode(self.field, self.meta.k, 0)
+        return _encode(self.field, self.meta.k, self.meta.r)
 
     @property
     def n(self) -> int:
-        return self.q + 1
+        return self.q + 1 - self.meta.r
 
     @property
     def t(self) -> int:
-        return self.q ** self.meta.k
+        return self.q ** (self.meta.k - self.meta.r)
 
     def __repr__(self) -> str:
-        return f"rs_extended({self.field!r}, {self.meta.k})"
+        return f"shorten(rs_extended({self.field!r}, {self.meta.k}), {self.meta.r})"
 
 
 def _encode(field: FiniteField, k: int, r: int) -> np.ndarray:
@@ -133,10 +137,13 @@ def _encode(field: FiniteField, k: int, r: int) -> np.ndarray:
     encoded without the codewords that shortening drops.
 
     The kept messages are the polynomials f that vanish at 0..r-1.  Their
-    high digits c_r..c_{k-1} are free and run in column order; their low r
-    digits, the r x r Vandermonde solve at 0..r-1, are those of
-    -sum_i c_i (x^i mod P), P = x (x - 1) ... (x - (r-1)).  So row a holds
-    sum_i c_i g_i(a) with g_i = x^i - (x^i mod P).  Row a keeps its partial
+    high digits c_r..c_{k-1} are free and run in column order, and row a
+    holds sum_i c_{r+i} g_i(a), where g_i = x^(r+i) - (x^(r+i) mod P) is the
+    multiple of P = x (x - 1) ... (x - (r-1)) that is x^(r+i) plus terms of
+    degree below r.
+    Two steps give the values g_i(a).  The recurrence g_0 = P,
+    g_i = x g_{i-1} - g_{i-1}[r-1] P builds the coefficients, and one Horner
+    pass evaluates them at every point a >= r.  Row a keeps its partial
     values as scale * acc, starting from the leading digit, and appends
     each lower digit c, so that the least significant one varies fastest:
     for g_i(a) != 0 by one row gather acc -> add_table[mul_table[scale /
@@ -148,25 +155,20 @@ def _encode(field: FiniteField, k: int, r: int) -> np.ndarray:
     if t * (q + 1 - r) > MAX_MATERIALIZED_SYMBOLS:
         raise ParameterOutOfRange(f"code with {t} codewords is too large to materialize")
     add, mul, neg = field.add_table, field.mul_table, field._neg_table
-    P = np.ones(1, dtype=np.int16)
-    for b in range(r):  # P = P * (x - b)
-        P = np.append(add[np.append(0, P[:-1]), mul[neg[b], P]], 1)
-    low = np.zeros((k - r, r), dtype=np.int16)  # low[i - r] = x^i mod P, low degree first
-    if r:
-        low[0] = neg[P[:r]]
-        for i in range(1, k - r):  # x^i = x * x^(i-1), with x^r replaced by low[0]
-            low[i] = add[np.append(0, low[i - 1, :-1]), mul[low[i - 1, -1], low[0]]]
+
+    def times_x_minus(g, c, h):  # x g - c h, coefficients low degree first
+        return add[np.append(0, g[:-1]), mul[neg[c], h]]
+
+    P = np.eye(1, k, dtype=np.int16)[0]  # the polynomial 1, k coefficients
+    for b in range(r):
+        P = times_x_minus(P, b, P)
+    coeffs = [P]  # g_i has degree r + i < k, so g[r-1] is 0 when r = 0
+    for _ in range(k - r - 1):
+        coeffs.append(times_x_minus(coeffs[-1], coeffs[-1][r - 1], P))
     points = np.arange(r, q)
-    rem = np.zeros((k - r, q - r), dtype=np.int16)  # (x^i mod P)(a), by Horner
-    for coeff in low.T[::-1]:
-        rem = add[mul[rem, points], coeff[:, None]]
-    power = np.ones(q - r, dtype=np.int16)
-    for _ in range(r):
-        power = mul[power, points]
-    gen = np.empty((k - r, q - r), dtype=np.int16)  # g_i(a)
-    for i in range(k - r):
-        gen[i] = add[power, neg[rem[i]]]
-        power = mul[power, points]
+    gen = np.zeros((k - r, q - r), dtype=np.int16)  # g_i(a)
+    for c in np.array(coeffs).T[::-1]:
+        gen = add[mul[gen, points], c[:, None]]
     inv, digits = field._inv_table, np.arange(q)
     symbols = np.empty((q + 1 - r, t), dtype=np.uint8 if q <= 256 else np.uint16)
     for row, g in zip(symbols, gen.T):
@@ -184,8 +186,9 @@ def _encode(field: FiniteField, k: int, r: int) -> np.ndarray:
 def shorten(code: QaryCode, r: int) -> QaryCode:
     """Keep codewords with 0 in the first r positions and delete those rows.
 
-    A code straight from `rs_extended` is encoded on the kept codewords
-    only; any other code is encoded already and is masked.
+    A code from `rs_extended` or `shorten` stays unencoded: the result
+    records the depth meta.r + r and is encoded when its symbols are read.
+    Any other code with RS metadata is encoded already and is masked.
     """
     if code.meta is None:
         raise InvalidShortening("code carries no RS metadata")
@@ -195,11 +198,10 @@ def shorten(code: QaryCode, r: int) -> QaryCode:
         raise InvalidShortening(f"shortening depth {r} outside [0, {k - 1 - code.meta.r}]")
     if r == 0:
         return code
-    if isinstance(code, _Unencoded):
-        symbols = _encode(code.field, k, r)
-    else:
-        keep = (code.symbols[:r] == 0).all(axis=0)
-        symbols = np.ascontiguousarray(code.symbols[r:, keep])
+    if isinstance(code, _RSCode):
+        return _RSCode(code.field, k, total)
+    keep = (code.symbols[:r] == 0).all(axis=0)
+    symbols = np.ascontiguousarray(code.symbols[r:, keep])
     return QaryCode(q=code.q, symbols=symbols, meta=RSMeta(k=k, r=total, d=code.meta.d))
 
 

@@ -10,21 +10,26 @@ the bound optimizers' unpruned grid scans, the checkers' subset
 enumeration as a merge of Python tuples packed by `np.fromiter`, the
 design check by a dict of `bytes` keys, the threshold pair scans by one
 loop iteration per outer set, the cover-free and m-code checks by one loop
-iteration per U over the rows that U selects, and the (z, u) upper-bound
-table by recursion through `lru_cache`.
+iteration per U over the rows that U selects, the (z, u) upper-bound
+table by recursion through `lru_cache`, and `sic bounds` output from every
+row collected into a list before any is printed.
 """
 
 import heapq
+import io
+import json
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, islice, product, repeat
 from math import comb
 from operator import add
 
 import numpy as np
 
+import sic.bounds
 from sic.bounds import (SEEDED_UPPER_2_2, RateBound, _golden_max, _lower_z1_objective,
                         _recurrent, _split_penalty, threshold_objective, threshold_rc_term)
+from sic.cli import BOUND_AXES, build_parser
 from sic.codes import BinaryCode, QaryCode, RSMeta
 from sic.errors import MalformedFile, ParameterOutOfRange
 from sic.fields import FiniteField, is_prime_power
@@ -576,3 +581,79 @@ def m_code_by_rows(X, s: int, u: int, budget: int | None = None) -> Verification
                 return VerificationReport(False, witness, checked + int(bad[0]) + 1)
             checked += batch.size
     return VerificationReport(True, None, checked)
+
+
+def _fmt_witness(opt: dict | None) -> str:
+    return ";".join(f"{key}={val:.12g}" if isinstance(val, float) else f"{key}={val}"
+                    for key, val in (opt or {}).items())
+
+
+def _emit_rows(rows: list[dict], fmt: str, out) -> None:
+    if fmt == "json":
+        print(json.dumps(rows, indent=2), file=out)
+        return
+    if fmt == "csv":
+        print("kind,z,u,s,l,value,witness,note", file=out)
+        for r in rows:
+            cells = [r["kind"]]
+            for key in ("z", "u", "s", "l"):
+                cells.append("" if r.get(key) is None else str(r[key]))
+            cells.append(f"{r['value']:.12g}")
+            cells.append(_fmt_witness(r.get("optimizer")))
+            cells.append(r.get("note") or "")
+            print(",".join(cells), file=out)
+        return
+    for r in rows:
+        parts = [r["kind"]]
+        for key in ("z", "u", "s", "l"):
+            if r.get(key) is not None:
+                parts.append(f"{key}={r[key]}")
+        parts.append(f"value={r['value']:.6f}")
+        if r.get("reciprocal") is not None:
+            parts.append(f"reciprocal={r['reciprocal']:.4f}")
+        wit = _fmt_witness(r.get("optimizer"))
+        if wit:
+            parts.append(f"witness[{wit}]")
+        if r.get("note"):
+            parts.append(f"({r['note']})")
+        print(" ".join(parts), file=out)
+
+
+def _rate_row(kind, value, *, z=None, u=None, s=None, l=None, optimizer=None,
+              note=None, reciprocal=None):
+    row = {"kind": kind, "z": z, "u": u, "s": s, "l": l, "value": value,
+           "optimizer": optimizer, "note": note}
+    if reciprocal is not None:
+        row["reciprocal"] = reciprocal
+    return row
+
+
+def bounds_by_list(argv: list[str]) -> str:
+    """stdout of `sic bounds <argv>` for a grid whose every point succeeds,
+    built by collecting every row into a list, then printing the list."""
+    args = build_parser().parse_args(["bounds", *argv])
+    kind = args.kind
+    rows = []
+    if kind == "recurrent-upper":
+        for z, val in enumerate(sic.bounds.recurrent_upper(args.z_max), start=1):
+            rows.append(_rate_row(kind, val, z=z, reciprocal=1.0 / val))
+    else:
+        if kind == "asymptotic":
+            axes = tuple(name for name in ("z", "u", "s") if getattr(args, name) is not None)
+            kind, bound = f"asymptotic:{args.form}", partial(sic.bounds.asymptotic_rate, args.form)
+        else:
+            axes, bound = BOUND_AXES[kind], getattr(sic.bounds, kind.replace("-", "_"))
+        grids = []
+        for name in axes:
+            lo, _, hi = getattr(args, name).partition(":")
+            grids.append(list(range(int(lo), int(hi or lo) + 1)))
+        for point in product(*grids):
+            params = dict(zip(axes, point))
+            value = bound(**params)
+            if isinstance(value, RateBound):
+                params.update(optimizer=value.optimizer, note=value.note)
+                value = value.value
+            rows.append(_rate_row(kind, value, **params))
+    out = io.StringIO()
+    _emit_rows(rows, args.format, out)
+    return out.getvalue()

@@ -3,9 +3,11 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sic
+from helpers import bounds_by_list
 from sic.bounds import ASYMPTOTIC_KINDS
 from sic.cli import BOUND_KINDS, VERIFY_CHECKERS, main
 from sic.codes import BinaryCode
@@ -24,6 +27,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# One grid per bound kind, with the asymptotic forms over one, two and
+# three given flags
+BOUND_GRIDS = [
+    ["recurrent-upper", "--z-max", "6"],
+    ["nonrecurrent-upper", "--z", "2:9"],
+    ["upper-zu", "--z", "1:6", "--u", "1:4"],
+    ["lower-zu", "--z", "1:8", "--u", "2:3"],
+    ["lower-z1", "--z", "2:5"],
+    ["universal-upper", "--l", "1:2", "--s", "3:5"],
+    ["threshold-lower-simple", "--u", "1", "--s", "2:6"],
+    ["threshold-lower", "--u", "2", "--s", "3:5"],
+    ["asymptotic", "--form", "exact-size-upper", "--s", "10"],
+    ["asymptotic", "--form", "lower-zu", "--z", "3:5", "--u", "2"],
+    ["asymptotic", "--form", "upper-z1", "--z", "2:3", "--u", "1:2", "--s", "4:5"],
+]
 
 
 class TestBounds:
@@ -114,6 +134,83 @@ class TestBounds:
         singles = [run(capsys, *argv, str(z)) for z in (3, 4, 5)]
         assert [c for c, _, _ in singles] == [0, 0, 0]
         assert out.splitlines() == [line for _, o, _ in singles for line in o.splitlines()]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("grid", BOUND_GRIDS, ids=" ".join)
+    def test_rows_match_the_collected_rows(self, capsys, grid, fmt):
+        code, out, err = run(capsys, "bounds", *grid, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == bounds_by_list([*grid, "--format", fmt])
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_first_point_failing_prints_nothing(self, capsys, fmt):
+        code, out, err = run(capsys, "bounds", "threshold-lower", "--u", "600:601",
+                             "--s", "1200", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: degenerate threshold bound at (600, 1200)\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_later_point_failing_keeps_the_rows_before_it(self, capsys, fmt):
+        # (u + 1)^(u + 1) overflows a float from u = 143 on
+        argv = ["asymptotic", "--form", "upper-zu", "--z", "10", "--u"]
+        code, out, err = run(capsys, "bounds", *argv, "140:150", "--format", fmt)
+        assert code == 2
+        assert err == "error: asymptotic kind 'upper-zu' overflows a float at z=10, u=143\n"
+        assert out == ("" if fmt == "json" else bounds_by_list([*argv, "140:142", "--format", fmt]))
+
+    def test_rows_stream(self):
+        class Closed(Exception):
+            pass
+
+        class FirstRow(io.StringIO):  # a reader that leaves after the header and one row
+            def write(self, text):
+                super().write(text)
+                if self.getvalue().count("\n") == 2:
+                    raise Closed
+
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(FirstRow()), pytest.raises(Closed):
+                main(["bounds", "nonrecurrent-upper", "--z", "2:1000000", "--format", "csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_pipe_ends_quietly(self):
+        # the console script dies of SIGPIPE, without a traceback, when its
+        # reader leaves; the grid of 10^11 points is never stored
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sic.__file__)))
+        limit = 2**31
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from sic.cli import entry; entry()",
+             "bounds", "nonrecurrent-upper", "--z", "2:100000000000"],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_memory, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE, err
+        assert err == b""
+        assert first == b"nonrecurrent-upper z=2 value=1.013829\n"
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["lower-z1", "--z", "3", "--u", "7"], "u"),
+        (["recurrent-upper", "--z", "3"], "z"),
+        (["upper-zu", "--z", "3", "--u", "2", "--s", "4"], "s"),
+        (["universal-upper", "--l", "1", "--s", "3", "--z", "2"], "z"),
+        (["asymptotic", "--form", "lower-zu", "--z", "3", "--u", "2", "--l", "2"], "l"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_flag_the_kind_does_not_take(self, capsys, argv, flag):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: kind {argv[0]!r} takes no --{flag}\n"
 
 
 class TestConstruct:

@@ -16,6 +16,7 @@ from helpers import (
 )
 from sic.codes import (
     QaryCode,
+    RSMeta,
     binary_expand,
     random_code,
     rs_extended,
@@ -142,11 +143,34 @@ class TestSubcode:
         tracemalloc.start()
         try:
             code = shorten(parent, 2)
+            symbols = code.symbols
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code.symbols.shape == (63, 4096) and coincidence(code) == 1
-        assert peak < 2 * code.symbols.nbytes + 2**20
+        assert symbols.shape == (63, 4096) and coincidence(code) == 1
+        assert peak < 2 * symbols.nbytes + 2**20
+
+    def test_shortening_twice_stays_lazy(self):
+        field = FiniteField(64)
+        want = shorten(rs_extended(field, 4), 2).symbols
+        tracemalloc.start()
+        try:  # the depth-1 code in between has 64 x 64^3 symbols, 16 MiB
+            symbols = shorten(shorten(rs_extended(field, 4), 1), 1).symbols
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert symbols.tobytes() == want.tobytes()
+        assert peak < 2 * symbols.nbytes + 2**20
+
+    def test_size_is_known_before_encoding(self):
+        # 64 x 64^4 symbols, over the cap: only reading them is refused
+        code = shorten(rs_extended(FiniteField(64), 5), 1)
+        assert (code.n, code.t, code.meta) == (64, 64**4, RSMeta(k=5, r=1, d=61))
+        deeper = shorten(code, 2)
+        assert (deeper.n, deeper.t, deeper.meta.r) == (62, 64**2, 3)
+        with pytest.raises(ParameterOutOfRange, match="too large to materialize"):
+            code.symbols
+        assert np.array_equal(deeper.symbols, shortened_by_mask(FiniteField(64), 5, 3))
 
     def test_materialized_parent_shortens_the_same(self):
         parent = rs_extended(FiniteField(7), 4)

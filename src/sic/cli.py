@@ -114,7 +114,8 @@ def _format_row(r: dict, fmt: str) -> str:
 
 def _bound_rows(args):
     """The rows of `sic bounds`, each computed when it is read.  A kind
-    takes the grid flags of its axes and no others."""
+    takes the grid flags of its axes and no others; --form belongs to
+    `asymptotic` and --z-max to `recurrent-upper`."""
     kind = args.kind
     blank = dict.fromkeys(("kind", "z", "u", "s", "l", "value", "optimizer", "note"))
     if kind == "asymptotic":
@@ -124,11 +125,13 @@ def _bound_rows(args):
         kind, bound = f"asymptotic:{args.form}", partial(B.asymptotic_rate, args.form)
     else:
         axes, bound = BOUND_AXES.get(kind, ()), getattr(B, kind.replace("-", "_"))
-    for name in ("z", "u", "s", "l"):
-        if name not in axes and getattr(args, name) is not None:
-            raise SicError(f"kind {args.kind!r} takes no --{name}")
+    own = {"asymptotic": "form", "recurrent-upper": "z_max"}.get(args.kind)
+    for name in ("z", "u", "s", "l", "form", "z_max"):
+        if name not in axes and name != own and getattr(args, name) is not None:
+            raise SicError(f"kind {args.kind!r} takes no --{name.replace('_', '-')}")
     if kind == "recurrent-upper":
-        for z, val in enumerate(bound(args.z_max), start=1):
+        z_max = 17 if args.z_max is None else args.z_max
+        for z, val in enumerate(bound(z_max), start=1):
             yield {**blank, "kind": kind, "z": z, "value": val, "reciprocal": 1.0 / val}
         return
     ranges = []
@@ -147,11 +150,17 @@ def _bound_rows(args):
 
 
 def _cmd_bounds(args) -> int:
-    """Table and CSV rows print as they are computed, so a point that
-    fails (exit 2) leaves the rows before it printed; JSON prints once."""
+    """Rows print as they are computed, so a point that fails (exit 2)
+    leaves the rows before it printed.  JSON prints the bytes of
+    json.dumps(rows, indent=2): '[', each row indented one level deeper
+    than json.dumps(row, indent=2) and separated by ',', then ']'."""
     rows = _bound_rows(args)
     if args.format == "json":
-        print(json.dumps(list(rows), indent=2))
+        sep = "[\n  "
+        for row in rows:
+            print(sep + json.dumps(row, indent=2).replace("\n", "\n  "), end="")
+            sep = ",\n  "
+        print("[]" if sep.startswith("[") else "\n]")
         return 0
     for i, row in enumerate(rows):
         if args.format == "csv" and i == 0:
@@ -291,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("kind", choices=BOUND_KINDS)
     for name in ("z", "u", "s", "l"):
         p_bounds.add_argument(f"--{name}", help="int or LO:HI")
-    p_bounds.add_argument("--z-max", type=int, default=17,
-                          help="last z of the recurrent sequence")
+    p_bounds.add_argument("--z-max", type=int,
+                          help="last z of the recurrent sequence (kind=recurrent-upper, "
+                               "default 17)")
     p_bounds.add_argument("--form", choices=B.ASYMPTOTIC_KINDS,
                           help="formula selector for kind=asymptotic")
     p_bounds.add_argument("--format", choices=("table", "csv", "json"),

@@ -48,7 +48,7 @@ and `check_design` cost their tuple count * N.  Column indices in reports
 are 0-based.
 
 Symmetry.  `sic.symmetry.translates` finds the columns of a code built
-by `sic` to be the translates of column 0 by an additive group, which
+by `sic`, its rows in any order, to be the translates of column 0 by an additive group, which
 makes every column look alike.  Where it does, `coincidence` compares
 column 0 with every other column, and `check_d_code` scans only the
 s-subsets that contain column 0, the first comb(t-1, s-1) of the lex
@@ -509,8 +509,8 @@ def coincidence(code) -> int:
     agreement-position count for q-ary codes.
 
     When `translates` finds the columns to be the translates of column 0
-    (a QaryCode, or a BinaryCode laid out as `binary_expand` lays it out,
-    with its weight stated), two columns agree where their difference, a
+    (a QaryCode, or a BinaryCode with its weight stated whose rows are
+    one-hot blocks in any order), two columns agree where their difference, a
     column minus column 0, is zero; so column 0 is compared with each other
     column, in O(n*t) after the check.  Otherwise each unordered pair of columns is counted once: a block of columns
     [a, a+B) is compared with the columns [a, t), and the pairs on or below

@@ -635,7 +635,7 @@ def bounds_by_list(argv: list[str]) -> str:
     kind = args.kind
     rows = []
     if kind == "recurrent-upper":
-        for z, val in enumerate(sic.bounds.recurrent_upper(args.z_max), start=1):
+        for z, val in enumerate(sic.bounds.recurrent_upper(17 if args.z_max is None else args.z_max), start=1):
             rows.append(_rate_row(kind, val, z=z, reciprocal=1.0 / val))
     else:
         if kind == "asymptotic":

@@ -156,7 +156,36 @@ class TestBounds:
         code, out, err = run(capsys, "bounds", *argv, "140:150", "--format", fmt)
         assert code == 2
         assert err == "error: asymptotic kind 'upper-zu' overflows a float at z=10, u=143\n"
-        assert out == ("" if fmt == "json" else bounds_by_list([*argv, "140:142", "--format", fmt]))
+        before = bounds_by_list([*argv, "140:142", "--format", fmt])
+        assert out == (before.removesuffix("\n]\n") if fmt == "json" else before)
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_recurrent_upper_defaults_to_z_max_17(self, capsys, fmt):
+        code, out, err = run(capsys, "bounds", "recurrent-upper", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == bounds_by_list(["recurrent-upper", "--z-max", "17", "--format", fmt])
+        assert out == bounds_by_list(["recurrent-upper", "--format", fmt])
+
+    def test_json_rows_stream(self):
+        class Sink(io.TextIOBase):  # keeps the last line and the byte count only
+            chars, last = 0, ""
+
+            def write(self, text):
+                self.chars += len(text)
+                self.last = (self.last + text).rsplit("\n", 1)[-1]
+                return len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(["bounds", "nonrecurrent-upper", "--z", "2:100000",
+                             "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 16 * 2**20 and sink.last == ""  # 17 MiB of rows, ending "]\n"
+        assert peak < 2 * 2**20
 
     def test_rows_stream(self):
         class Closed(Exception):
@@ -206,6 +235,11 @@ class TestBounds:
         (["upper-zu", "--z", "3", "--u", "2", "--s", "4"], "s"),
         (["universal-upper", "--l", "1", "--s", "3", "--z", "2"], "z"),
         (["asymptotic", "--form", "lower-zu", "--z", "3", "--u", "2", "--l", "2"], "l"),
+        (["lower-z1", "--z", "3", "--form", "upper-z1", "--z-max", "5"], "form"),
+        (["lower-z1", "--z", "3", "--z-max", "5"], "z-max"),
+        (["recurrent-upper", "--form", "lower-z1"], "form"),
+        (["asymptotic", "--form", "lower-z1", "--z", "3", "--z-max", "17"], "z-max"),
+        (["threshold-lower", "--u", "2", "--s", "3", "--format", "json", "--z-max", "4"], "z-max"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_flag_the_kind_does_not_take(self, capsys, argv, flag):
         code, out, err = run(capsys, "bounds", *argv)
@@ -325,15 +359,20 @@ class TestVerify:
     def test_d_code_budget_counts_the_subsets_with_column_0(self, capsys, tmp_path, ex1):
         # example 1 needs 775,310,000 row scans for every S, 18,607,440 for
         # the S that contain column 0; with rows 1 and 5 swapped its blocks
-        # of q = 5 rows are no longer one-hot and the scan is not reduced
+        # of q = 5 rows are no longer canonical, and the detector finds them;
+        # without its weight the file takes the full scan
         path, other = tmp_path / "ex1.sic", tmp_path / "ex1-rows.sic"
+        plain = tmp_path / "ex1-plain.sic"
+        rows = [0, 5, 2, 3, 4, 1, *range(6, 20)]
         write_matrix(ex1, path)
-        write_matrix(BinaryCode(bits=ex1.bits[[0, 5, 2, 3, 4, 1, *range(6, 20)]], weight=4), other)
-        code, out, _ = run(capsys, "verify", str(path), "d-code", "3", "2", "--budget", "18607440")
-        assert (code, out) == (0, "satisfied (tuples checked: 38765500)\n")
-        code, _, err = run(capsys, "verify", str(path), "d-code", "3", "2", "--budget", "18607439")
-        assert (code, err) == (3, "error: 18607440 row scans exceed budget 18607439\n")
-        code, _, err = run(capsys, "verify", str(other), "d-code", "3", "2", "--budget", "18607440")
+        write_matrix(BinaryCode(bits=ex1.bits[rows], weight=4), other)
+        write_matrix(BinaryCode(bits=ex1.bits[rows]), plain)
+        for f in (path, other):
+            code, out, _ = run(capsys, "verify", str(f), "d-code", "3", "2", "--budget", "18607440")
+            assert (code, out) == (0, "satisfied (tuples checked: 38765500)\n")
+            code, _, err = run(capsys, "verify", str(f), "d-code", "3", "2", "--budget", "18607439")
+            assert (code, err) == (3, "error: 18607440 row scans exceed budget 18607439\n")
+        code, _, err = run(capsys, "verify", str(plain), "d-code", "3", "2", "--budget", "18607440")
         assert (code, err) == (3, "error: 775310000 row scans exceed budget 18607440\n")
 
     def test_budget_env_override(self, capsys, tmp_path, monkeypatch):

@@ -585,16 +585,27 @@ def rs_binary(q, k, r):
 def rows_swapped(code):
     """Rows 1 and q swapped: block 0 then holds the rows of symbol 0 of the
     first two positions, two 1s in the zero codeword, column 0 of an RS
-    code, so the rows are no longer canonical one-hot blocks."""
+    code, so the rows are no longer canonical one-hot blocks and the
+    detector must find the blocks itself."""
     q = code.N // code.weight
     rows = np.arange(code.N)
     rows[[1, q]] = rows[[q, 1]]
     return BinaryCode(bits=code.bits[rows], weight=code.weight)
 
 
+def permuted(code, seed):
+    """The code with its rows and its columns in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    bits = code.bits[rng.permutation(code.N)][:, rng.permutation(code.t)]
+    return BinaryCode(bits=np.ascontiguousarray(bits), weight=code.weight)
+
+
 # every shortened RS code with q <= 8 and at most 4096 columns
 RS_CODES = [(q, k, r) for q in (2, 3, 4, 5, 7, 8) for k in range(2, q + 2) for r in range(k)
             if q ** (k - r) <= 4096]
+# every one of dimension k - r >= 2 with k <= q and at most 8^5 columns
+PERMUTED_CODES = [(q, k, r) for q in (2, 3, 4, 5, 7, 8) for k in range(2, q + 1)
+                  for r in range(k - 1) if q ** (k - r) <= 8**5]
 
 
 class TestTranslates:
@@ -602,8 +613,7 @@ class TestTranslates:
     def test_reduced_scans_match_full_scans(self, q, k, r):
         # every (s, l) whose full scan takes at most 10^7 row scans
         code = rs_binary(q, k, r)
-        # one block (r = q) is one-hot in every row order: pass it as an array
-        full = rows_swapped(code) if code.weight > 1 else code.bits
+        full = code.bits  # a plain array takes the full scan
         assert symmetry.translates(code) is not None and symmetry.translates(full) is None
         assert coincidence(code) == coincidence(full) == k - r - 1
         N, t = code.bits.shape
@@ -625,8 +635,9 @@ class TestTranslates:
         assert check_d_code(ex1, 3, 2, budget=scans).tuples_checked == comb(125, 3) * 122
         with pytest.raises(BudgetExceeded, match=f"^{scans} row scans exceed budget {scans - 1}$"):
             check_d_code(ex1, 3, 2, budget=scans - 1)
-        with pytest.raises(BudgetExceeded):
-            check_d_code(rows_swapped(ex1), 3, 2, budget=scans)
+        assert check_d_code(rows_swapped(ex1), 3, 2, budget=scans) == check_d_code(ex1, 3, 2)
+        with pytest.raises(BudgetExceeded, match=f"^{comb(125, 3) * 122 * 20} row scans"):
+            check_d_code(ex1.bits, 3, 2, budget=scans)
 
     @pytest.mark.parametrize("change", ["one symbol", "swap in a column"])
     def test_perturbed_code_takes_the_full_scan(self, change):
@@ -648,10 +659,10 @@ class TestTranslates:
 
     def test_inputs_without_the_structure_are_declined(self, ex1, ex1_qary):
         assert symmetry.translates(ex1) is not None
+        assert symmetry.translates(rows_swapped(ex1)) is not None  # rows in another order
         declined = {
             "plain array": ex1.bits,
             "no weight": BinaryCode(bits=ex1.bits),
-            "rows in another order": rows_swapped(ex1),
             "q not a prime power": BinaryCode(bits=np.eye(6, dtype=np.uint8), weight=1),
             "t not a power of p": BinaryCode(bits=ex1.bits[:, :124], weight=4),
             "equal columns": BinaryCode(bits=ex1.bits[:, [0] * 125], weight=4),
@@ -661,6 +672,64 @@ class TestTranslates:
             assert symmetry.translates(code) is None, name
         # GF(8) by identity columns: one block, the 8 translates of symbol 0
         assert symmetry.translates(BinaryCode(bits=np.eye(8, dtype=np.uint8), weight=1)) is not None
+
+    @pytest.mark.parametrize("q,k,r", PERMUTED_CODES, ids=[f"q{q}-k{k}-r{r}" for q, k, r in PERMUTED_CODES])
+    def test_rows_and_columns_in_any_order(self, q, k, r):
+        # the detector finds the blocks and the labels itself; every (s, l)
+        # whose full scan takes at most 10^7 row scans gives the plain
+        # array's report
+        code = permuted(rs_binary(q, k, r), seed=1000 * q + 10 * k + r)
+        assert symmetry.translates(code) is not None
+        assert coincidence(code) == k - r - 1
+        N, t = code.bits.shape
+        for s in range(2, min(t, 8)):
+            for l in range(1, s):
+                if comb(t, s) * (t - s) * N <= 10**7:
+                    assert check_d_code(code, s, l) == check_d_code(code.bits, s, l), (s, l)
+
+    def test_row_orders_without_the_structure_are_declined(self):
+        qary = shorten(rs_extended(FiniteField(5), 3), 1)
+        overlap, moved = binary_expand(qary).bits.copy(), binary_expand(qary).bits.copy()
+        v = int(qary.symbols[0, 7])
+        overlap[[v, 5 + (qary.symbols[1, 7] + 1) % 5], 7] = [0, 1]  # two 1s in block 1
+        moved[[v, (v + 1) % 5], 7] = [0, 1]  # blocks one-hot, column 7 off the code
+        a, b = np.meshgrid(np.arange(6), np.arange(6))  # (a, b, a + b) over Z/6
+        z6 = (np.array([a, b, (a + b) % 6]).reshape(3, 1, 36) == np.arange(6)[:, None])
+        declined = {
+            "a block whose rows overlap": BinaryCode(bits=overlap, weight=5),
+            "one column moved inside its block": BinaryCode(bits=moved, weight=5),
+            "q not a prime power": BinaryCode(bits=z6.reshape(18, 36).astype(np.uint8), weight=3),
+            "no weight": BinaryCode(bits=binary_expand(qary).bits),
+        }
+        # blocks and labels are found, but the columns are no coset: one
+        # symbol changed in a column that agrees with column 0 nowhere
+        ex1 = shorten(rs_extended(FiniteField(5), 5), 2).symbols.copy()
+        c = int(np.flatnonzero((ex1 != ex1[:, :1]).all(axis=0))[0])
+        ex1[0, c] = next(v for v in range(5) if v not in (ex1[0, 0], ex1[0, c]))
+        off = binary_expand(QaryCode(q=5, symbols=ex1)).bits[np.random.default_rng(7).permutation(20)]
+        declined["one symbol off the code"] = BinaryCode(bits=off, weight=4)
+        for name, code in declined.items():
+            code = permuted(code, seed=7) if name != "one symbol off the code" else code
+            assert symmetry.translates(code) is None, name
+            assert coincidence(code) == coincidence(code.bits), name
+            N, t = code.bits.shape
+            for s in range(2, 5):
+                for l in range(1, s):
+                    if comb(t, s) * (t - s) * N <= 10**7:
+                        assert check_d_code(code, s, l) == check_d_code(code.bits, s, l), (name, s, l)
+
+    def test_recovery_memory(self):
+        # rows in another order cost O(N*w + n*t) memory, not an N x N product
+        # (64 MiB in float32) nor a copy of the 16 MiB matrix
+        code = permuted(rs_binary(64, 3, 1), seed=64)
+        tracemalloc.start()
+        try:
+            symbols = symmetry.translates(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert symbols is not None and symbols.shape == (64, 4096)
+        assert peak < 8 * 2**20
 
 
 class TestBinaryInput:

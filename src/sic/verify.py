@@ -34,18 +34,19 @@ a pair that does not apply (Z meets U, say) is not counted in
 tuples_checked, which leaves the documented order.
 `check_design` keeps one packed outcome key per candidate, b bits per row
 (b = 1 for a threshold map), and finds the first repeated key by sorting
-the keys so far after 1, 2, 4, ... batches.  Before enumerating, the
-stored family's index rows and words, or the design keys plus their sort
-index (domain * (8W + 8) bytes), are checked against one cap, STORE_BYTES.
+the keys so far after 1, 2, 4, ... batches.
 
 Checkers take a 0/1 matrix, a BinaryCode or a 2-D array, and raise
-ParameterOutOfRange on any other entry.  They refuse inputs whose
-enumeration would exceed a row-scan budget (default 10^9) by raising
-BudgetExceeded instead of running unbounded.  A row scan is one matrix
-row read for one tuple: a pair scan costs outer rows * inner sets * N,
-every pair it compares, whether or not the pair applies; `check_d_code`
-and `check_design` cost their tuple count * N.  Column indices in reports
-are 0-based.
+ParameterOutOfRange on any other entry.  Before enumerating, each passes
+its cost to one check, `_check_cost`, which raises BudgetExceeded when
+the row scans exceed a budget (default 10^9), then when the bytes stored
+exceed one cap, STORE_BYTES.  A row scan is one matrix row read for one
+tuple: a pair scan costs outer rows * inner sets * N, every pair it
+compares, whether or not the pair applies, and stores its inner family's
+index rows and words; `check_d_code` costs its tuple count * N and
+stores nothing; `check_design` costs its tuple count * N and stores its
+keys plus their sort index, domain * (8W + 8) bytes.  Column indices in
+reports are 0-based.
 
 Symmetry.  `sic.symmetry.translates` finds the columns of a code built
 by `sic`, its rows in any order, to be the translates of column 0 by an additive group, which
@@ -182,10 +183,15 @@ def _subset(row) -> tuple:
     return tuple(int(c) for c in row if c >= 0)
 
 
-def _check_budget(scans: int, budget: int | None) -> None:
+def _check_cost(scans: int, budget: int | None, store: int = 0, what: str = "") -> None:
+    """The one resource check of the exhaustive checkers: BudgetExceeded when
+    a check's row scans exceed the budget (None: DEFAULT_BUDGET), then when
+    the bytes it stores, named `what`, exceed STORE_BYTES."""
     limit = DEFAULT_BUDGET if budget is None else budget
     if scans > limit:
         raise BudgetExceeded(f"{scans} row scans exceed budget {limit}")
+    if store > STORE_BYTES:
+        raise BudgetExceeded(f"{what} of {store} bytes exceeds {STORE_BYTES}")
 
 
 def _check_pairs(outer: int, t: int, N: int, lo: int, hi: int, budget: int | None,
@@ -193,15 +199,12 @@ def _check_pairs(outer: int, t: int, N: int, lo: int, hi: int, budget: int | Non
     """Outer sets per block of a pair scan of `outer` outer sets, `group`
     rows each, against the stored family of the subsets of range(t) with
     sizes in [lo, hi]: PAIR_WORDS // (inner sets * W * group), at least
-    one, W = max(word_count(t), word_count(N)).  Raises BudgetExceeded when
-    the scan, which compares every outer row with every inner set, takes
-    more row scans than the budget (outer rows * inner sets * N), and then
-    when the family's index rows and words exceed STORE_BYTES."""
+    one, W = max(word_count(t), word_count(N)).  The scan compares every
+    outer row with every inner set, outer rows * inner sets * N row scans,
+    and stores the family's index rows and words (`_check_cost`)."""
     inner = lex_count(t, lo, hi)
-    _check_budget(outer * group * inner * N, budget)
-    store = inner * 8 * (hi + word_count(t) + word_count(N))
-    if store > STORE_BYTES:
-        raise BudgetExceeded(f"pair family of {store} bytes exceeds {STORE_BYTES}")
+    _check_cost(outer * group * inner * N, budget,
+                inner * 8 * (hi + word_count(t) + word_count(N)), "pair family")
     return max(1, PAIR_WORDS // (inner * max(word_count(t), word_count(N)) * group))
 
 
@@ -325,7 +328,7 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
         raise ParameterOutOfRange(f"need 1 <= l < s < t, got {(l, s, t)}")
     # the S that contain column 0 come first in lex order, comb(t-1, s-1) of them
     subsets = comb(t, s) if translates(X) is None else comb(t - 1, s - 1)
-    _check_budget(subsets * (t - s) * N, budget)
+    _check_cost(subsets * (t - s) * N, budget)
     cols = _columns(bits)
     float_bits = bits.astype(np.float32)
     offset = 0
@@ -390,19 +393,6 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
                       lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])}, group=s)
 
 
-def design_domain_sizes(F: OutcomeFunction, s: int, mode: str) -> tuple[int, int]:
-    if mode == "exactly":
-        return s, s
-    if mode == "at-most":
-        return (F.l if F.is_threshold else 0), s
-    raise ParameterOutOfRange(f"mode must be 'at-most' or 'exactly', got {mode!r}")
-
-
-def design_scans(t: int, F: OutcomeFunction, s: int, mode: str, N: int) -> int:
-    lo, hi = design_domain_sizes(F, s, mode)
-    return lex_count(t, lo, hi) * N
-
-
 def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
                  budget: int | None = None) -> VerificationReport:
     """Are the outcome vectors of all candidate subsets pairwise distinct?
@@ -416,23 +406,22 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     N, t = bits.shape
     if not 1 <= F.l <= s < t:
         raise ParameterOutOfRange(f"need 1 <= l <= s < t, got l={F.l}, s={s}, t={t}")
-    _check_budget(design_scans(t, F, s, mode, N), budget)
-    lo, hi = design_domain_sizes(F, s, mode)
-    domain = lex_count(t, lo, hi)
+    if mode not in ("at-most", "exactly"):
+        raise ParameterOutOfRange(f"mode must be 'at-most' or 'exactly', got {mode!r}")
+    lo = s if mode == "exactly" else F.l if F.is_threshold else 0
+    domain = lex_count(t, lo, s)
     # outcome vectors are equal iff their vectors of label indices are
     index = {v: i for i, v in enumerate(sorted(set(F.values)))}
     width = (len(index) - 1).bit_length()  # bits of one label index
     label_bits = np.array([[index[v] >> b & 1 for b in range(width)] for v in F.values],
                           dtype=bool)  # (l + 1, width)
     words = word_count(N * width)
-    store = domain * (8 * words + 8)
-    if store > STORE_BYTES:
-        raise BudgetExceeded(f"design key store of {store} bytes exceeds {STORE_BYTES}")
+    _check_cost(domain * N, budget, domain * (8 * words + 8), "design key store")
     keys = np.empty((domain, words), dtype=np.uint64)
     cols = _columns(bits)
-    size = _batch_size(N * hi)
+    size = _batch_size(N * s)
     n = 0
-    for k, batch in enumerate(lex_batches(t, lo, hi, size), 1):
+    for k, batch in enumerate(lex_batches(t, lo, s, size), 1):
         hits = _hits(cols, batch)
         if F.is_threshold:  # the one label bit is "reached l" or its negation
             outcomes = hits >= F.l
@@ -443,7 +432,7 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
         if k & (k - 1) == 0 or n == domain:  # after 1, 2, 4, ... batches and the last
             repeat = first_repeat(keys[:n])
             if repeat is not None:
-                P, Pprime = (_nth_subset(t, lo, hi, size, i) for i in repeat)
+                P, Pprime = (_nth_subset(t, lo, s, size, i) for i in repeat)
                 return VerificationReport(False, {"P": P, "Pprime": Pprime}, repeat[1] + 1)
     return VerificationReport(True, None, domain)
 

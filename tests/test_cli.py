@@ -95,6 +95,11 @@ class TestBounds:
         assert code == 2
         assert "needs" in err
 
+    def test_bad_range(self, capsys):
+        code, out, err = run(capsys, "bounds", "lower-zu", "--z", "3:1", "--u", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: bad z range '3:1'; use an int or LO:HI\n"
+
     def test_bad_kind_usage(self, capsys):
         code, _, _ = run(capsys, "bounds", "nope")
         assert code == 2
@@ -331,6 +336,25 @@ class TestVerify:
             code, out, err = run(capsys, "verify", str(path), prop, *wrong)
             assert code == 2 and out == ""
             assert err == f"error: property {prop!r} needs 2 integer parameters\n"
+
+    @pytest.mark.parametrize("params, message", [
+        (["d-code", "x", "1"], "bad integer parameters ['x', '1']"),
+        (["design", "2", "3"], "design needs: l s mode [labels...]"),
+        (["design", "1", "2", "at-most", "0", "x"], "bad outcome labels ['0', 'x']"),
+        (["design", "2", "3", "at-most", "0", "1"], "2 labels inconsistent with l=2"),
+        (["design", "1", "2", "sideways"], "mode must be 'at-most' or 'exactly', got 'sideways'"),
+    ])
+    def test_parameter_errors(self, capsys, tmp_path, params, message):
+        path = tmp_path / "id.sic"
+        write_matrix(BinaryCode(bits=np.eye(6, dtype=np.uint8), weight=1), path)
+        code, out, err = run(capsys, "verify", str(path), *params)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_d_code_failure_prints_witness(self, capsys, tmp_path):
+        path = tmp_path / "q2.sic"
+        assert run(capsys, "construct", "2", "3", "0", str(path))[0] == 0
+        code, out, _ = run(capsys, "verify", str(path), "d-code", "2", "1")
+        assert (code, out) == (1, "not satisfied\nwitness: S=0,1 j=2\n")
 
     def test_d_cert(self, capsys, tmp_path, ex3):
         path = tmp_path / "ex3.sic"

@@ -155,6 +155,14 @@ def test_untrusted_width_is_malformed(tmp_path):
     assert str(exc.value) == "line 2: expected 99999999999 characters from 0/1"
 
 
+def test_empty_file(tmp_path):
+    path = tmp_path / "empty.sic"
+    path.write_text("")
+    with pytest.raises(MalformedFile) as exc:
+        read_matrix(path)
+    assert str(exc.value) == "line 1: empty file"
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.sic"
     path.write_text("CIS v1 1 1\n1\n")

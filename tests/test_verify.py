@@ -87,6 +87,10 @@ class TestOutcomeFunction:
             OutcomeFunction(values=(1, 0, 1))
         with pytest.raises(ParameterOutOfRange):
             OutcomeFunction(values=(7,))
+        for make, arg in [(OutcomeFunction.threshold, 0), (OutcomeFunction.saturating, 0),
+                          (OutcomeFunction.quantizer, (2, 1))]:
+            with pytest.raises(ParameterOutOfRange):
+                make(arg)
 
 
 def lex_rows(items, lo, hi):
@@ -278,6 +282,16 @@ class TestDCertificate:
     def test_example3_tight_and_over(self, ex3):
         assert check_d_certificate(ex3, s=10, l=3)
         assert not check_d_certificate(ex3, s=11, l=3)
+        # and example 3 is no (11, 3) d-code, so the certificate is tight:
+        # each of column 0's 7 rows has 3 ones in S, by the definition
+        S, j = (10, 11, 22, 66, 76, 85, 87, 88, 104, 163, 184), 0
+        rows = np.flatnonzero(ex3.bits[:, j])
+        assert len(set(S)) == 11 and j not in S and len(rows) == 7
+        assert (ex3.bits[np.ix_(rows, S)].sum(axis=1) == 3).all()
+
+    def test_parameters(self):
+        with pytest.raises(ParameterOutOfRange):
+            check_d_certificate(identity_code(4), s=2, l=2)
 
     def test_non_constant_weight(self):
         bits = np.eye(3, dtype=np.uint8)
@@ -700,6 +714,7 @@ class TestTranslates:
             "one column moved inside its block": BinaryCode(bits=moved, weight=5),
             "q not a prime power": BinaryCode(bits=z6.reshape(18, 36).astype(np.uint8), weight=3),
             "no weight": BinaryCode(bits=binary_expand(qary).bits),
+            "dimension 1": rs_binary(5, 2, 1),
         }
         # blocks and labels are found, but the columns are no coset: one
         # symbol changed in a column that agrees with column 0 nowhere
@@ -834,21 +849,10 @@ class TestAgainstBruteForce:
         assert (rep.satisfied, rep.witness, rep.tuples_checked) == brute_report(prop, bits, params)
 
 
-def pair_blocks(rows, X, u, s, bar):
-    """Make the threshold pair scans of X take `rows` outer sets per block
-    (None: the default)."""
-    if rows is None:
-        return contextlib.nullcontext()
-    N, t = np.shape(X)
-    n_sets = sum(comb(t, i) for i in range(u, s + 1))
-    words = max(word_count(N), word_count(t) if bar else 1)
-    return mock.patch.object(verify, "PAIR_WORDS", rows * n_sets * words)
-
-
 def scan_sizes(size, X, inner, group=1):
     """Make the pair scans of X, with `inner` inner sets and outer rows in
-    groups of `group`, take one or seven groups per block ("block1",
-    "block7") or one or seven subsets per batch ("batch1", "batch7");
+    groups of `group`, take n groups per block ("block<n>") or n subsets
+    per batch ("batch<n>"), by the rule of `verify._check_pairs`;
     "default" changes nothing."""
     if size == "default":
         return contextlib.nullcontext()
@@ -888,17 +892,31 @@ class TestPackedScansAgainstOracles:
     loop and dict scans they replaced, also when a block holds one or seven
     outer sets and when a batch holds one or seven candidates."""
 
-    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "block1", "block7"])
+    @pytest.mark.parametrize("size", ["default", "block1", "block7"])
     @pytest.mark.parametrize("bar", [False, True], ids=["threshold", "threshold_bar"])
     @settings(deadline=None)
     @given(data=st.data())
-    def test_threshold_pairs_match_loop(self, bar, rows, data):
+    def test_threshold_pairs_match_loop(self, bar, size, data):
         X = data.draw(packed_inputs(5, 10))
         s = data.draw(st.integers(2, (X.shape[1] - 1) // 2))
         u = data.draw(st.integers(1, s - 1))
-        with pair_blocks(rows, X, u, s, bar):
+        with scan_sizes(size, X, subsets.lex_count(X.shape[1], u, s)):
             got = verify._check_threshold_pairs(X, u, s, bar, None)
         assert got == threshold_pairs_by_loop(X, u, s, bar)
+
+    @pytest.mark.parametrize("size", ["block1", "block7"])
+    @pytest.mark.parametrize("bar", [False, True], ids=["threshold", "threshold_bar"])
+    def test_threshold_pairs_with_two_column_words(self, bar, size):
+        # N <= 64 < t: a set's columns take two words and its rows one, so
+        # W = 2 for both checkers.  The first bad pair is P = (0, 40),
+        # P' = (0,): column 40 is empty, and P is outer set 40.
+        X = np.eye(40, 70, dtype=np.uint8)
+        inner = subsets.lex_count(70, 1, 2)
+        with scan_sizes(size, X, inner):
+            assert verify._check_pairs(inner, 70, 40, 1, 2, None) == int(size[5:])
+            got = verify._check_threshold_pairs(X, 1, 2, bar, None)
+        assert got == threshold_pairs_by_loop(X, 1, 2, bar)
+        assert got.witness == {"P": (0, 40), "Pprime": (0,)}
 
     @pytest.mark.parametrize("size", [None, 1, 7], ids=["default", "batch1", "batch7"])
     @pytest.mark.parametrize("n_labels", [2, 3, 5])
@@ -941,7 +959,7 @@ class TestPackedScansAgainstOracles:
         X = np.eye(7, dtype=np.uint8)
         X[:, 4] = 0
         want = VerificationReport(False, {"P": (0, 4), "Pprime": (0,)}, 88)
-        with pair_blocks(3, X, 1, 2, bar=False):
+        with scan_sizes("block3", X, subsets.lex_count(7, 1, 2)):
             assert check_threshold_design(X, 1, 2) == want
         assert threshold_pairs_by_loop(X, 1, 2, bar=False) == want
 

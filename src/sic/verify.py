@@ -56,6 +56,10 @@ s-subsets that contain column 0, the first comb(t-1, s-1) of the lex
 order, with the same witness and tuples_checked, and a budget that counts
 the scans that run.  Anything else, plain arrays included, takes the full
 scan.
+
+`check_d_code` first decides its property by a minimum multicover per
+column (`sic.multicover`) wherever that is cheaper than its scan, and
+scans only for the witness of a failure.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import multicover
 from .codes import BinaryCode, QaryCode
 from .errors import (
     BudgetExceeded,
@@ -321,14 +326,24 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
     one, with the same tuples_checked.  A satisfied report still counts the
     whole domain, comb(t, s) * (t - s); the budget counts the scans that
     run, comb(t-1, s-1) * (t - s) * N.
+
+    Where it is cheaper than the scan, `sic.multicover` decides the
+    property first (for column 0 alone on translates).  It returns the
+    satisfied report itself and leaves a failure to the scan, which finds
+    the witness.  The budget compares the scan's row scans on either path.
     """
     bits = _bits(X)
     N, t = bits.shape
     if not 1 <= l < s < t:
         raise ParameterOutOfRange(f"need 1 <= l < s < t, got {(l, s, t)}")
     # the S that contain column 0 come first in lex order, comb(t-1, s-1) of them
-    subsets = comb(t, s) if translates(X) is None else comb(t - 1, s - 1)
-    _check_cost(subsets * (t - s) * N, budget)
+    columns = t if translates(X) is None else 1
+    subsets = comb(t, s) if columns == t else comb(t - 1, s - 1)
+    scans = subsets * (t - s) * N
+    _check_cost(scans, budget)
+    if (multicover.cheaper(bits, l, scans, columns, _BATCH_ENTRIES)
+            and multicover.exceeds(bits, s, l, columns)):
+        return VerificationReport(True, None, comb(t, s) * (t - s))
     cols = _columns(bits)
     float_bits = bits.astype(np.float32)
     offset = 0

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import sic
 from helpers import bounds_by_list
+from sic import verify
 from sic.bounds import ASYMPTOTIC_KINDS
 from sic.cli import BOUND_KINDS, VERIFY_CHECKERS, main
 from sic.codes import BinaryCode
@@ -379,6 +382,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path), "d-code", "6", "2")
         assert code == 3
         assert "budget" in err
+        # the reduced scan's charge, which the multicover DP decides in ms
+        scans = "8067478710122832"
+        code, out, _ = run(capsys, "verify", str(path), "d-code", "6", "2", "--budget", scans)
+        assert (code, out) == (0, "satisfied (tuples checked: 12293300891615744)\n")
+        code, _, err = run(capsys, "verify", str(path), "d-code", "6", "2", "--budget", str(int(scans) - 1))
+        assert (code, err) == (3, f"error: {scans} row scans exceed budget {int(scans) - 1}\n")
 
     def test_d_code_budget_counts_the_subsets_with_column_0(self, capsys, tmp_path, ex1):
         # example 1 needs 775,310,000 row scans for every S, 18,607,440 for
@@ -556,6 +565,8 @@ class TestExamples:
         assert "t(56,10,3)>=512" in out
         assert "exhaustive d-code s=3 l=2: PASS (38765500 tuples)" in out
         assert "certificate s=11 l=3: FAIL (expected)" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "630f5e704923479349e2f0728d49e71c3d555548a588d0624e1fbc95badcd370")
 
     def test_repeat_run_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "examples", "--budget", "1000")
@@ -563,9 +574,13 @@ class TestExamples:
         assert out1 == out2
 
     def test_raised_budget_checks_example_2(self, capsys):
-        # its 6,608,580 subsets that contain column 0 take 7.8*10^10 row scans
-        code, out, _ = run(capsys, "examples", "--budget", "100000000000")
+        # its 6,608,580 subsets that contain column 0 take 7.8*10^10 row
+        # scans, but the multicover DP decides it, and example 1, at once
+        with mock.patch.object(verify, "lex_batches", side_effect=AssertionError("enumerated S")):
+            code, out, _ = run(capsys, "examples", "--budget", "100000000000")
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c6bc7fdfea09da93ba34e2b58068227760a74f6051709d6240d923890ab821d5")
         assert "exhaustive d-code s=4 l=2: PASS (192106464165 tuples)" in out
         assert "exhaustive d-code s=6 l=2: SKIPPED (688424849930481664 row scans" in out
 

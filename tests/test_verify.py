@@ -17,7 +17,7 @@ from helpers import (batches_by_fromiter, brute_report, cover_free_by_rows, desi
                      lex_by_merge, lex_subsets, m_code_by_rows, qary_agreement_matrix,
                      threshold_pairs_by_loop)
 import sic
-from sic import subsets, symmetry, verify
+from sic import multicover, subsets, symmetry, verify
 from sic.codes import BinaryCode, QaryCode, binary_expand, random_code, rs_extended, shorten
 from sic.errors import (
     BudgetExceeded,
@@ -747,6 +747,114 @@ class TestTranslates:
         assert peak < 8 * 2**20
 
 
+def small_tables(bits, l, scans, columns, entries):
+    """check_d_code's path choice made to take the multicover DP wherever
+    its state tables hold at most 4096 entries, whatever the scan costs."""
+    return (l + 1) ** int(bits[:, :columns].sum(axis=0).max(initial=0)) <= 4096
+
+
+def d_code_by(path, X, s, l, budget=None):
+    """check_d_code's report by its scan ("scan") or by the multicover DP
+    wherever its tables are small ("cover"), and whether it enumerated S."""
+    choice = small_tables if path == "cover" else lambda *args: False
+    with mock.patch.object(multicover, "cheaper", choice), \
+            mock.patch.object(verify, "lex_batches", wraps=subsets.lex_batches) as spy:
+        return check_d_code(X, s, l, budget=budget), spy.called
+
+
+def never_enumerates():
+    return mock.patch.object(verify, "lex_batches", side_effect=AssertionError("enumerated S"))
+
+
+class TestMulticover:
+    @pytest.mark.parametrize("q,k,r", RS_CODES, ids=[f"q{q}-k{k}-r{r}" for q, k, r in RS_CODES])
+    def test_decision_matches_the_scan(self, q, k, r):
+        # every (s, l) whose full scan takes at most 10^7 row scans, on the
+        # code with its rows and columns shuffled (column 0's DP alone) and
+        # as a plain array (every column's DP); a satisfied report where the
+        # DP ran comes without enumerating S, and a failure from the scan
+        code = rs_binary(q, k, r)
+        N, t = code.bits.shape
+        for X in (permuted(code, seed=1000 * q + 10 * k + r), code.bits):
+            for s in range(2, min(t, 8)):
+                for l in range(1, s):
+                    if comb(t, s) * (t - s) * N <= 10**7:
+                        scan, _ = d_code_by("scan", X, s, l)
+                        cover, enumerated = d_code_by("cover", X, s, l)
+                        assert cover == scan, (s, l)
+                        assert enumerated != (scan.satisfied and (l + 1) ** code.weight <= 4096)
+
+    def test_empty_column_fails(self):
+        # supp(3) is empty, so c_3 = 0: every S fails with j = 3
+        bits = np.eye(6, dtype=np.uint8)
+        bits[3, 3] = 0
+        rep, _ = d_code_by("cover", bits, 2, 1)
+        assert (rep.satisfied, rep.witness, rep.tuples_checked) == brute_report(
+            "d_code", bits, {"s": 2, "l": 1})
+        assert rep.witness == {"S": (0, 1), "j": 3}
+
+    def test_no_rows(self):
+        rep, _ = d_code_by("cover", np.zeros((0, 5), dtype=np.uint8), 2, 1)
+        assert (rep.satisfied, rep.witness, rep.tuples_checked) == (False, {"S": (0, 1), "j": 2}, 1)
+
+    def test_row_met_by_l_other_columns_settles_nothing(self):
+        # column 0's one row is met by exactly l = 2 other columns, so
+        # S = {1, 2, x} gives it 2 hits; every other column has a row of
+        # its own, which settles it
+        bits = np.vstack([[1, 1, 1, 0, 0, 0], np.eye(6, dtype=np.uint8)[1:]])
+        rep, _ = d_code_by("cover", bits, 3, 2)
+        assert (rep.satisfied, rep.witness, rep.tuples_checked) == brute_report(
+            "d_code", bits, {"s": 3, "l": 2})
+        assert rep.witness["j"] == 0
+
+    def test_rows_met_by_fewer_than_l_columns_settle_without_a_dp(self):
+        # each row of the 80 x 80 identity meets one column, so no S can
+        # hit it; with a second 1 in row 0, that row still meets one column
+        # other than each of its own, fewer than l = 2
+        identity = np.eye(80, dtype=np.uint8)[np.random.default_rng(80).permutation(80)]
+        wider = np.eye(80, dtype=np.uint8)
+        wider[0, 1] = 1
+        with mock.patch.object(multicover, "_covered", side_effect=AssertionError("DP ran")), \
+                never_enumerates():
+            assert check_d_code(identity, 3, 1).satisfied
+            assert check_d_code(wider, 3, 2).satisfied
+
+    def test_wide_supports_take_the_scan(self):
+        # 2^24 states per column: the cost test alone would pass the DP
+        # (about 1.5*10^14 state updates against 3.2*10^14 row scans), but
+        # its tables would take GBs; the scan finds the first S at once
+        t, N = 3000, 24
+        assert (t - 1) * 2**N * t + t * multicover._COLUMN_COST < comb(t, 3) * (t - 3) * N <= 10**15
+        X = np.ones((N, t), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            rep = check_d_code(X, 3, 1, budget=10**15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.satisfied, rep.witness, rep.tuples_checked) == (False, {"S": (0, 1, 2), "j": 3}, 1)
+        assert peak < 48 * 2**20
+
+    def test_budget_still_compares_the_scan(self, ex2):
+        # example 2's reduced scan charges 7.8*10^10 row scans, which the
+        # default budget refuses; at 10^11 the DP decides without a scan
+        with pytest.raises(BudgetExceeded, match="^78410801700 row scans exceed budget 1000000000$"):
+            check_d_code(ex2, 4, 2)
+        with never_enumerates():
+            assert check_d_code(ex2, 4, 2, budget=10**11) == VerificationReport(
+                True, None, comb(343, 4) * 339)
+
+    def test_example_3(self, ex3):
+        # (6, 2) and (10, 3) hold, out of any scan's reach; (11, 3) fails
+        # (TestDCertificate has a witness), so the DP hands it to the scan
+        with never_enumerates():
+            for s, l in [(6, 2), (10, 3)]:
+                scans = comb(511, s - 1) * (512 - s) * 56
+                assert check_d_code(ex3, s, l, budget=scans) == VerificationReport(
+                    True, None, comb(512, s) * (512 - s))
+        assert not multicover.exceeds(ex3.bits, 11, 3, 1)
+
+
 class TestBinaryInput:
     CALLS = {
         "cover_free": lambda X: check_cover_free(X, 2, 1),
@@ -834,7 +942,9 @@ def checker_inputs(draw, prop):
 
 class TestAgainstBruteForce:
     """Every checker gives the report of the plain-loop oracle, also when
-    each batch holds one subset or seven."""
+    each batch holds one subset or seven.  d-code takes its multicover DP
+    wherever the DP's tables are small by default, and its scan when
+    batched, which would otherwise not run on satisfying inputs."""
 
     @pytest.mark.parametrize("batch", [None, 1, 7], ids=["default", "batch1", "batch7"])
     @pytest.mark.parametrize("prop", sorted(CHECKERS))
@@ -844,7 +954,8 @@ class TestAgainstBruteForce:
         bits, params = data.draw(checker_inputs(prop))
         patch = (contextlib.nullcontext() if batch is None
                  else mock.patch.object(verify, "_MAX_BATCH", batch))
-        with patch:
+        path = small_tables if batch is None else lambda *args: False
+        with patch, mock.patch.object(multicover, "cheaper", path):
             rep = CHECKERS[prop](bits, params)
         assert (rep.satisfied, rep.witness, rep.tuples_checked) == brute_report(prop, bits, params)
 

@@ -12,9 +12,9 @@ lazy object: `rs_extended` and `shorten` only record (field, k, r), so n,
 t and the metadata are known at once, and the symbols are encoded when
 first read.  Encoding takes two steps: one recurrence builds the
 generator polynomials of the kept subcode and one Horner pass evaluates
-them at every point; then every partial value takes one message digit at
-a time by one gather of rows of the addition table.  Only the q^(k-r)
-kept codewords are encoded, never the parent's (q+1) x q^k array.
+them at every point; then each row appends one message digit at a time,
+one table lookup per digit.  Only the q^(k-r) kept codewords are
+encoded, never the parent's (q+1) x q^k array.
 
 Codes are immutable value objects; every constructor is deterministic, so
 identical parameters always give bit-identical matrices.
@@ -143,12 +143,12 @@ def _encode(field: FiniteField, k: int, r: int) -> np.ndarray:
     degree below r.
     Two steps give the values g_i(a).  The recurrence g_0 = P,
     g_i = x g_{i-1} - g_{i-1}[r-1] P builds the coefficients, and one Horner
-    pass evaluates them at every point a >= r.  Row a keeps its partial
-    values as scale * acc, starting from the leading digit, and appends
-    each lower digit c, so that the least significant one varies fastest:
-    for g_i(a) != 0 by one row gather acc -> add_table[mul_table[scale /
-    g_i(a), acc]], which is Horner's rule when g_i(a) = a^i (r = 0), and
-    for g_i(a) = 0 by repeating acc.  One gather applies the last scale.
+    pass evaluates them at every point a >= r.  Row a starts from the
+    products g_{k-r-1}(a) c of the leading digit and appends each lower
+    digit c, so that the least significant one varies fastest: one lookup
+    acc -> T[acc] in T[x, c] = x + g_i(a) c, the addition table with its
+    columns taken through row g_i(a) of the multiplication table, gives
+    each partial value its q successors (q copies of it where g_i(a) = 0).
     """
     q = field.q
     t = q ** (k - r)
@@ -169,16 +169,12 @@ def _encode(field: FiniteField, k: int, r: int) -> np.ndarray:
     gen = np.zeros((k - r, q - r), dtype=np.int16)  # g_i(a)
     for c in np.array(coeffs).T[::-1]:
         gen = add[mul[gen, points], c[:, None]]
-    inv, digits = field._inv_table, np.arange(q)
     symbols = np.empty((q + 1 - r, t), dtype=np.uint8 if q <= 256 else np.uint16)
     for row, g in zip(symbols, gen.T):
-        acc, scale = digits, g[-1]  # the partial values are scale * acc
+        acc = mul[g[-1]]
         for gi in g[-2::-1]:
-            if gi:  # scale * acc + gi * c = gi * (acc * scale / gi + c)
-                acc, scale = add[mul[mul[scale, inv[gi]], acc]].ravel(), gi
-            else:
-                acc = np.repeat(acc, q)
-        row[:] = acc if scale == 1 else mul[scale, acc]
+            acc = add.take(mul[gi], axis=1)[acc].ravel()  # acc + gi * c, c fastest
+        row[:] = acc
     symbols[-1] = np.repeat(np.arange(q), t // q)
     return symbols
 

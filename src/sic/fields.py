@@ -11,8 +11,10 @@ lexicographically smallest (coefficients compared low degree first) monic
 irreducible polynomial of degree m over GF(p), found by exhaustive search
 with trial division.  Addition is digit-wise mod p.  Multiplication comes
 from log/antilog tables of the powers of the smallest generator g of the
-multiplicative group, a*b = g^(log a + log b).  The field is unique up to
-its modulus, so two constructions of the same order agree bit for bit.
+multiplicative group, a*b = g^(log a + log b) and 1/a = g^(q-1 - log a),
+read from an antilog table of two periods, so no exponent is reduced mod
+q - 1.  The field is unique up to its modulus, so two constructions of the
+same order agree bit for bit.
 """
 
 from __future__ import annotations
@@ -136,10 +138,9 @@ class FiniteField:
         antilog = np.array(_generator_powers(p, self.modulus or (0, 1)), dtype=np.int16)
         log = np.zeros(q, dtype=np.int16)
         log[antilog] = np.arange(q - 1)
-        exponents = log[1:, None] + log[1:]
-        exponents %= q - 1
-        mul = np.pad(antilog[exponents], (1, 0))
-        inv = np.pad(antilog[-log[1:] % (q - 1)], (1, 0), constant_values=-1)
+        antilog = np.tile(antilog, 2)  # g^e for every e < 2(q - 1)
+        mul = np.pad(antilog[log[1:, None] + log[1:]], (1, 0))
+        inv = np.pad(antilog[q - 1 - log[1:]], (1, 0), constant_values=-1)
         self.add_table, self.mul_table, self._neg_table, self._inv_table = add, mul, neg, inv
         for t in (add, mul, neg, inv):
             t.setflags(write=False)

@@ -7,10 +7,7 @@ fewest columns other than j that give every row of supp(j) l hits: a
 minimum multicover of w_j rows, the exact form of the counting behind the
 certificate s * max_dot <= l * w - 1.  `sic.verify.check_d_code` asks
 `exceeds` where `cheaper` finds that cheaper than its scan, and scans
-only for the witness of a failure.  The decision lives in a module of its
-own, as `sic.symmetry` does: inside `sic.verify` it raised the screen
-benchmark's peak RSS by 0.25 MiB when `sic` is compiled from source at
-import (Python 3.11).
+only for the witness of a failure.
 """
 
 from __future__ import annotations

@@ -471,12 +471,10 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     family, parts = _stored(_columns(bits), t, u, s, lambda hits, batch: hits <= u - 1)
     for _ in parts:  # fill the family
         pass
-    # ^ ones flips every bit; numpy's uint64 ~ would map 64 KB more of its code
-    ones = np.uint64(2**64 - 1)
     blocks = (_Sets(r, family.sets[r:r + size], family.member[:, r:r + size].T,
-                    family.flags[:, r:r + size].T ^ ones) for r in range(0, len(family.sets), size))
+                    ~family.flags[:, r:r + size].T) for r in range(0, len(family.sets), size))
     if bar:
-        outside = family.member ^ ones
+        outside = ~family.member
 
         def applies(P, Q):  # P is not a subset of Q
             return overlap(P.member, outside)

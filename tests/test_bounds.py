@@ -511,6 +511,29 @@ class TestAsymptotics:
             asymptotic_rate(kind, **params)
 
 
+class TestRangeErrors:
+    # each documented range check, called in this process
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: recurrence_objective(0, 0.5), ParameterOutOfRange, "need z >= 1, got 0"),
+        (lambda: recurrence_objective(2, 1.0), DomainError, "need 0 < a < 1, got 1.0"),
+        (lambda: threshold_rc_term(0.0, 1, 1, 0), DomainError, "need 0 < beta < 1, got 0.0"),
+        (lambda: asymptotic_rate("upper-z1", z=0), ParameterOutOfRange, "z must be >= 1, got 0"),
+        (lambda: recurrent_upper(0), ParameterOutOfRange, "need z_max >= 1, got 0"),
+        (lambda: nonrecurrent_upper(1), ParameterOutOfRange, "need z >= 2, got 1"),
+        (lambda: upper_zu(0, 1), ParameterOutOfRange, "need z, u >= 1, got (0, 1)"),
+        (lambda: lower_zu(1, 0), ParameterOutOfRange, "need z, u >= 1, got (1, 0)"),
+        (lambda: lower_z1(0), ParameterOutOfRange, "need z >= 1, got 0"),
+        (lambda: threshold_lower_simple(2, 2), ParameterOutOfRange, "need 1 <= u < s, got (2, 2)"),
+        (lambda: threshold_lower(3, 3), ParameterOutOfRange, "need 1 <= u < s, got (3, 3)"),
+    ], ids=["recurrence_objective-z", "recurrence_objective-a", "threshold_rc_term",
+            "asymptotic_rate", "recurrent_upper", "nonrecurrent_upper", "upper_zu", "lower_zu",
+            "lower_z1", "threshold_lower_simple", "threshold_lower"])
+    def test_out_of_range_raises(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
+
 class TestSandwich:
     def test_lower_below_upper_grid(self):
         for z in range(1, 9):

@@ -462,6 +462,13 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_non_ascii_trailing_comment(self, capsys, tmp_path):
+        path = tmp_path / "accent.sic"
+        path.write_bytes("SIC v1 2 2\n01\n10\n# caf\u00e9\n".encode("utf-8"))
+        code, out, err = run(capsys, "verify", str(path), "d-cert", "3", "2")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}: 'ascii' codec can't decode")
+
     def test_non_integer_budget_env(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "id.sic"
         write_matrix(BinaryCode(bits=np.eye(4, dtype=np.uint8), weight=1), path)

@@ -134,6 +134,16 @@ class TestSubcode:
             assert (got.dtype, got.shape) == (want.dtype, want.shape), r
             assert got.tobytes() == want.tobytes(), r
 
+    # q > 64: the digit step on uint16 rows (q = 257) and on the largest
+    # per-digit tables (q >= 256)
+    @pytest.mark.parametrize("q,k,r", [(128, 4, 2), (256, 3, 1), (257, 3, 1)],
+                             ids=["q128-k4-r2", "q256-k3-r1", "q257-k3-r1"])
+    def test_large_fields_match_masked_evaluation(self, q, k, r):
+        field = FiniteField(q)
+        got, want = shorten(rs_extended(field, k), r).symbols, shortened_by_mask(field, k, r)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
     def test_parent_is_not_materialized(self):
         # the q=64, k=4 parent has 65 x 64^4 symbols, over the cap
         parent = rs_extended(FiniteField(64), 4)
@@ -254,6 +264,8 @@ class TestStrengthFeasible:
             strength_feasible(5, 5, 5, 3, 2)
         with pytest.raises(ParameterOutOfRange):
             strength_feasible(5, 5, 2, 2, 2)
+        with pytest.raises(ParameterOutOfRange, match=r"^k=7 outside \[2, 6\]$"):
+            strength_feasible(5, 7, 0, 2, 1)
 
 
 class TestSearchParams:
@@ -315,6 +327,10 @@ class TestRandomCode:
     def test_rejects_bad_beta(self):
         with pytest.raises(ParameterOutOfRange):
             random_code(2, 2, 0.0, seed=0)
+
+    def test_rejects_empty_shape(self):
+        with pytest.raises(ParameterOutOfRange, match=r"^need N, t >= 1, got \(0, 3\)$"):
+            random_code(0, 3, 0.5, seed=0)
 
     @given(st.integers(0, 10**6))
     def test_any_seed_shape(self, seed):

@@ -78,6 +78,10 @@ class TestConstruction:
         with pytest.raises(NotPrimePower):
             FiniteField(12)
 
+    def test_order_above_max_rejected(self):
+        with pytest.raises(ParameterOutOfRange, match=f"^field order 8192 > {MAX_ORDER} unsupported$"):
+            FiniteField(8192)
+
     def test_deterministic_reconstruction(self):
         for q in (4, 8, 9, 16, 27, 32, 64):
             a, b = FiniteField(q), FiniteField(q)

@@ -177,6 +177,15 @@ def test_weight_violation_names_column(tmp_path):
         read_matrix(path)
 
 
+def test_non_ascii_trailing_comment(tmp_path):
+    # the rows are valid; the block reader declines the tail and the line
+    # reader's decode raises
+    path = tmp_path / "accent.sic"
+    path.write_bytes("SIC v1 1 2\n01\n# caf\u00e9\n".encode("utf-8"))
+    with pytest.raises(UnicodeDecodeError, match="'ascii' codec can't decode"):
+        read_matrix(path)
+
+
 def test_trailing_garbage(tmp_path):
     path = tmp_path / "bad.sic"
     path.write_text("SIC v1 1 2\n01\nnot a comment\n")

@@ -682,6 +682,12 @@ class TestTranslates:
             "equal columns": BinaryCode(bits=ex1.bits[:, [0] * 125], weight=4),
             "symbol out of range": QaryCode(q=5, symbols=ex1_qary.symbols + 1),
         }
+        signed = ex1.bits.astype(np.int8)  # int8 bits, accepted while they hold 0 and 1 only
+        assert symmetry.translates(BinaryCode(bits=signed, weight=4)) is not None
+        for bit in (2, -1):
+            bits = signed.copy()
+            bits[0, 0] = bit
+            declined[f"bit {bit}"] = BinaryCode(bits=bits, weight=4)
         for name, code in declined.items():
             assert symmetry.translates(code) is None, name
         # GF(8) by identity columns: one block, the 8 translates of symbol 0
@@ -879,6 +885,16 @@ class TestBinaryInput:
         with pytest.raises(ParameterOutOfRange, match="0 or 1"):
             self.CALLS[name](wrap(self.BAD[bad]))
         self.CALLS[name](wrap(self.I7))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: check_d_code(np.zeros(4, np.uint8), 2, 1), "binary code must be a 2-D matrix"),
+        (lambda: check_design(np.eye(4, dtype=np.uint8), OutcomeFunction.saturating(3), 2),
+         "need 1 <= l <= s < t, got l=3, s=2, t=4"),
+    ], ids=["d_code-1-D", "design-l-above-s"])
+    def test_shape_and_range_errors(self, call, message):
+        with pytest.raises(ParameterOutOfRange) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestDeterminism:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,6 +146,7 @@ def nonrecurrent_upper(z: int) -> float:
     return 2.0 * math.log2(math.e * (z + 1) / 2.0) / z**2
 
 
+@lru_cache(maxsize=4096)  # every split of tables up to z = u = 64
 def _split_penalty(i: int, j: int) -> float:
     return (i + j) ** (i + j) / (i**i * j**j)
 
@@ -321,9 +323,41 @@ def threshold_rc_term(beta: float, u: int, group: int, extra: int) -> float:
     return -math.log2(1.0 - hit) / denom
 
 
+@lru_cache(maxsize=16)  # one threshold_lower(u, s) evaluates at one (u, s)
+def _threshold_terms(u: int, s: int) -> tuple[tuple[float | None, int, int], ...]:
+    """(comb(g - 1, u - 1) as a float, misses 2g - u, denominator 2g - 1)
+    of each diagonal term g = u..s; the count is None where it overflows a
+    float."""
+    terms = []
+    for g in range(u, s + 1):
+        try:
+            count = float(math.comb(g - 1, u - 1))
+        except OverflowError:
+            count = None
+        terms.append((count, 2 * g - u, 2 * g - 1))
+    return tuple(terms)
+
+
 def threshold_objective(beta: float, u: int, s: int) -> float:
-    """min over group sizes u..s of the diagonal (extra = group) term."""
-    return min(threshold_rc_term(beta, u, g, g) for g in range(u, s + 1))
+    """min over group sizes u..s of the diagonal (extra = group) term.
+
+    Each term is threshold_rc_term(beta, u, g, g) bit for bit: the same
+    product, in the same order, with beta**u and 1 - beta taken once; a
+    count beyond the float range takes threshold_rc_term itself."""
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"need 0 < beta < 1, got {beta}")
+    hit_u, miss = beta**u, 1.0 - beta
+    values = []
+    for g, (count, misses, denom) in enumerate(_threshold_terms(u, s), u):
+        if count is None:
+            values.append(threshold_rc_term(beta, u, g, g))
+            continue
+        hit = count * hit_u * miss**misses
+        if hit < 2.0**-26:  # as in threshold_rc_term
+            values.append(-math.log1p(-hit) * LOG2E / denom)
+        else:
+            values.append(-math.log2(1.0 - hit) / denom)
+    return min(values)
 
 
 # Group sizes per block of the whole-array threshold scan (bounds its memory).

@@ -34,8 +34,10 @@ def lex_tuples(n: int, lo: int, hi: int):
     return merge(*(combinations(range(n), k) for k in range(lo, hi + 1)))
 
 
+@lru_cache(maxsize=256)
 def lex_count(n: int, lo: int, hi: int) -> int:
-    """The number of subsets of range(n) with sizes in [lo, hi]."""
+    """The number of subsets of range(n) with sizes in [lo, hi].  Cached: a
+    pair scan asks for its families' sizes several times per call."""
     return sum(comb(n, k) for k in range(lo, hi + 1))
 
 

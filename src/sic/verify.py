@@ -57,9 +57,21 @@ order, with the same witness and tuples_checked, and a budget that counts
 the scans that run.  Anything else, plain arrays included, takes the full
 scan.
 
-`check_d_code` first decides its property by a minimum multicover per
-column (`sic.multicover`) wherever that is cheaper than its scan, and
-scans only for the witness of a failure.
+Multicover.  Let c_j be the fewest columns other than j that give every
+row of supp(j) l hits (`sic.multicover`).  The (s, l) d-code property
+holds iff every c_j > s; at l = 1, cover-free (z, 1) holds iff every
+c_j > z, and m-code (s, 1) iff every c_j > 2s - 1, as a failing (U, Z, j)
+is a cover (U - {j}) | Z of at most 2s - 1 columns and every such cover
+splits back into a U and a Z.  These three checks first decide their
+property by one small DP per column (column 0 alone on translates)
+wherever that is cheaper than their scan: not up to
+multicover.COLUMN_COST row scans, which leaves small inputs to the scan
+before any bit is read; then COLUMN_COST and the table gathers for each
+open column, while a weak column, one with a row of its support that
+fewer than l other columns meet, costs nothing, as one row sum settles
+it.  The DP returns the scan's satisfied report, byte for byte, and
+leaves a failure to the scan, which finds the witness.  The budget and
+the store cap compare the scan's charge before either runs.
 """
 
 from __future__ import annotations
@@ -200,17 +212,35 @@ def _check_cost(scans: int, budget: int | None, store: int = 0, what: str = "") 
 
 
 def _check_pairs(outer: int, t: int, N: int, lo: int, hi: int, budget: int | None,
-                 group: int = 1) -> int:
+                 group: int = 1) -> tuple[int, int]:
     """Outer sets per block of a pair scan of `outer` outer sets, `group`
     rows each, against the stored family of the subsets of range(t) with
     sizes in [lo, hi]: PAIR_WORDS // (inner sets * W * group), at least
-    one, W = max(word_count(t), word_count(N)).  The scan compares every
-    outer row with every inner set, outer rows * inner sets * N row scans,
-    and stores the family's index rows and words (`_check_cost`)."""
+    one, W = max(word_count(t), word_count(N)); and the scan's charge.  The
+    scan compares every outer row with every inner set, outer rows * inner
+    sets * N row scans, and stores the family's index rows and words
+    (`_check_cost`)."""
     inner = lex_count(t, lo, hi)
-    _check_cost(outer * group * inner * N, budget,
-                inner * 8 * (hi + word_count(t) + word_count(N)), "pair family")
-    return max(1, PAIR_WORDS // (inner * max(word_count(t), word_count(N)) * group))
+    scans = outer * group * inner * N
+    _check_cost(scans, budget, inner * 8 * (hi + word_count(t) + word_count(N)), "pair family")
+    return max(1, PAIR_WORDS // (inner * max(word_count(t), word_count(N)) * group)), scans
+
+
+def _multicover_exceeds(X, bits: np.ndarray, s: int, l: int, scans: int,
+                        columns: int | None = None) -> bool:
+    """Does `sic.multicover` find every c_j > s, where that is cheaper than
+    the scan's `scans` row scans?  False leaves the decision to the scan.
+    Up to multicover.COLUMN_COST row scans the scan runs before any bit is
+    read.  `columns` is 1 where `translates` accepts X and t otherwise; the
+    pair checkers leave it to this check, which asks `translates` after
+    that gate."""
+    if scans <= multicover.COLUMN_COST:
+        return False
+    if columns is None:
+        columns = bits.shape[1] if translates(X) is None else 1
+    weak = multicover.weak(bits, l, columns)
+    return (multicover.cheaper(bits, l, scans, weak, _BATCH_ENTRIES)
+            and multicover.exceeds(bits, s, l, weak))
 
 
 class _Sets(NamedTuple):
@@ -299,12 +329,18 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
 
     Satisfied iff for all disjoint (U, Z), |U| = u, |Z| = z, some row is 1
     on all of U and 0 on all of Z.
+
+    At u = 1 the property is every c_j > z (`sic.multicover`), decided
+    first where that is cheaper than the scan; a failure is left to the
+    scan, which finds the witness.
     """
     bits = _bits(X)
     N, t = bits.shape
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
-    size = _check_pairs(comb(t, u), t, N, z, z, budget)
+    size, scans = _check_pairs(comb(t, u), t, N, z, z, budget)
+    if u == 1 and _multicover_exceeds(X, bits, z, 1, scans):
+        return VerificationReport(True, None, t * comb(t - 1, z))
     cols = _columns(bits)
     U = _family(cols, t, u, u, lambda hits, batch: hits >= u, size)  # 1 on all of U
     Z = _stored(cols, t, z, z, lambda hits, batch: hits <= 0)  # 0 on all of Z
@@ -341,8 +377,7 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
     subsets = comb(t, s) if columns == t else comb(t - 1, s - 1)
     scans = subsets * (t - s) * N
     _check_cost(scans, budget)
-    if (multicover.cheaper(bits, l, scans, columns, _BATCH_ENTRIES)
-            and multicover.exceeds(bits, s, l, columns)):
+    if _multicover_exceeds(X, bits, s, l, scans, columns):
         return VerificationReport(True, None, comb(t, s) * (t - s))
     cols = _columns(bits)
     float_bits = bits.astype(np.float32)
@@ -386,12 +421,20 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     """Exact-hit check: for every disjoint (U, Z) with u <= |U| <= s and
     |Z| <= |U|, and every j in U, some row has a 1 at j, exactly u ones in
     U, and zeros on Z.
+
+    At u = 1 the property is every c_j > 2s - 1 (`sic.multicover`),
+    decided first where that is cheaper than the scan; a failure is left
+    to the scan, which finds the witness.
     """
     bits = _bits(X)
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    size = _check_pairs(lex_count(t, u, s), t, N, 0, s, budget, group=s)
+    size, scans = _check_pairs(lex_count(t, u, s), t, N, 0, s, budget, group=s)
+    if u == 1 and _multicover_exceeds(X, bits, 2 * s - 1, 1, scans):
+        # (U, j) with |U| = k, and Z of at most k columns outside U
+        return VerificationReport(True, None, sum(comb(t, k) * k * lex_count(t - k, 0, k)
+                                                  for k in range(1, s + 1)))
     cols = _columns(bits)
     # outer row j of U: the rows with exactly u hits in U and a 1 at U[j]
     U = _family(cols, t, u, s, lambda hits, batch: cols[batch].view(bool) & (hits == u)[:, None],
@@ -465,7 +508,7 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    size = _check_pairs(lex_count(t, u, s), t, N, u, s, budget)
+    size, _ = _check_pairs(lex_count(t, u, s), t, N, u, s, budget)
     # the stored flags are the rows that do not fire on a set (< u hits; the
     # <= kernel is the one the other checkers already map)
     family, parts = _stored(_columns(bits), t, u, s, lambda hits, batch: hits <= u - 1)

@@ -28,7 +28,7 @@ import numpy as np
 
 import sic.bounds
 from sic.bounds import (SEEDED_UPPER_2_2, RateBound, _golden_max, _lower_z1_objective,
-                        _recurrent, _split_penalty, threshold_objective, threshold_rc_term)
+                        _recurrent, threshold_objective, threshold_rc_term)
 from sic.cli import BOUND_AXES, build_parser
 from sic.codes import BinaryCode, QaryCode, RSMeta
 from sic.errors import BudgetExceeded, MalformedFile, ParameterOutOfRange
@@ -234,7 +234,7 @@ def upper_zu_by_recursion(z: int, u: int) -> tuple[float, tuple[int, int] | None
             if zz < uu:
                 zz, uu = uu, zz
             base = upper_zu_by_recursion(zz, uu)[0]
-            cand = base / (base + _split_penalty(i, j))
+            cand = base / (base + (i + j) ** (i + j) / (i**i * j**j))  # the split penalty
             if best is None or cand < best - 1e-15:
                 best, arg = cand, (i, j)
     return best, arg, None

@@ -392,6 +392,22 @@ class TestThresholdLower:
                 assert threshold_objective(float(beta), u, s) == pytest.approx(
                     threshold_objective_full(float(beta), u, s), abs=1e-15)
 
+    @given(beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           us=st.integers(2, 40).flatmap(lambda s: st.tuples(st.integers(1, s - 1), st.just(s))))
+    def test_objective_bitwise_full_double_min(self, beta, us):
+        assert threshold_objective(beta, *us).hex() == threshold_objective_full(beta, *us).hex()
+
+    @settings(max_examples=5, deadline=None)
+    @given(beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_objective_bitwise_with_an_overflowing_count(self, beta):
+        # comb(g - 1, 399) overflows a float from g = 1086 on, and those
+        # terms take threshold_rc_term.  The full double min over 1200
+        # groups takes seconds, so its diagonal, which the test above
+        # finds to be its minimum bit for bit, stands in for it here
+        assert bounds._threshold_terms(400, 1200)[-1][0] is None
+        diagonal = min(threshold_rc_term(beta, 400, g, g) for g in range(400, 1201))
+        assert threshold_objective(beta, 400, 1200).hex() == diagonal.hex()
+
     def test_1_2_positive_and_bounded(self):
         rb = threshold_lower(1, 2)
         assert 0 < rb.value <= recurrent_upper(2)[1]

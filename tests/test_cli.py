@@ -408,6 +408,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(plain), "d-code", "3", "2", "--budget", "18607440")
         assert (code, err) == (3, "error: 775310000 row scans exceed budget 18607440\n")
 
+    @pytest.mark.parametrize("argv, rc", [(["cover-free", "1", "1"], 0),
+                                          (["m-code", "2", "1", "--budget", "3000000000"], 1)])
+    def test_pair_checks_same_with_rows_shuffled(self, capsys, tmp_path, ex1, argv, rc):
+        # translates recovers example 1's blocks with its rows shuffled, and
+        # the multicover decision then reads column 0 alone: stdout and exit
+        # code are those of the file in block order
+        path, shuffled = tmp_path / "ex1.sic", tmp_path / "exp.sic"
+        write_matrix(ex1, path)
+        rows = np.random.default_rng(1).permutation(ex1.N)
+        write_matrix(BinaryCode(bits=ex1.bits[rows], weight=ex1.weight), shuffled)
+        first = run(capsys, "verify", str(path), *argv)
+        assert first[0] == rc
+        assert run(capsys, "verify", str(shuffled), *argv) == first
+
     def test_budget_env_override(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "id.sic"
         write_matrix(BinaryCode(bits=np.eye(6, dtype=np.uint8), weight=1), path)

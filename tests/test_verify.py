@@ -753,17 +753,30 @@ class TestTranslates:
         assert peak < 8 * 2**20
 
 
-def small_tables(bits, l, scans, columns, entries):
-    """check_d_code's path choice made to take the multicover DP wherever
-    its state tables hold at most 4096 entries, whatever the scan costs."""
-    return (l + 1) ** int(bits[:, :columns].sum(axis=0).max(initial=0)) <= 4096
+def small_tables(bits, l, scans, weak, entries):
+    """multicover.cheaper made to take the DP wherever the state tables of
+    the open columns hold at most 4096 entries, whatever the scan costs."""
+    return (l + 1) ** int(bits[:, np.flatnonzero(~weak)].sum(axis=0).max(initial=0)) <= 4096
+
+
+def multicover_path(path):
+    """The path choice of check_d_code, and of check_cover_free and
+    check_m_code at u = 1: the multicover DP wherever its tables are small,
+    also below the scan's fixed-cost gate ("cover"), the scan ("scan"), or
+    the checker's own choice ("default")."""
+    stack = contextlib.ExitStack()
+    if path == "cover":
+        stack.enter_context(mock.patch.object(multicover, "COLUMN_COST", -1))
+        stack.enter_context(mock.patch.object(multicover, "cheaper", small_tables))
+    elif path == "scan":
+        stack.enter_context(mock.patch.object(multicover, "cheaper", lambda *args: False))
+    return stack
 
 
 def d_code_by(path, X, s, l, budget=None):
     """check_d_code's report by its scan ("scan") or by the multicover DP
     wherever its tables are small ("cover"), and whether it enumerated S."""
-    choice = small_tables if path == "cover" else lambda *args: False
-    with mock.patch.object(multicover, "cheaper", choice), \
+    with multicover_path(path), \
             mock.patch.object(verify, "lex_batches", wraps=subsets.lex_batches) as spy:
         return check_d_code(X, s, l, budget=budget), spy.called
 
@@ -778,7 +791,9 @@ class TestMulticover:
         # every (s, l) whose full scan takes at most 10^7 row scans, on the
         # code with its rows and columns shuffled (column 0's DP alone) and
         # as a plain array (every column's DP); a satisfied report where the
-        # DP ran comes without enumerating S, and a failure from the scan
+        # DP ran comes without enumerating S, and a failure from the scan.
+        # The DP runs where its tables are small or the columns are weak:
+        # every row of an RS code has t/q ones, so all columns are alike
         code = rs_binary(q, k, r)
         N, t = code.bits.shape
         for X in (permuted(code, seed=1000 * q + 10 * k + r), code.bits):
@@ -788,7 +803,8 @@ class TestMulticover:
                         scan, _ = d_code_by("scan", X, s, l)
                         cover, enumerated = d_code_by("cover", X, s, l)
                         assert cover == scan, (s, l)
-                        assert enumerated != (scan.satisfied and (l + 1) ** code.weight <= 4096)
+                        decided = (l + 1) ** code.weight <= 4096 or t // q <= l
+                        assert enumerated != (scan.satisfied and decided)
 
     def test_empty_column_fails(self):
         # supp(3) is empty, so c_3 = 0: every S fails with j = 3
@@ -830,7 +846,7 @@ class TestMulticover:
         # (about 1.5*10^14 state updates against 3.2*10^14 row scans), but
         # its tables would take GBs; the scan finds the first S at once
         t, N = 3000, 24
-        assert (t - 1) * 2**N * t + t * multicover._COLUMN_COST < comb(t, 3) * (t - 3) * N <= 10**15
+        assert (t - 1) * 2**N * t + t * multicover.COLUMN_COST < comb(t, 3) * (t - 3) * N <= 10**15
         X = np.ones((N, t), dtype=np.uint8)
         tracemalloc.start()
         try:
@@ -858,7 +874,125 @@ class TestMulticover:
                 scans = comb(511, s - 1) * (512 - s) * 56
                 assert check_d_code(ex3, s, l, budget=scans) == VerificationReport(
                     True, None, comb(512, s) * (512 - s))
-        assert not multicover.exceeds(ex3.bits, 11, 3, 1)
+        assert not multicover.exceeds(ex3.bits, 11, 3, multicover.weak(ex3.bits, 3, 1))
+
+
+PAIR_U1 = {
+    "cover_free": (lambda X, n, **kw: check_cover_free(X, n, 1, **kw),
+                   lambda X, n, **kw: cover_free_by_rows(X, n, 1, **kw)),
+    "m_code": (lambda X, n, **kw: check_m_code(X, n, 1, **kw),
+               lambda X, n, **kw: m_code_by_rows(X, n, 1, **kw)),
+}
+
+
+def pair_u1_by(path, prop, X, n, budget=None):
+    """check_cover_free(X, n, 1) or check_m_code(X, n, 1) by the scan or by
+    the multicover DP wherever its tables are small (`multicover_path`),
+    and whether the DP ran and whether the pair scan did."""
+    with multicover_path(path), \
+            mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as dp, \
+            mock.patch.object(verify, "_pair_scan", wraps=verify._pair_scan) as scan:
+        return PAIR_U1[prop][0](X, n, budget=budget), dp.called, scan.called
+
+
+@st.composite
+def pair_u1_inputs(draw, prop):
+    """A matrix of `checker_inputs`, at times with one column emptied, and a
+    z (cover-free) or s (m-code) that the checker takes at u = 1."""
+    bits, _ = draw(checker_inputs(prop))
+    t = bits.shape[1]
+    if draw(st.booleans()):
+        bits = bits.copy()
+        bits[:, draw(st.integers(0, t - 1))] = 0
+    n = draw(st.integers(1, t - 1) if prop == "cover_free" else st.integers(2, (t - 1) // 2))
+    return bits, n
+
+
+def covered_once(w, t):
+    """Column 0's w rows, each met by one column of 1..w; every column but 0
+    has a row of its own.  So c_0 = w, and every other c_j is infinite."""
+    bits = np.zeros((w + t - 1, t), dtype=np.uint8)
+    bits[np.arange(w), 0] = 1
+    bits[np.arange(w), np.arange(1, w + 1)] = 1
+    bits[np.arange(w, w + t - 1), np.arange(1, t)] = 1
+    return bits
+
+
+class TestPairMulticover:
+    """cover-free (z, 1) holds iff every c_j > z, and m-code (s, 1) iff every
+    c_j > 2s - 1; the DP's satisfied reports and the scan's failures match
+    the row-loop oracles and the scan."""
+
+    @pytest.mark.parametrize("path", ["cover", "default"])
+    @pytest.mark.parametrize("prop", sorted(PAIR_U1))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_rows_oracle_and_scan(self, prop, path, data):
+        bits, n = data.draw(pair_u1_inputs(prop))
+        rep, _, scanned = pair_u1_by(path, prop, bits, n)
+        scan, _, _ = pair_u1_by("scan", prop, bits, n)
+        assert rep == scan == PAIR_U1[prop][1](bits, n)
+        assert scanned or rep.satisfied
+
+    @pytest.mark.parametrize("prop", sorted(PAIR_U1))
+    def test_empty_column_fails_with_the_scans_witness(self, prop):
+        # supp(4) is empty, so c_4 = 0; every other column has a row of its own
+        bits = np.eye(9, dtype=np.uint8)
+        bits[4, 4] = 0
+        rep, ran, scanned = pair_u1_by("cover", prop, bits, 2)
+        assert ran and scanned and not rep.satisfied
+        assert rep == pair_u1_by("scan", prop, bits, 2)[0] == PAIR_U1[prop][1](bits, 2)
+
+    @pytest.mark.parametrize("prop, n, t", [("cover_free", 3, 60), ("m_code", 3, 16),
+                                            ("cover_free", 1, 7), ("m_code", 2, 7)])
+    def test_weak_columns_settle_without_a_dp_or_scan(self, prop, n, t):
+        # every row of a permuted identity meets one column: all columns are
+        # weak, so the DP prices nothing and runs no column; the first two
+        # are the benchmark's inputs, decided by default
+        X = np.eye(t, dtype=np.uint8)[np.random.default_rng(t).permutation(t)]
+        path = "default" if t > 7 else "cover"
+        with mock.patch.object(multicover, "_covered", side_effect=AssertionError("DP ran")), \
+                mock.patch.object(verify, "_pair_scan", side_effect=AssertionError("scanned")):
+            rep, ran, _ = pair_u1_by(path, prop, X, n)
+        assert ran and rep == PAIR_U1[prop][1](X, n)
+
+    @pytest.mark.parametrize("prop, n", [("cover_free", 1), ("cover_free", 2), ("m_code", 2)])
+    def test_example_1_rows_shuffled_decides_column_0(self, ex1, prop, n):
+        # translates accepts example 1 with its rows and columns shuffled,
+        # so the DP decides column 0 alone; c_0 = 2 there, so cover-free
+        # (1, 1) holds and the others fail
+        X = permuted(ex1, seed=19)
+        with mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as spy:
+            rep, _, scanned = pair_u1_by("cover", prop, X, n, budget=3 * 10**9)
+        assert len(spy.call_args.args[3]) == 1
+        assert rep.satisfied != scanned
+        assert rep.satisfied == ((prop, n) == ("cover_free", 1))
+        assert rep == pair_u1_by("scan", prop, X, n, budget=3 * 10**9)[0]
+        assert rep == PAIR_U1[prop][1](X.bits, n, budget=3 * 10**9)
+
+    @pytest.mark.parametrize("prop", sorted(PAIR_U1))
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_boundary_cover_size(self, prop, s):
+        # m-code (s, 1) fails at c_0 = 2s - 1 and holds at c_0 = 2s;
+        # cover-free (z, 1) at z = 2s - 1 fails at c_0 = z and holds above
+        t, n = 4 * s, s if prop == "m_code" else 2 * s - 1
+        for w in (2 * s - 1, 2 * s):
+            bits = covered_once(w, t)
+            rep, ran, scanned = pair_u1_by("cover", prop, bits, n)
+            assert ran and rep.satisfied == (w == 2 * s) != scanned
+            assert rep == pair_u1_by("scan", prop, bits, n)[0] == PAIR_U1[prop][1](bits, n)
+
+    def test_screen_inputs_keep_the_scan(self):
+        # 40 x 30 matrices at (2, 1): cover-free's and d-code's charges sit
+        # below the fixed cost, and m-code's every open column costs more
+        # than its scan, so the DP never runs
+        with mock.patch.object(multicover, "exceeds", side_effect=AssertionError("DP ran")):
+            for seed in range(16):
+                X = random_code(40, 30, 0.25, seed=seed).bits
+                for rows in (X, X[np.random.default_rng(seed).permutation(40)]):
+                    check_cover_free(rows, 2, 1)
+                    check_d_code(rows, 2, 1)
+                    check_m_code(rows, 2, 1)
 
 
 class TestBinaryInput:
@@ -970,8 +1104,7 @@ class TestAgainstBruteForce:
         bits, params = data.draw(checker_inputs(prop))
         patch = (contextlib.nullcontext() if batch is None
                  else mock.patch.object(verify, "_MAX_BATCH", batch))
-        path = small_tables if batch is None else lambda *args: False
-        with patch, mock.patch.object(multicover, "cheaper", path):
+        with patch, multicover_path("cover" if batch is None else "scan"):
             rep = CHECKERS[prop](bits, params)
         assert (rep.satisfied, rep.witness, rep.tuples_checked) == brute_report(prop, bits, params)
 
@@ -1040,7 +1173,7 @@ class TestPackedScansAgainstOracles:
         X = np.eye(40, 70, dtype=np.uint8)
         inner = subsets.lex_count(70, 1, 2)
         with scan_sizes(size, X, inner):
-            assert verify._check_pairs(inner, 70, 40, 1, 2, None) == int(size[5:])
+            assert verify._check_pairs(inner, 70, 40, 1, 2, None)[0] == int(size[5:])
             got = verify._check_threshold_pairs(X, 1, 2, bar, None)
         assert got == threshold_pairs_by_loop(X, 1, 2, bar)
         assert got.witness == {"P": (0, 40), "Pprime": (0,)}

@@ -13,8 +13,10 @@ with trial division.  Addition is digit-wise mod p.  Multiplication comes
 from log/antilog tables of the powers of the smallest generator g of the
 multiplicative group, a*b = g^(log a + log b) and 1/a = g^(q-1 - log a),
 read from an antilog table of two periods, so no exponent is reduced mod
-q - 1.  The field is unique up to its modulus, so two constructions of the
-same order agree bit for bit.
+q - 1.  The powers of each candidate g are a walk through one "times g"
+map of all q elements, built with m gathers through the addition table.
+The field is unique up to its modulus, so two constructions of the same
+order agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 from .errors import DivisionByZero, NotPrimePower, ParameterOutOfRange
 
 # Table-based arithmetic keeps every op O(1); the cap bounds each q*q int16
-# table at 32 MiB.  The build is O(q^2) numpy work plus an O(q) power walk.
+# table at 32 MiB.  The build is O(q^2) numpy work plus, per candidate
+# generator, O(m*q) numpy work and a walk of its order in Python.
 MAX_ORDER = 4096
 
 
@@ -84,19 +87,37 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {m} over GF({p})")  # unreachable
 
 
-def _generator_powers(p: int, modulus: tuple[int, ...]) -> list[int]:
-    """[g^0, ..., g^(q-2)] for the smallest element g of order q - 1, by
-    repeated polynomial multiplication by g reduced by the monic `modulus`."""
-    weights = [p**j for j in range(len(modulus) - 1)]
-    q = p * weights[-1]
+def _generator_powers(p: int, modulus: tuple[int, ...], add: np.ndarray) -> list[int]:
+    """[g^0, ..., g^(q-2)] for the smallest element g of order q - 1.
+
+    Each candidate g gets one "times g" map over all q elements, built by
+    Horner's rule, a*g = (..(g_(m-1)*a)*x + ..)*x + g_0*a, from `add`, the
+    field's addition table, and a "times x" map reduced by the monic
+    `modulus`, one gather through each per digit of g.  The powers of g
+    are then a walk through that map as a Python list, until it returns
+    to 1."""
+    m = len(modulus) - 1
+    q, top = p**m, p ** (m - 1)
+    elements = np.arange(q)
+    weights = p ** np.arange(m)
+    digits = elements // weights[:, None] % p  # (m, q), low digit first
+    multiples = {}  # c*a for every element a: each digit times c mod p
+
+    def times(c: int) -> np.ndarray:
+        if c not in multiples:
+            multiples[c] = weights @ (c * digits % p)
+        return multiples[c]
+
+    # a*x moves a's digits up one place and adds its top digit c times
+    # x^m = -(f_0 + .. + f_(m-1)*x^(m-1)); a prime field, reduced by x, has a*x = 0
+    carry = np.arange(p)[:, None] * [-f % p for f in modulus[:-1]] % p @ weights
+    times_x = add[elements % top * p, carry[elements // top]]
     for g in range(1, q):
-        g_digits = [g // w % p for w in weights]
-        power, powers = [1] + [0] * (len(weights) - 1), [1]
-        while True:
-            power = _poly_rem((np.convolve(power, g_digits) % p).tolist(), modulus, p)
-            x = sum(c * w for c, w in zip(power, weights))
-            if x == 1:
-                break
+        times_g = np.zeros(q, dtype=np.intp)
+        for w in weights[::-1].tolist():
+            times_g = add[times_x[times_g], times(g // w % p)]
+        step, x, powers = times_g.tolist(), 1, [1]
+        while (x := step[x]) != 1:
             powers.append(x)
         if len(powers) == q - 1:
             return powers
@@ -135,7 +156,7 @@ class FiniteField:
             neg = (neg[:, None] * p + -digit % p).reshape(k)
         # Multiplication adds discrete logarithms to the base of a generator;
         # a prime field is the same walk modulo the polynomial x.
-        antilog = np.array(_generator_powers(p, self.modulus or (0, 1)), dtype=np.int16)
+        antilog = np.array(_generator_powers(p, self.modulus or (0, 1), add), dtype=np.int16)
         log = np.zeros(q, dtype=np.int16)
         log[antilog] = np.arange(q - 1)
         antilog = np.tile(antilog, 2)  # g^e for every e < 2(q - 1)

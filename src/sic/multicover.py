@@ -1,5 +1,6 @@
 """Minimum multicover: the d-code property decided per column, and the
-cover-free (z, 1) and m-code (s, 1) properties with it.
+cover-free (z, 1), m-code (s, 1), threshold (1, s) and threshold-bar
+(1, s) properties with it, and the 0/1 design in one direction.
 
 (S, j) fails the (s, l) d-code property iff every row of supp(j) has at
 least l ones in S.  More columns in S only add hits, and s < t leaves
@@ -14,13 +15,27 @@ number at l = 1:
 * m-code (s, 1) holds iff every c_j > 2s - 1: a failing (U, Z, j) makes
   (U - {j}) | Z a cover of at most 2s - 1 columns, and a cover of c
   columns, c <= 2s - 1, splits back into min(c, s - 1) columns for
-  U - {j} and the rest, at most |U|, for Z.
+  U - {j} and the rest, at most |U|, for Z;
+* threshold (1, s) and threshold-bar (1, s) hold iff every c_j > s: a row
+  fires on a set iff it meets one of its columns, so (P, P') fails iff
+  the supports of P lie inside those of P', and a column j of P outside
+  P' is covered by at most s others; conversely a cover C of supp(j),
+  |C| <= s, fails with P = {j} | C - {x} against P' = C (threshold) and
+  with P = {j} against P' = C (threshold-bar), and an empty column with
+  P = {j} against any other singleton;
+* the design with a 0/1 map (l = 1) holds where every c_j > s, as two
+  candidates differ in a column j whose support the other one leaves
+  partly unmet (s-disjunct codes are s-separable; Kautz and Singleton,
+  IEEE Trans. Inf. Theory 1964).  The converse is false, so a design
+  with some c_j <= s is left to its scan.
 
 `sic.verify` asks `exceeds` wherever `cheaper` finds that cheaper than
 its scan, and scans only for the witness of a failure.  A weak column,
 one with a row of its support that fewer than l other columns meet, is
 settled by the one row sum of `weak` (c_j is infinite), so only the other
-columns, the open ones, are priced and run.
+columns, the open ones, are priced and run.  Costs are in row scans of
+the d-code scan (`COLUMN_COST`, `STATE_COST`); `sic.verify` converts the
+design's key scan to them.
 """
 
 from __future__ import annotations
@@ -31,6 +46,11 @@ import numpy as np
 # beyond its gathers: about 95 us per column of example 1 as a plain array,
 # whose full scan runs 3.3*10^10 row scans/s (2-vCPU VM)
 COLUMN_COST = 3_000_000
+# row scans the d-code scan runs in the time the DP updates one state of a
+# column's table: 1.1-6.4 ns per update, 35-210 row scans at the scan's
+# 3.3*10^10/s, on column 0 of example 3 at (10, 3) and (6, 2) and of random
+# 300-column matrices of weight 7-14 at l = 1-3 (best of 5, 2-vCPU VM)
+STATE_COST = 100
 
 
 def weak(bits: np.ndarray, l: int, columns: int) -> np.ndarray:
@@ -50,9 +70,9 @@ def cheaper(bits: np.ndarray, l: int, scans: int, weak_columns: np.ndarray,
     column j, (l+1)^w_j entries for its weight w_j, holds at most
     `entries` (the scan's batch bound), and the DP's cost is below
     `scans`: at most t - 1 gathers of each table (a trace is taken at most
-    as often as columns have it) plus COLUMN_COST per open column.  Weak
-    columns cost nothing, and the fixed costs alone decide before the
-    weights are read."""
+    as often as columns have it), STATE_COST per entry, plus COLUMN_COST
+    per open column.  Weak columns cost nothing, and the fixed costs alone
+    decide before the weights are read."""
     if (weak_columns.size - np.count_nonzero(weak_columns)) * COLUMN_COST >= scans:
         return False
     open_columns = np.flatnonzero(~weak_columns)
@@ -61,7 +81,7 @@ def cheaper(bits: np.ndarray, l: int, scans: int, weak_columns: np.ndarray,
     if (l + 1) ** min(int(weights.max(initial=0)), entries.bit_length()) > entries:
         return False
     states = int(np.power(l + 1, weights, dtype=np.int64).sum())
-    return (bits.shape[1] - 1) * states + len(open_columns) * COLUMN_COST < scans
+    return (bits.shape[1] - 1) * states * STATE_COST + len(open_columns) * COLUMN_COST < scans
 
 
 def exceeds(bits: np.ndarray, s: int, l: int, weak_columns: np.ndarray) -> bool:

@@ -18,13 +18,14 @@ from .fields import is_prime_power
 _CHUNK_ENTRIES = 2**20  # matrix entries per float32 chunk of the block product
 
 
-def _digit_sum(a: np.ndarray, b: np.ndarray, c: int, p: int, q: int) -> np.ndarray:
+def _digit_sum(a: np.ndarray, b: np.ndarray, c: int | np.ndarray, p: int, q: int) -> np.ndarray:
     """a + c*b in the additive group of GF(q), q = p^m, whose base-p digits
-    add mod p whatever the field's modulus; in a's dtype."""
+    add mod p whatever the field's modulus; c is an int or an integer array,
+    broadcast with a and b; in a's dtype."""
     if p == 2:
-        return a ^ b if c % 2 else a
+        return a ^ b * np.asarray(c % 2, dtype=b.dtype)
     x, y = a.astype(np.int32), b.astype(np.int32)
-    out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int32)
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape, np.shape(c)), dtype=np.int32)
     e = 1
     while e < q:
         out += (x // e + c * (y // e)) % p * e
@@ -108,7 +109,8 @@ def _is_coset(symbols: np.ndarray, p: int, q: int) -> bool:
         if len(span) == t:
             return True
         generator = diffs[order[np.argmin(seen)]]
-        span = np.concatenate([_digit_sum(span, generator, c, p, q) for c in range(p)])
+        multiples = np.arange(p, dtype=np.int32)[:, None, None]  # every c at once
+        span = _digit_sum(span, generator, multiples, p, q).reshape(-1, span.shape[1])
 
 
 def _one_hot(bits: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray | None:

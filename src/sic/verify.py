@@ -60,18 +60,22 @@ scan.
 Multicover.  Let c_j be the fewest columns other than j that give every
 row of supp(j) l hits (`sic.multicover`).  The (s, l) d-code property
 holds iff every c_j > s; at l = 1, cover-free (z, 1) holds iff every
-c_j > z, and m-code (s, 1) iff every c_j > 2s - 1, as a failing (U, Z, j)
-is a cover (U - {j}) | Z of at most 2s - 1 columns and every such cover
-splits back into a U and a Z.  These three checks first decide their
-property by one small DP per column (column 0 alone on translates)
-wherever that is cheaper than their scan: not up to
-multicover.COLUMN_COST row scans, which leaves small inputs to the scan
-before any bit is read; then COLUMN_COST and the table gathers for each
-open column, while a weak column, one with a row of its support that
-fewer than l other columns meet, costs nothing, as one row sum settles
-it.  The DP returns the scan's satisfied report, byte for byte, and
-leaves a failure to the scan, which finds the witness.  The budget and
-the store cap compare the scan's charge before either runs.
+c_j > z, m-code (s, 1) iff every c_j > 2s - 1, and threshold (1, s) and
+threshold-bar (1, s) iff every c_j > s; a design with a 0/1 map (l = 1)
+holds where every c_j > s, but not only there.  These checks decide by
+one small DP per column (column 0 alone on translates) wherever that is
+cheaper than their scan: not up to multicover.COLUMN_COST row scans of
+the d-code scan, which leaves small inputs to the scan before any bit is
+read; then COLUMN_COST and STATE_COST per table entry for each open
+column, while a weak column, one with a row of its support that fewer
+than l other columns meet, costs nothing, as one row sum settles it.  The
+design's key scan counts DESIGN_SCAN_COST of those row scans per row
+scan.  d-code, cover-free and design ask first; m-code and the threshold
+checks ask once their pair scan's first block passes, where an input
+that fails early has already stopped.  The DP returns the scan's satisfied report,
+byte for byte, and leaves a failure to the scan, which finds the witness.
+The budget and the store cap compare the scan's charge before either
+runs.
 """
 
 from __future__ import annotations
@@ -100,6 +104,11 @@ _BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
 _BLOCK_ENTRIES = _BATCH_ENTRIES // 2  # coincidence block columns * t (counter and scratch)
 PAIR_WORDS = 8192           # words per block of the pair scans
 STORE_BYTES = 2**30         # check_design's key store, or a pair scan's stored family
+# row scans of the d-code scan in the time of one row scan of check_design's
+# key scan: the key scan ran 4.0*10^8 row scans/s on the 64 x 64 permuted
+# identity at s = 3, the d-code scan 3.1-3.3*10^10 on the 80 x 80 one at
+# (3, 1) (best of 7, 2-vCPU VM); so design's own gate is COLUMN_COST // 70
+DESIGN_SCAN_COST = 70
 
 
 @dataclass(frozen=True)
@@ -229,11 +238,11 @@ def _check_pairs(outer: int, t: int, N: int, lo: int, hi: int, budget: int | Non
 def _multicover_exceeds(X, bits: np.ndarray, s: int, l: int, scans: int,
                         columns: int | None = None) -> bool:
     """Does `sic.multicover` find every c_j > s, where that is cheaper than
-    the scan's `scans` row scans?  False leaves the decision to the scan.
-    Up to multicover.COLUMN_COST row scans the scan runs before any bit is
-    read.  `columns` is 1 where `translates` accepts X and t otherwise; the
-    pair checkers leave it to this check, which asks `translates` after
-    that gate."""
+    the scan's `scans` row scans, in row scans of the d-code scan?  False
+    leaves the decision to the scan.  Up to multicover.COLUMN_COST row
+    scans the scan runs before any bit is read.  `columns` is 1 where
+    `translates` accepts X and t otherwise; the other checkers leave it to
+    this check, which asks `translates` after that gate."""
     if scans <= multicover.COLUMN_COST:
         return False
     if columns is None:
@@ -288,7 +297,8 @@ def _stored(cols: np.ndarray, t: int, lo: int, hi: int, flags):
     return whole, fill()
 
 
-def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationReport:
+def _pair_scan(outer, inner, applies, witness, group: int = 1,
+               settle=None) -> VerificationReport:
     """The report of the first bad pair of an outer row and an inner set:
     one that applies where no row flagged in the outer row is flagged in
     the inner set.
@@ -301,6 +311,10 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationRe
     sets) bool of the pairs that count, and witness(outer set, row of its
     group, inner set) the witness of a bad pair.  tuples_checked counts the
     pairs that apply, up to the first bad one.
+
+    `settle`, where given, is asked once the first block passes, and a
+    report it returns ends the scan (`_settled`); an input that fails in
+    its first block never pays for it.
     """
     whole, parts = inner
     checked = 0
@@ -321,7 +335,21 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationRe
                            + np.count_nonzero(ok[rows.start:rows.start + slot + 1, j]))
             return VerificationReport(False, witness(block.sets[g], slot, whole.sets[j]), checked)
         checked += int(np.count_nonzero(ok))
+        if settle is not None:
+            report, settle = settle(), None
+            if report is not None:
+                return report
     return VerificationReport(True, None, checked)
+
+
+def _settled(X, bits: np.ndarray, s: int, scans: int, count):
+    """The multicover decision of a pair check at u = 1, for `_pair_scan`
+    to ask after its first block: the scan's satisfied report, count()
+    tuples, where `_multicover_exceeds` finds every c_j > s; else None."""
+    def settle():
+        return VerificationReport(True, None, count()) if _multicover_exceeds(
+            X, bits, s, 1, scans) else None
+    return settle
 
 
 def check_cover_free(X, z: int, u: int, budget: int | None = None) -> VerificationReport:
@@ -423,18 +451,17 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     U, and zeros on Z.
 
     At u = 1 the property is every c_j > 2s - 1 (`sic.multicover`),
-    decided first where that is cheaper than the scan; a failure is left
-    to the scan, which finds the witness.
+    decided once the scan's first block passes, where that is cheaper than
+    the scan; a failure is left to the scan, which finds the witness.
     """
     bits = _bits(X)
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     size, scans = _check_pairs(lex_count(t, u, s), t, N, 0, s, budget, group=s)
-    if u == 1 and _multicover_exceeds(X, bits, 2 * s - 1, 1, scans):
-        # (U, j) with |U| = k, and Z of at most k columns outside U
-        return VerificationReport(True, None, sum(comb(t, k) * k * lex_count(t - k, 0, k)
-                                                  for k in range(1, s + 1)))
+    # (U, j) with |U| = k, and Z of at most k columns outside U
+    settle = None if u > 1 else _settled(X, bits, 2 * s - 1, scans, lambda: sum(
+        comb(t, k) * k * lex_count(t - k, 0, k) for k in range(1, s + 1)))
     cols = _columns(bits)
     # outer row j of U: the rows with exactly u hits in U and a 1 at U[j]
     U = _family(cols, t, u, s, lambda hits, batch: cols[batch].view(bool) & (hits == u)[:, None],
@@ -448,7 +475,8 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
         return (slots[:, :, None] & pairs[:, None]).reshape(-1, len(Z.sets))
 
     return _pair_scan(U, Z, applies,
-                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])}, group=s)
+                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])}, group=s,
+                      settle=settle)
 
 
 def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
@@ -459,6 +487,14 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     for a threshold outcome map the at-most domain drops sets smaller than
     the threshold.  The witness is the first pair of candidates, in
     lexicographic enumeration order, sharing an outcome vector.
+
+    A map with l = 1 sees whether each row meets the set.  Then every c_j > s
+    (`sic.multicover`) makes the outcomes distinct: of two candidates P and
+    P', one has a column j that the other lacks, and at most s columns
+    other than j leave a row of supp(j) unmet.  That is decided first,
+    where it is cheaper than the key scan, its charge taken at
+    DESIGN_SCAN_COST d-code row scans each; the converse does not hold, so
+    otherwise, and for every l >= 2, the key scan decides.
     """
     bits = _bits(X)
     N, t = bits.shape
@@ -475,6 +511,8 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
                           dtype=bool)  # (l + 1, width)
     words = word_count(N * width)
     _check_cost(domain * N, budget, domain * (8 * words + 8), "design key store")
+    if F.l == 1 and _multicover_exceeds(X, bits, s, 1, domain * N * DESIGN_SCAN_COST):
+        return VerificationReport(True, None, domain)
     keys = np.empty((domain, words), dtype=np.uint64)
     cols = _columns(bits)
     size = _batch_size(N * s)
@@ -508,7 +546,8 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    size, _ = _check_pairs(lex_count(t, u, s), t, N, u, s, budget)
+    size, scans = _check_pairs(lex_count(t, u, s), t, N, u, s, budget)
+    settle = None if u > 1 else _settled(X, bits, s, scans, lambda: _threshold_pairs(t, s, bar))
     # the stored flags are the rows that do not fire on a set (< u hits; the
     # <= kernel is the one the other checkers already map)
     family, parts = _stored(_columns(bits), t, u, s, lambda hits, batch: hits <= u - 1)
@@ -531,13 +570,29 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
 
     # no row fires on P but not on Q
     return _pair_scan(blocks, (family, [family]), applies,
-                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)})
+                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)}, settle=settle)
+
+
+def _threshold_pairs(t: int, s: int, bar: bool) -> int:
+    """The pairs (P, P') of the sets with 1 to s columns that the threshold
+    checkers test at u = 1: those with P' no larger than P and P' != P, or
+    with bar those with P not a subset of P' (not one of the
+    comb(t - a, b - a) supersets of size b of a P of size a)."""
+    sets = lex_count(t, 1, s)
+    if bar:
+        return sum(comb(t, a) * (sets - sum(comb(t - a, b - a) for b in range(a, s + 1)))
+                   for a in range(1, s + 1))
+    return sum(comb(t, a) * lex_count(t, 1, a) for a in range(1, s + 1)) - sets
 
 
 def check_threshold_design(X, u: int, s: int, budget: int | None = None) -> VerificationReport:
     """For every ordered pair P != P' of candidate sets with sizes in
     [u, s] and |P| >= |P'|, some row fires on P (>= u hits) but not on P'.
     Equal-size pairs are checked in both orientations.
+
+    At u = 1 the property is every c_j > s (`sic.multicover`), decided once
+    the scan's first block passes, where that is cheaper than the scan; a
+    failure is left to the scan, which finds the witness.
     """
     return _check_threshold_pairs(X, u, s, bar=False, budget=budget)
 
@@ -545,6 +600,9 @@ def check_threshold_design(X, u: int, s: int, budget: int | None = None) -> Veri
 def check_threshold_bar_design(X, u: int, s: int, budget: int | None = None) -> VerificationReport:
     """Variant quantified over every ordered pair with P not a subset of P'
     (sizes in [u, s]), again requiring a row firing on P but not on P'.
+
+    At u = 1 the property is every c_j > s, decided as in
+    `check_threshold_design`.
     """
     return _check_threshold_pairs(X, u, s, bar=True, budget=budget)
 

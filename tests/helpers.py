@@ -3,7 +3,8 @@
 Everything here recomputes results along a different path from the library
 code it checks: brute-force pairwise statistics, explicit polynomial
 evaluation, rank computations over the field tables, the per-pair
-polynomial construction of the field tables, the unpruned parameter
+polynomial construction of the field tables, the field generator's powers
+by one polynomial product per power, the unpruned parameter
 search, the element-wise construct path (Reed-Solomon encoding by digit
 arrays, shortening by evaluating and masking, binary expansion by scatter, the matrix reader by per-line loop),
 the bound optimizers' unpruned grid scans, the checkers' subset
@@ -32,7 +33,7 @@ from sic.bounds import (SEEDED_UPPER_2_2, RateBound, _golden_max, _lower_z1_obje
 from sic.cli import BOUND_AXES, build_parser
 from sic.codes import BinaryCode, QaryCode, RSMeta
 from sic.errors import BudgetExceeded, MalformedFile, ParameterOutOfRange
-from sic.fields import FiniteField, is_prime_power
+from sic.fields import FiniteField, _poly_rem, is_prime_power
 from sic.subsets import lex_batches, lex_count, lex_tuples
 from sic.verify import (OutcomeFunction, VerificationReport, _batch_size, _bits, _columns,
                         _hits, _subset)
@@ -57,6 +58,26 @@ def smallest_irreducible_by_products(p: int, m: int) -> tuple[int, ...]:
                 reducible.add(tuple(_poly_mul_mod([*lo, 1], [*hi, 1], p)))
     return next(c for c in ((*low, 1) for low in product(range(p), repeat=m))
                 if c not in reducible)
+
+
+def generator_powers_by_polynomials(p: int, modulus: tuple[int, ...]) -> list[int]:
+    """[g^0, ..., g^(q-2)] for the smallest element g of order q - 1, by
+    repeated polynomial multiplication by g reduced by the monic `modulus`:
+    one `np.convolve` and one remainder per power."""
+    weights = [p**j for j in range(len(modulus) - 1)]
+    q = p * weights[-1]
+    for g in range(1, q):
+        g_digits = [g // w % p for w in weights]
+        power, powers = [1] + [0] * (len(weights) - 1), [1]
+        while True:
+            power = _poly_rem((np.convolve(power, g_digits) % p).tolist(), modulus, p)
+            x = sum(c * w for c, w in zip(power, weights))
+            if x == 1:
+                break
+            powers.append(x)
+        if len(powers) == q - 1:
+            return powers
+    raise AssertionError(f"GF({q}) has no generator")
 
 
 def pair_loop_tables(q: int) -> tuple[np.ndarray, ...]:

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sic.errors import DivisionByZero, NotPrimePower, ParameterOutOfRange
+from sic import fields
 from sic.fields import MAX_ORDER, FiniteField, is_prime_power
-from helpers import pair_loop_tables, smallest_irreducible_by_products
+from helpers import (generator_powers_by_polynomials, pair_loop_tables,
+                     smallest_irreducible_by_products)
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -162,6 +165,23 @@ def test_tables_match_pair_loop_oracle(q):
     for got, want in zip(tables, pair_loop_tables(q)):
         assert got.dtype == want.dtype == np.int16
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("orders", ["q<=1024", "q=2048", "q=4096"])
+def test_tables_match_the_polynomial_generator_walk(orders):
+    # the "times g" map walk gives the same generator and antilog list as
+    # one polynomial product per power, so every table is byte-identical
+    qs = {"q<=1024": [q for q in range(2, 1025) if is_prime_power(q)],
+          "q=2048": [2048], "q=4096": [4096]}[orders]
+    for q in qs:
+        f = FiniteField(q)
+        with mock.patch.object(fields, "_generator_powers",
+                               lambda p, modulus, add: generator_powers_by_polynomials(p, modulus)):
+            oracle = FiniteField(q)
+        for got, want in zip((f.add_table, f.mul_table, f._neg_table, f._inv_table),
+                             (oracle.add_table, oracle.mul_table, oracle._neg_table,
+                              oracle._inv_table)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), q
 
 
 def test_max_order_build_memory():

@@ -25,7 +25,7 @@ from sic.errors import (
     ParameterOutOfRange,
     TooFewColumns,
 )
-from sic.fields import FiniteField
+from sic.fields import FiniteField, is_prime_power
 from sic.verify import (
     OutcomeFunction,
     VerificationReport,
@@ -623,6 +623,20 @@ PERMUTED_CODES = [(q, k, r) for q in (2, 3, 4, 5, 7, 8) for k in range(2, q + 1)
 
 
 class TestTranslates:
+    @pytest.mark.parametrize("q", [2, 4, 3, 9, 5, 25, 257])
+    def test_digit_sum_takes_every_multiple_at_once(self, q):
+        # span + c*g for every c in GF(p) in one call, as a stack of the
+        # calls with one c each; the span's order is the multiples' order
+        p = is_prime_power(q)[0]
+        rng = np.random.default_rng(q)
+        dtype = np.min_scalar_type(q - 1)
+        span, g = rng.integers(0, q, (6, 5)).astype(dtype), rng.integers(0, q, 5).astype(dtype)
+        stacked = np.stack([symmetry._digit_sum(span, g, c, p, q) for c in range(p)])
+        multiples = np.arange(p, dtype=np.int32)[:, None, None]
+        together = symmetry._digit_sum(span, g, multiples, p, q)
+        assert together.dtype == dtype and np.array_equal(together, stacked)
+        assert np.array_equal(symmetry._digit_sum(span, g, -1, p, q), stacked[p - 1])
+
     @pytest.mark.parametrize("q,k,r", RS_CODES, ids=[f"q{q}-k{k}-r{r}" for q, k, r in RS_CODES])
     def test_reduced_scans_match_full_scans(self, q, k, r):
         # every (s, l) whose full scan takes at most 10^7 row scans
@@ -843,14 +857,16 @@ class TestMulticover:
 
     def test_wide_supports_take_the_scan(self):
         # 2^24 states per column: the cost test alone would pass the DP
-        # (about 1.5*10^14 state updates against 3.2*10^14 row scans), but
-        # its tables would take GBs; the scan finds the first S at once
-        t, N = 3000, 24
-        assert (t - 1) * 2**N * t + t * multicover.COLUMN_COST < comb(t, 3) * (t - 3) * N <= 10**15
+        # (about 9.7*10^17 row scans' worth of state updates against
+        # 1.3*10^18 row scans), but its tables would take GBs; the scan
+        # finds the first S at once
+        t, N = 24000, 24
+        dp = (t - 1) * 2**N * t * multicover.STATE_COST + t * multicover.COLUMN_COST
+        assert dp < comb(t, 3) * (t - 3) * N <= 10**19
         X = np.ones((N, t), dtype=np.uint8)
         tracemalloc.start()
         try:
-            rep = check_d_code(X, 3, 1, budget=10**15)
+            rep = check_d_code(X, 3, 1, budget=10**19)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -882,23 +898,50 @@ PAIR_U1 = {
                    lambda X, n, **kw: cover_free_by_rows(X, n, 1, **kw)),
     "m_code": (lambda X, n, **kw: check_m_code(X, n, 1, **kw),
                lambda X, n, **kw: m_code_by_rows(X, n, 1, **kw)),
+    "threshold": (lambda X, n, **kw: check_threshold_design(X, 1, n, **kw),
+                  lambda X, n, **kw: threshold_pairs_by_loop(X, 1, n, False, **kw)),
+    "threshold_bar": (lambda X, n, **kw: check_threshold_bar_design(X, 1, n, **kw),
+                      lambda X, n, **kw: threshold_pairs_by_loop(X, 1, n, True, **kw)),
 }
+# the checkers that ask the DP once their scan's first outer block passes
+AFTER_FIRST_BLOCK = {"m_code", "threshold", "threshold_bar"}
+
+
+@contextlib.contextmanager
+def scan_blocks():
+    """Count the outer blocks that each `_pair_scan` call reads, one entry
+    per call."""
+    counts = []
+    real = verify._pair_scan
+
+    def counted(outer, *args, **kwargs):
+        counts.append(0)
+
+        def blocks():
+            for block in outer:
+                counts[-1] += 1
+                yield block
+        return real(blocks(), *args, **kwargs)
+
+    with mock.patch.object(verify, "_pair_scan", counted):
+        yield counts
 
 
 def pair_u1_by(path, prop, X, n, budget=None):
-    """check_cover_free(X, n, 1) or check_m_code(X, n, 1) by the scan or by
-    the multicover DP wherever its tables are small (`multicover_path`),
-    and whether the DP ran and whether the pair scan did."""
-    with multicover_path(path), \
-            mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as dp, \
-            mock.patch.object(verify, "_pair_scan", wraps=verify._pair_scan) as scan:
-        return PAIR_U1[prop][0](X, n, budget=budget), dp.called, scan.called
+    """check_cover_free(X, n, 1), check_m_code(X, n, 1) or a threshold check
+    at (1, n) by the scan or by the multicover DP wherever its tables are
+    small (`multicover_path`), whether the DP ran, and how many outer
+    blocks the pair scan read (0: it did not run)."""
+    with multicover_path(path), scan_blocks() as blocks, \
+            mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as dp:
+        rep = PAIR_U1[prop][0](X, n, budget=budget)
+    return rep, dp.called, sum(blocks)
 
 
 @st.composite
 def pair_u1_inputs(draw, prop):
     """A matrix of `checker_inputs`, at times with one column emptied, and a
-    z (cover-free) or s (m-code) that the checker takes at u = 1."""
+    z (cover-free) or s (the others) that the checker takes at u = 1."""
     bits, _ = draw(checker_inputs(prop))
     t = bits.shape[1]
     if draw(st.booleans()):
@@ -919,9 +962,11 @@ def covered_once(w, t):
 
 
 class TestPairMulticover:
-    """cover-free (z, 1) holds iff every c_j > z, and m-code (s, 1) iff every
-    c_j > 2s - 1; the DP's satisfied reports and the scan's failures match
-    the row-loop oracles and the scan."""
+    """cover-free (z, 1) holds iff every c_j > z, m-code (s, 1) iff every
+    c_j > 2s - 1, and threshold (1, s) and threshold-bar (1, s) iff every
+    c_j > s; the DP's satisfied reports and the scan's failures match the
+    row-loop oracles and the scan.  Cover-free asks the DP before its scan,
+    the others once their scan's first block passes."""
 
     @pytest.mark.parametrize("path", ["cover", "default"])
     @pytest.mark.parametrize("prop", sorted(PAIR_U1))
@@ -929,44 +974,56 @@ class TestPairMulticover:
     @given(data=st.data())
     def test_matches_rows_oracle_and_scan(self, prop, path, data):
         bits, n = data.draw(pair_u1_inputs(prop))
-        rep, _, scanned = pair_u1_by(path, prop, bits, n)
+        rep, _, blocks = pair_u1_by(path, prop, bits, n)
         scan, _, _ = pair_u1_by("scan", prop, bits, n)
         assert rep == scan == PAIR_U1[prop][1](bits, n)
-        assert scanned or rep.satisfied
+        assert blocks or rep.satisfied
 
     @pytest.mark.parametrize("prop", sorted(PAIR_U1))
     def test_empty_column_fails_with_the_scans_witness(self, prop):
-        # supp(4) is empty, so c_4 = 0; every other column has a row of its own
+        # supp(4) is empty, so c_4 = 0; every other column has a row of its
+        # own.  The 9 x 9 domains at n = 2 fit one block, which fails, so
+        # only cover-free, which asks first, runs the DP
         bits = np.eye(9, dtype=np.uint8)
         bits[4, 4] = 0
-        rep, ran, scanned = pair_u1_by("cover", prop, bits, 2)
-        assert ran and scanned and not rep.satisfied
+        rep, ran, blocks = pair_u1_by("cover", prop, bits, 2)
+        assert blocks and not rep.satisfied and ran == (prop == "cover_free")
         assert rep == pair_u1_by("scan", prop, bits, 2)[0] == PAIR_U1[prop][1](bits, 2)
 
     @pytest.mark.parametrize("prop, n, t", [("cover_free", 3, 60), ("m_code", 3, 16),
-                                            ("cover_free", 1, 7), ("m_code", 2, 7)])
+                                            ("threshold", 2, 40), ("threshold_bar", 2, 40),
+                                            ("cover_free", 1, 7), ("m_code", 2, 7),
+                                            ("threshold", 3, 7), ("threshold_bar", 3, 7)])
     def test_weak_columns_settle_without_a_dp_or_scan(self, prop, n, t):
         # every row of a permuted identity meets one column: all columns are
-        # weak, so the DP prices nothing and runs no column; the first two
-        # are the benchmark's inputs, decided by default
+        # weak, so the DP prices nothing and runs no column, and no scan
+        # runs past the first block; the first four are the benchmark's
+        # inputs, decided by default
         X = np.eye(t, dtype=np.uint8)[np.random.default_rng(t).permutation(t)]
         path = "default" if t > 7 else "cover"
-        with mock.patch.object(multicover, "_covered", side_effect=AssertionError("DP ran")), \
-                mock.patch.object(verify, "_pair_scan", side_effect=AssertionError("scanned")):
-            rep, ran, _ = pair_u1_by(path, prop, X, n)
-        assert ran and rep == PAIR_U1[prop][1](X, n)
+        with mock.patch.object(multicover, "_covered", side_effect=AssertionError("DP ran")):
+            rep, ran, blocks = pair_u1_by(path, prop, X, n)
+        assert ran and blocks == (prop in AFTER_FIRST_BLOCK)
+        assert rep == PAIR_U1[prop][1](X, n)
 
-    @pytest.mark.parametrize("prop, n", [("cover_free", 1), ("cover_free", 2), ("m_code", 2)])
+    @pytest.mark.parametrize("prop, n", [("cover_free", 1), ("cover_free", 2), ("m_code", 2),
+                                         ("threshold", 2), ("threshold_bar", 2)])
     def test_example_1_rows_shuffled_decides_column_0(self, ex1, prop, n):
         # translates accepts example 1 with its rows and columns shuffled,
         # so the DP decides column 0 alone; c_0 = 2 there, so cover-free
-        # (1, 1) holds and the others fail
+        # (1, 1) holds and the others fail.  A block holds one outer set;
+        # (0,) passes but for threshold-bar, which fails at once against a
+        # cover of two columns and never asks
         X = permuted(ex1, seed=19)
         with mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as spy:
-            rep, _, scanned = pair_u1_by("cover", prop, X, n, budget=3 * 10**9)
-        assert len(spy.call_args.args[3]) == 1
-        assert rep.satisfied != scanned
+            rep, _, blocks = pair_u1_by("cover", prop, X, n, budget=3 * 10**9)
         assert rep.satisfied == ((prop, n) == ("cover_free", 1))
+        if prop == "threshold_bar":
+            assert not spy.called and blocks == 1
+        else:
+            assert len(spy.call_args.args[3]) == 1
+            first = 0 if prop == "cover_free" else 1  # blocks read before the DP
+            assert blocks == first if rep.satisfied else blocks > first
         assert rep == pair_u1_by("scan", prop, X, n, budget=3 * 10**9)[0]
         assert rep == PAIR_U1[prop][1](X.bits, n, budget=3 * 10**9)
 
@@ -974,25 +1031,215 @@ class TestPairMulticover:
     @pytest.mark.parametrize("s", [2, 3])
     def test_boundary_cover_size(self, prop, s):
         # m-code (s, 1) fails at c_0 = 2s - 1 and holds at c_0 = 2s;
-        # cover-free (z, 1) at z = 2s - 1 fails at c_0 = z and holds above
-        t, n = 4 * s, s if prop == "m_code" else 2 * s - 1
-        for w in (2 * s - 1, 2 * s):
+        # cover-free (z, 1) at z = 2s - 1 fails at c_0 = z and holds above;
+        # threshold and threshold-bar (1, s) fail at c_0 = s and hold at
+        # s + 1.  The pair checkers that ask after their first block find
+        # the failure there, so they run the DP only where it holds
+        t = 4 * s
+        n = {"cover_free": 2 * s - 1, "m_code": s}.get(prop, s)
+        bound = {"cover_free": 2 * s - 1, "m_code": 2 * s - 1}.get(prop, s)
+        for w in (bound, bound + 1):
             bits = covered_once(w, t)
-            rep, ran, scanned = pair_u1_by("cover", prop, bits, n)
-            assert ran and rep.satisfied == (w == 2 * s) != scanned
+            rep, ran, blocks = pair_u1_by("cover", prop, bits, n)
+            assert rep.satisfied == (w > bound)
+            if rep.satisfied:
+                assert ran and blocks == (prop in AFTER_FIRST_BLOCK)
+            else:
+                assert blocks and ran == (prop not in AFTER_FIRST_BLOCK)
             assert rep == pair_u1_by("scan", prop, bits, n)[0] == PAIR_U1[prop][1](bits, n)
 
+    @pytest.mark.parametrize("t, s, count", [(40, 2, (640380, 670020)), (7, 3, (2779, 3654)),
+                                             (13, 4, (894777, 1179490))])
+    def test_threshold_counts_in_closed_form(self, t, s, count):
+        # the DP's satisfied counts are the scan's on the permuted identity:
+        # 640,380 and 670,020 are the benchmark's 40 x 40 one at (1, 2)
+        X = np.eye(t, dtype=np.uint8)[np.random.default_rng(s).permutation(t)]
+        budget = 10**11
+        for prop, expected in zip(("threshold", "threshold_bar"), count):
+            rep, ran, blocks = pair_u1_by("cover", prop, X, s, budget=budget)
+            assert ran and blocks == 1 and rep == VerificationReport(True, None, expected)
+            assert rep == pair_u1_by("scan", prop, X, s, budget=budget)[0]
+
     def test_screen_inputs_keep_the_scan(self):
-        # 40 x 30 matrices at (2, 1): cover-free's and d-code's charges sit
-        # below the fixed cost, and m-code's every open column costs more
-        # than its scan, so the DP never runs
+        # 40 x 30 matrices at (2, 1) and (1, 2) have no weak column.  The
+        # charges of cover-free, d-code and design sit below their fixed
+        # cost, and m-code's inputs fail in the scan's first block, so no
+        # row sum runs; the threshold checks ask only once a first block of
+        # 17 of their 465 sets passes, and then the DP does not pay
+        weak = mock.patch.object(multicover, "weak", wraps=multicover.weak)
+        design = OutcomeFunction((0, 1))
         with mock.patch.object(multicover, "exceeds", side_effect=AssertionError("DP ran")):
             for seed in range(16):
                 X = random_code(40, 30, 0.25, seed=seed).bits
                 for rows in (X, X[np.random.default_rng(seed).permutation(40)]):
-                    check_cover_free(rows, 2, 1)
-                    check_d_code(rows, 2, 1)
-                    check_m_code(rows, 2, 1)
+                    with weak as spy:
+                        check_cover_free(rows, 2, 1)
+                        check_d_code(rows, 2, 1)
+                        check_m_code(rows, 2, 1)
+                        check_design(rows, design, 2)
+                    assert not spy.called
+                    for check in (check_threshold_design, check_threshold_bar_design):
+                        with weak as spy, scan_blocks() as blocks:
+                            check(rows, 1, 2)
+                        assert spy.called == (blocks[0] > 1)
+
+
+def design_by(path, X, values, s, mode="at-most"):
+    """check_design's report by its key scan ("scan") or by the multicover
+    DP wherever its tables are small (`multicover_path`), whether the DP
+    ran, and whether the key scan did."""
+    with multicover_path(path), \
+            mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as dp, \
+            mock.patch.object(verify, "lex_batches", wraps=subsets.lex_batches) as scan:
+        rep = check_design(X, OutcomeFunction(values), s, mode)
+    return rep, dp.called, scan.called
+
+
+@st.composite
+def design_l1_inputs(draw):
+    """A matrix of `checker_inputs`, at times with one column emptied, a map
+    of two labels, a strength and a mode."""
+    bits, _ = draw(checker_inputs("design"))
+    t = bits.shape[1]
+    if draw(st.booleans()):
+        bits = bits.copy()
+        bits[:, draw(st.integers(0, t - 1))] = 0
+    values = tuple(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True)))
+    return bits, values, draw(st.integers(1, t - 1)), draw(st.sampled_from(["at-most", "exactly"]))
+
+
+class TestDesignMulticover:
+    """A design with a 0/1 map holds where every c_j > s: the DP's satisfied
+    reports match the dict oracle and the key scan, and everything else is
+    left to the scan."""
+
+    @pytest.mark.parametrize("path", ["cover", "default"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_dict_oracle_and_scan(self, path, data):
+        bits, values, s, mode = data.draw(design_l1_inputs())
+        rep, _, scanned = design_by(path, bits, values, s, mode)
+        assert rep == design_by("scan", bits, values, s, mode)[0]
+        assert rep == design_by_dict(bits, OutcomeFunction(values), s, mode)
+        assert scanned or rep.satisfied
+
+    def test_empty_column_fails_with_the_scans_witness(self):
+        bits = np.eye(9, dtype=np.uint8)
+        bits[4, 4] = 0
+        rep, ran, scanned = design_by("cover", bits, (0, 1), 2)
+        assert ran and scanned and rep == design_by_dict(bits, OutcomeFunction((0, 1)), 2)
+        assert rep.witness == {"P": (0,), "Pprime": (0, 4)}
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_boundary_cover_size(self, s):
+        # c_0 = s + 1 is decided by the DP without a scan; c_0 = s leaves
+        # the decision to the scan, and the design holds there too, as no
+        # candidate of s columns has the union of {0} and its cover
+        for w in (s, s + 1):
+            bits = covered_once(w, 4 * s)
+            rep, ran, scanned = design_by("cover", bits, (0, 1), s)
+            assert ran and scanned == (w == s) and rep.satisfied
+            assert rep == design_by("scan", bits, (0, 1), s)[0]
+            assert rep == design_by_dict(bits, OutcomeFunction((0, 1)), s)
+
+    def test_the_converse_is_left_to_the_scan(self):
+        # supp(0) lies inside supp(1), so c_0 = 1, yet the two supports
+        # differ: the design holds at s = 1, and only the scan can say so
+        bits = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=np.uint8)
+        rep, ran, scanned = design_by("cover", bits, (0, 1), 1)
+        assert ran and scanned and rep == VerificationReport(True, None, 3)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_example_1_rows_shuffled_decides_column_0(self, ex1, s):
+        # c_0 = 2: s = 1 holds from column 0 alone, s = 2 goes to the scan
+        X = permuted(ex1, seed=21)
+        with mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as spy:
+            rep, _, scanned = design_by("cover", X, (0, 1), s)
+        assert len(spy.call_args.args[3]) == 1
+        assert rep.satisfied == (s == 1) != scanned
+        assert rep == design_by("scan", X, (0, 1), s)[0]
+        assert rep == design_by_dict(X.bits, OutcomeFunction((0, 1)), s)
+
+    def test_benchmark_identity_without_a_dp_or_scan(self):
+        # the 64 x 64 permuted identity at s = 3: 43,744 candidates, every
+        # column weak
+        X = np.eye(64, dtype=np.uint8)[np.random.default_rng(64).permutation(64)]
+        with mock.patch.object(multicover, "_covered", side_effect=AssertionError("DP ran")), \
+                never_enumerates():
+            assert check_design(X, OutcomeFunction((0, 1)), 3) == VerificationReport(
+                True, None, 43744)
+
+    @pytest.mark.parametrize("values", [(0, 1, 2), (0, 0, 1), (2, 0, 1), (0, 1, 1, 2)])
+    def test_maps_with_l_above_1_keep_the_scan(self, values):
+        X = np.eye(20, dtype=np.uint8)[np.random.default_rng(20).permutation(20)]
+        with mock.patch.object(multicover, "weak", side_effect=AssertionError("asked the DP")):
+            for path in ("cover", "default"):
+                rep, ran, scanned = design_by(path, X, values, 3)
+                assert scanned and not ran
+                assert rep == design_by_dict(X, OutcomeFunction(values), 3)
+
+    def test_gate_in_key_scan_units(self):
+        # the key scan's charge counts DESIGN_SCAN_COST d-code row scans each:
+        # screen's 40 x 30 inputs at s = 2 charge 465 * 40 of them, below the
+        # gate, and the 64 x 64 identity 43744 * 64, above it
+        assert 465 * 40 * verify.DESIGN_SCAN_COST <= multicover.COLUMN_COST
+        assert 43744 * 64 * verify.DESIGN_SCAN_COST > multicover.COLUMN_COST
+
+
+@contextlib.contextmanager
+def d_code_paths():
+    """The path of each check_d_code call: "budget" where it raised
+    BudgetExceeded, "dp" where the multicover DP decided it, "dp, scan"
+    where the scan ran after the DP, and "scan" where only the scan ran."""
+    paths = []
+    real = verify.check_d_code
+
+    def recorded(*args, **kwargs):
+        with mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as dp, \
+                mock.patch.object(verify, "lex_batches", wraps=subsets.lex_batches) as scan:
+            try:
+                report = real(*args, **kwargs)
+            except BudgetExceeded:
+                paths.append("budget")
+                raise
+        paths.append(", ".join(name for name, spy in (("dp", dp), ("scan", scan)) if spy.called))
+        return report
+
+    with mock.patch.object(verify, "check_d_code", recorded):
+        yield paths
+
+
+class TestDCodePaths:
+    """Every d-code call of the benchmark and of the README examples takes
+    the path it took before the DP's state updates were priced at
+    STATE_COST row scans each."""
+
+    @pytest.mark.parametrize("argv, paths", [
+        (["verify", "ex1.sic", "d-code", "3", "2"], ["dp"]),
+        (["examples"], ["dp", "budget", "budget", "budget"]),
+        (["examples", "--budget", "100000000000"], ["dp", "dp", "budget", "budget"]),
+        (["verify", "ex3.sic", "d-code", "6", "2", "--budget", "8067478710122832"], ["dp"]),
+    ])
+    def test_cli_calls(self, ex1, ex3, tmp_path, monkeypatch, capsys, argv, paths):
+        from sic.cli import main
+        from sic.matrixfile import write_matrix
+        monkeypatch.chdir(tmp_path)
+        write_matrix(permuted(ex1, seed=2), "ex1.sic")
+        write_matrix(ex3, "ex3.sic")
+        with d_code_paths() as taken:
+            main(argv)
+        capsys.readouterr()
+        assert taken == paths
+
+    def test_library_calls(self):
+        # the benchmark's 80 x 80 permuted identity at (3, 1) and screen's
+        # 40 x 30 random matrices at (2, 1)
+        identity = np.eye(80, dtype=np.uint8)[np.random.default_rng(80).permutation(80)]
+        with d_code_paths() as taken:
+            verify.check_d_code(identity, 3, 1)
+            for seed in range(8):
+                verify.check_d_code(random_code(40, 30, 0.25, seed=seed).bits, 2, 1)
+        assert taken == ["dp"] + ["scan"] * 8
 
 
 class TestBinaryInput:

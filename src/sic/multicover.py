@@ -29,18 +29,23 @@ number at l = 1:
   IEEE Trans. Inf. Theory 1964).  The converse is false, so a design
   with some c_j <= s is left to its scan.
 
-`sic.verify` asks `exceeds` wherever `cheaper` finds that cheaper than
-its scan, and scans only for the witness of a failure.  A weak column,
-one with a row of its support that fewer than l other columns meet, is
-settled by the one row sum of `weak` (c_j is infinite), so only the other
-columns, the open ones, are priced and run.  Costs are in row scans of
-the d-code scan (`COLUMN_COST`, `STATE_COST`); `sic.verify` converts the
-design's key scan to them.
+`proves` is the one decision: every checker of `sic.verify` that can
+decide by c_j calls it once, before it enumerates anything, and scans
+only where it returns False, for the witness of a failure.  It runs
+`exceeds` wherever `cheaper` finds that cheaper than the checker's scan.
+A weak column, one with a row of its support that fewer than l other
+columns meet, is settled by the one row sum of `weak` (c_j is infinite),
+so only the other columns, the open ones, are priced and run.  Every
+price is here, in row scans of the d-code scan: `COLUMN_COST` and
+`STATE_COST` for the DP, and `DESIGN_SCAN_COST` for a row scan of the
+design's key scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .symmetry import translates
 
 # row scans the d-code scan runs in the time one open column of the DP takes
 # beyond its gathers: about 95 us per column of example 1 as a plain array,
@@ -51,6 +56,27 @@ COLUMN_COST = 3_000_000
 # 3.3*10^10/s, on column 0 of example 3 at (10, 3) and (6, 2) and of random
 # 300-column matrices of weight 7-14 at l = 1-3 (best of 5, 2-vCPU VM)
 STATE_COST = 100
+# row scans of the d-code scan in the time of one row scan of check_design's
+# key scan: the key scan ran 4.0*10^8 row scans/s on the 64 x 64 permuted
+# identity at s = 3, the d-code scan 3.1-3.3*10^10 on the 80 x 80 one at
+# (3, 1) (best of 7, 2-vCPU VM); so design's own gate is COLUMN_COST // 70
+DESIGN_SCAN_COST = 70
+
+
+def proves(X, bits: np.ndarray, s: int, l: int, charge: int, entries: int,
+           columns: int | None = None) -> bool:
+    """Does every c_j exceed s, found where that is cheaper than a scan of
+    `charge` row scans of the d-code scan?  False leaves the decision to
+    the scan.  Up to COLUMN_COST row scans the scan runs before any bit is
+    read.  `entries` bounds each open column's table (`cheaper`).
+    `columns` is 1 where `translates` accepts X and t otherwise; left out,
+    it is found after that gate."""
+    if charge <= COLUMN_COST:
+        return False
+    if columns is None:
+        columns = bits.shape[1] if translates(X) is None else 1
+    weak_columns = weak(bits, l, columns)
+    return cheaper(bits, l, charge, weak_columns, entries) and exceeds(bits, s, l, weak_columns)
 
 
 def weak(bits: np.ndarray, l: int, columns: int) -> np.ndarray:

@@ -62,20 +62,19 @@ row of supp(j) l hits (`sic.multicover`).  The (s, l) d-code property
 holds iff every c_j > s; at l = 1, cover-free (z, 1) holds iff every
 c_j > z, m-code (s, 1) iff every c_j > 2s - 1, and threshold (1, s) and
 threshold-bar (1, s) iff every c_j > s; a design with a 0/1 map (l = 1)
-holds where every c_j > s, but not only there.  These checks decide by
-one small DP per column (column 0 alone on translates) wherever that is
-cheaper than their scan: not up to multicover.COLUMN_COST row scans of
-the d-code scan, which leaves small inputs to the scan before any bit is
-read; then COLUMN_COST and STATE_COST per table entry for each open
-column, while a weak column, one with a row of its support that fewer
-than l other columns meet, costs nothing, as one row sum settles it.  The
-design's key scan counts DESIGN_SCAN_COST of those row scans per row
-scan.  d-code, cover-free and design ask first; m-code and the threshold
-checks ask once their pair scan's first block passes, where an input
-that fails early has already stopped.  The DP returns the scan's satisfied report,
-byte for byte, and leaves a failure to the scan, which finds the witness.
-The budget and the store cap compare the scan's charge before either
-runs.
+holds where every c_j > s, but not only there.  Each of these checks
+calls `multicover.proves` once, after its cost check and before it
+enumerates anything.  That decides by one small DP per column (column 0
+alone on translates) wherever it is cheaper than the scan: not up to
+multicover.COLUMN_COST row scans of the d-code scan, which leaves small
+inputs to the scan before any bit is read; then COLUMN_COST and
+STATE_COST per table entry for each open column, while a weak column,
+one with a row of its support that fewer than l other columns meet,
+costs nothing, as one row sum settles it.  The design's key scan counts
+multicover.DESIGN_SCAN_COST of those row scans per row scan.  The DP
+returns the scan's satisfied report, byte for byte, and leaves a failure
+to the scan, which finds the witness.  The budget and the store cap
+compare the scan's charge before either runs.
 """
 
 from __future__ import annotations
@@ -104,11 +103,6 @@ _BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
 _BLOCK_ENTRIES = _BATCH_ENTRIES // 2  # coincidence block columns * t (counter and scratch)
 PAIR_WORDS = 8192           # words per block of the pair scans
 STORE_BYTES = 2**30         # check_design's key store, or a pair scan's stored family
-# row scans of the d-code scan in the time of one row scan of check_design's
-# key scan: the key scan ran 4.0*10^8 row scans/s on the 64 x 64 permuted
-# identity at s = 3, the d-code scan 3.1-3.3*10^10 on the 80 x 80 one at
-# (3, 1) (best of 7, 2-vCPU VM); so design's own gate is COLUMN_COST // 70
-DESIGN_SCAN_COST = 70
 
 
 @dataclass(frozen=True)
@@ -235,23 +229,6 @@ def _check_pairs(outer: int, t: int, N: int, lo: int, hi: int, budget: int | Non
     return max(1, PAIR_WORDS // (inner * max(word_count(t), word_count(N)) * group)), scans
 
 
-def _multicover_exceeds(X, bits: np.ndarray, s: int, l: int, scans: int,
-                        columns: int | None = None) -> bool:
-    """Does `sic.multicover` find every c_j > s, where that is cheaper than
-    the scan's `scans` row scans, in row scans of the d-code scan?  False
-    leaves the decision to the scan.  Up to multicover.COLUMN_COST row
-    scans the scan runs before any bit is read.  `columns` is 1 where
-    `translates` accepts X and t otherwise; the other checkers leave it to
-    this check, which asks `translates` after that gate."""
-    if scans <= multicover.COLUMN_COST:
-        return False
-    if columns is None:
-        columns = bits.shape[1] if translates(X) is None else 1
-    weak = multicover.weak(bits, l, columns)
-    return (multicover.cheaper(bits, l, scans, weak, _BATCH_ENTRIES)
-            and multicover.exceeds(bits, s, l, weak))
-
-
 class _Sets(NamedTuple):
     """Sets of a family, from set number `start` on: their index rows, and
     their columns and `group` rows of row flags per set as packed words,
@@ -297,8 +274,7 @@ def _stored(cols: np.ndarray, t: int, lo: int, hi: int, flags):
     return whole, fill()
 
 
-def _pair_scan(outer, inner, applies, witness, group: int = 1,
-               settle=None) -> VerificationReport:
+def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationReport:
     """The report of the first bad pair of an outer row and an inner set:
     one that applies where no row flagged in the outer row is flagged in
     the inner set.
@@ -311,10 +287,6 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1,
     sets) bool of the pairs that count, and witness(outer set, row of its
     group, inner set) the witness of a bad pair.  tuples_checked counts the
     pairs that apply, up to the first bad one.
-
-    `settle`, where given, is asked once the first block passes, and a
-    report it returns ends the scan (`_settled`); an input that fails in
-    its first block never pays for it.
     """
     whole, parts = inner
     checked = 0
@@ -335,21 +307,7 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1,
                            + np.count_nonzero(ok[rows.start:rows.start + slot + 1, j]))
             return VerificationReport(False, witness(block.sets[g], slot, whole.sets[j]), checked)
         checked += int(np.count_nonzero(ok))
-        if settle is not None:
-            report, settle = settle(), None
-            if report is not None:
-                return report
     return VerificationReport(True, None, checked)
-
-
-def _settled(X, bits: np.ndarray, s: int, scans: int, count):
-    """The multicover decision of a pair check at u = 1, for `_pair_scan`
-    to ask after its first block: the scan's satisfied report, count()
-    tuples, where `_multicover_exceeds` finds every c_j > s; else None."""
-    def settle():
-        return VerificationReport(True, None, count()) if _multicover_exceeds(
-            X, bits, s, 1, scans) else None
-    return settle
 
 
 def check_cover_free(X, z: int, u: int, budget: int | None = None) -> VerificationReport:
@@ -367,7 +325,7 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
     size, scans = _check_pairs(comb(t, u), t, N, z, z, budget)
-    if u == 1 and _multicover_exceeds(X, bits, z, 1, scans):
+    if u == 1 and multicover.proves(X, bits, z, 1, scans, _BATCH_ENTRIES):
         return VerificationReport(True, None, t * comb(t - 1, z))
     cols = _columns(bits)
     U = _family(cols, t, u, u, lambda hits, batch: hits >= u, size)  # 1 on all of U
@@ -405,7 +363,7 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
     subsets = comb(t, s) if columns == t else comb(t - 1, s - 1)
     scans = subsets * (t - s) * N
     _check_cost(scans, budget)
-    if _multicover_exceeds(X, bits, s, l, scans, columns):
+    if multicover.proves(X, bits, s, l, scans, _BATCH_ENTRIES, columns):
         return VerificationReport(True, None, comb(t, s) * (t - s))
     cols = _columns(bits)
     float_bits = bits.astype(np.float32)
@@ -451,17 +409,18 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     U, and zeros on Z.
 
     At u = 1 the property is every c_j > 2s - 1 (`sic.multicover`),
-    decided once the scan's first block passes, where that is cheaper than
-    the scan; a failure is left to the scan, which finds the witness.
+    decided first where that is cheaper than the scan; a failure is left
+    to the scan, which finds the witness.
     """
     bits = _bits(X)
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     size, scans = _check_pairs(lex_count(t, u, s), t, N, 0, s, budget, group=s)
-    # (U, j) with |U| = k, and Z of at most k columns outside U
-    settle = None if u > 1 else _settled(X, bits, 2 * s - 1, scans, lambda: sum(
-        comb(t, k) * k * lex_count(t - k, 0, k) for k in range(1, s + 1)))
+    if u == 1 and multicover.proves(X, bits, 2 * s - 1, 1, scans, _BATCH_ENTRIES):
+        # (U, j) with |U| = k, and Z of at most k columns outside U
+        return VerificationReport(True, None, sum(comb(t, k) * k * lex_count(t - k, 0, k)
+                                                  for k in range(1, s + 1)))
     cols = _columns(bits)
     # outer row j of U: the rows with exactly u hits in U and a 1 at U[j]
     U = _family(cols, t, u, s, lambda hits, batch: cols[batch].view(bool) & (hits == u)[:, None],
@@ -475,8 +434,7 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
         return (slots[:, :, None] & pairs[:, None]).reshape(-1, len(Z.sets))
 
     return _pair_scan(U, Z, applies,
-                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])}, group=s,
-                      settle=settle)
+                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])}, group=s)
 
 
 def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
@@ -511,7 +469,8 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
                           dtype=bool)  # (l + 1, width)
     words = word_count(N * width)
     _check_cost(domain * N, budget, domain * (8 * words + 8), "design key store")
-    if F.l == 1 and _multicover_exceeds(X, bits, s, 1, domain * N * DESIGN_SCAN_COST):
+    if F.l == 1 and multicover.proves(X, bits, s, 1, domain * N * multicover.DESIGN_SCAN_COST,
+                                      _BATCH_ENTRIES):
         return VerificationReport(True, None, domain)
     keys = np.empty((domain, words), dtype=np.uint64)
     cols = _columns(bits)
@@ -547,7 +506,8 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     size, scans = _check_pairs(lex_count(t, u, s), t, N, u, s, budget)
-    settle = None if u > 1 else _settled(X, bits, s, scans, lambda: _threshold_pairs(t, s, bar))
+    if u == 1 and multicover.proves(X, bits, s, 1, scans, _BATCH_ENTRIES):
+        return VerificationReport(True, None, _threshold_pairs(t, s, bar))
     # the stored flags are the rows that do not fire on a set (< u hits; the
     # <= kernel is the one the other checkers already map)
     family, parts = _stored(_columns(bits), t, u, s, lambda hits, batch: hits <= u - 1)
@@ -570,7 +530,7 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
 
     # no row fires on P but not on Q
     return _pair_scan(blocks, (family, [family]), applies,
-                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)}, settle=settle)
+                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)})
 
 
 def _threshold_pairs(t: int, s: int, bar: bool) -> int:
@@ -590,9 +550,9 @@ def check_threshold_design(X, u: int, s: int, budget: int | None = None) -> Veri
     [u, s] and |P| >= |P'|, some row fires on P (>= u hits) but not on P'.
     Equal-size pairs are checked in both orientations.
 
-    At u = 1 the property is every c_j > s (`sic.multicover`), decided once
-    the scan's first block passes, where that is cheaper than the scan; a
-    failure is left to the scan, which finds the witness.
+    At u = 1 the property is every c_j > s (`sic.multicover`), decided
+    first where that is cheaper than the scan; a failure is left to the
+    scan, which finds the witness.
     """
     return _check_threshold_pairs(X, u, s, bar=False, budget=budget)
 

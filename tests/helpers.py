@@ -535,7 +535,7 @@ def threshold_pairs_by_loop(X, u: int, s: int, bar: bool,
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     n_sets = sum(comb(t, i) for i in range(u, s + 1))
-    _check_scans(n_sets * (n_sets - 1) * N, budget)
+    _check_scans(n_sets * n_sets * N, budget)  # every ordered pair compared, P' = P too
     cols = _columns(bits)
     batches = list(lex_batches(t, u, s, _batch_size(N * s)))
     sets = np.concatenate(batches)
@@ -573,7 +573,7 @@ def cover_free_by_rows(X, z: int, u: int, budget: int | None = None) -> Verifica
     N, t = bits.shape
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
-    _check_scans(comb(t, u) * comb(t - u, z) * N, budget)  # the disjoint pairs
+    _check_scans(comb(t, u) * comb(t, z) * N, budget)  # every pair compared, disjoint or not
     cols = _columns(bits)
     checked = 0
     for U in lex_tuples(t, u, u):
@@ -598,8 +598,8 @@ def m_code_by_rows(X, s: int, u: int, budget: int | None = None) -> Verification
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    applying = sum(comb(t, a) * lex_count(t - a, 0, a) * a for a in range(u, s + 1))  # (U, Z, j)
-    _check_scans(applying * N, budget)
+    # s slots per U against every Z of at most s columns, whether it applies or not
+    _check_scans(lex_count(t, u, s) * s * lex_count(t, 0, s) * N, budget)
     cols = _columns(bits)
     checked = 0
     for U in lex_tuples(t, u, s):

@@ -460,13 +460,14 @@ class TestPairFamilies:
         ("threshold_bar", {"u": 1, "s": 2}, 28 * 28 * 7),
     ])
     def test_budget_edge(self, prop, params, scans):
+        # the checker and its oracle in tests/helpers.py charge the same
         X = np.eye(7, dtype=np.uint8)
-        check = {"cover_free": check_cover_free, "m_code": check_m_code,
-                 "threshold": check_threshold_design,
-                 "threshold_bar": check_threshold_bar_design}[prop]
-        assert check(X, *params.values(), budget=scans) == CHECKERS[prop](X, params)
-        with pytest.raises(BudgetExceeded, match=f"^{scans} row scans exceed budget {scans - 1}$"):
-            check(X, *params.values(), budget=scans - 1)
+        check, oracle = PAIR_U1[prop]
+        assert check(X, 2, budget=scans) == oracle(X, 2, budget=scans) == CHECKERS[prop](X, params)
+        for call in (check, oracle):
+            with pytest.raises(BudgetExceeded,
+                               match=f"^{scans} row scans exceed budget {scans - 1}$"):
+                call(X, 2, budget=scans - 1)
 
     @pytest.mark.parametrize("prop", ["cover_free", "m_code", "threshold", "threshold_bar"])
     def test_matrix_without_rows(self, prop):
@@ -903,39 +904,18 @@ PAIR_U1 = {
     "threshold_bar": (lambda X, n, **kw: check_threshold_bar_design(X, 1, n, **kw),
                       lambda X, n, **kw: threshold_pairs_by_loop(X, 1, n, True, **kw)),
 }
-# the checkers that ask the DP once their scan's first outer block passes
-AFTER_FIRST_BLOCK = {"m_code", "threshold", "threshold_bar"}
-
-
-@contextlib.contextmanager
-def scan_blocks():
-    """Count the outer blocks that each `_pair_scan` call reads, one entry
-    per call."""
-    counts = []
-    real = verify._pair_scan
-
-    def counted(outer, *args, **kwargs):
-        counts.append(0)
-
-        def blocks():
-            for block in outer:
-                counts[-1] += 1
-                yield block
-        return real(blocks(), *args, **kwargs)
-
-    with mock.patch.object(verify, "_pair_scan", counted):
-        yield counts
 
 
 def pair_u1_by(path, prop, X, n, budget=None):
     """check_cover_free(X, n, 1), check_m_code(X, n, 1) or a threshold check
     at (1, n) by the scan or by the multicover DP wherever its tables are
-    small (`multicover_path`), whether the DP ran, and how many outer
-    blocks the pair scan read (0: it did not run)."""
-    with multicover_path(path), scan_blocks() as blocks, \
+    small (`multicover_path`), whether the DP ran, and whether the pair
+    scan did."""
+    with multicover_path(path), \
+            mock.patch.object(verify, "_pair_scan", wraps=verify._pair_scan) as scan, \
             mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as dp:
         rep = PAIR_U1[prop][0](X, n, budget=budget)
-    return rep, dp.called, sum(blocks)
+    return rep, dp.called, scan.called
 
 
 @st.composite
@@ -965,8 +945,7 @@ class TestPairMulticover:
     """cover-free (z, 1) holds iff every c_j > z, m-code (s, 1) iff every
     c_j > 2s - 1, and threshold (1, s) and threshold-bar (1, s) iff every
     c_j > s; the DP's satisfied reports and the scan's failures match the
-    row-loop oracles and the scan.  Cover-free asks the DP before its scan,
-    the others once their scan's first block passes."""
+    row-loop oracles and the scan.  Each asks the DP before its scan."""
 
     @pytest.mark.parametrize("path", ["cover", "default"])
     @pytest.mark.parametrize("prop", sorted(PAIR_U1))
@@ -974,20 +953,19 @@ class TestPairMulticover:
     @given(data=st.data())
     def test_matches_rows_oracle_and_scan(self, prop, path, data):
         bits, n = data.draw(pair_u1_inputs(prop))
-        rep, _, blocks = pair_u1_by(path, prop, bits, n)
+        rep, _, scanned = pair_u1_by(path, prop, bits, n)
         scan, _, _ = pair_u1_by("scan", prop, bits, n)
         assert rep == scan == PAIR_U1[prop][1](bits, n)
-        assert blocks or rep.satisfied
+        assert scanned or rep.satisfied
 
     @pytest.mark.parametrize("prop", sorted(PAIR_U1))
     def test_empty_column_fails_with_the_scans_witness(self, prop):
         # supp(4) is empty, so c_4 = 0; every other column has a row of its
-        # own.  The 9 x 9 domains at n = 2 fit one block, which fails, so
-        # only cover-free, which asks first, runs the DP
+        # own.  The DP finds it, and the scan finds the witness
         bits = np.eye(9, dtype=np.uint8)
         bits[4, 4] = 0
-        rep, ran, blocks = pair_u1_by("cover", prop, bits, 2)
-        assert blocks and not rep.satisfied and ran == (prop == "cover_free")
+        rep, ran, scanned = pair_u1_by("cover", prop, bits, 2)
+        assert ran and scanned and not rep.satisfied
         assert rep == pair_u1_by("scan", prop, bits, 2)[0] == PAIR_U1[prop][1](bits, 2)
 
     @pytest.mark.parametrize("prop, n, t", [("cover_free", 3, 60), ("m_code", 3, 16),
@@ -997,13 +975,12 @@ class TestPairMulticover:
     def test_weak_columns_settle_without_a_dp_or_scan(self, prop, n, t):
         # every row of a permuted identity meets one column: all columns are
         # weak, so the DP prices nothing and runs no column, and no scan
-        # runs past the first block; the first four are the benchmark's
-        # inputs, decided by default
+        # runs; the first four are the benchmark's inputs, decided by default
         X = np.eye(t, dtype=np.uint8)[np.random.default_rng(t).permutation(t)]
         path = "default" if t > 7 else "cover"
         with mock.patch.object(multicover, "_covered", side_effect=AssertionError("DP ran")):
-            rep, ran, blocks = pair_u1_by(path, prop, X, n)
-        assert ran and blocks == (prop in AFTER_FIRST_BLOCK)
+            rep, ran, scanned = pair_u1_by(path, prop, X, n)
+        assert ran and not scanned
         assert rep == PAIR_U1[prop][1](X, n)
 
     @pytest.mark.parametrize("prop, n", [("cover_free", 1), ("cover_free", 2), ("m_code", 2),
@@ -1011,19 +988,12 @@ class TestPairMulticover:
     def test_example_1_rows_shuffled_decides_column_0(self, ex1, prop, n):
         # translates accepts example 1 with its rows and columns shuffled,
         # so the DP decides column 0 alone; c_0 = 2 there, so cover-free
-        # (1, 1) holds and the others fail.  A block holds one outer set;
-        # (0,) passes but for threshold-bar, which fails at once against a
-        # cover of two columns and never asks
+        # (1, 1) holds and the others fail, which only the scan reports
         X = permuted(ex1, seed=19)
         with mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as spy:
-            rep, _, blocks = pair_u1_by("cover", prop, X, n, budget=3 * 10**9)
-        assert rep.satisfied == ((prop, n) == ("cover_free", 1))
-        if prop == "threshold_bar":
-            assert not spy.called and blocks == 1
-        else:
-            assert len(spy.call_args.args[3]) == 1
-            first = 0 if prop == "cover_free" else 1  # blocks read before the DP
-            assert blocks == first if rep.satisfied else blocks > first
+            rep, _, scanned = pair_u1_by("cover", prop, X, n, budget=3 * 10**9)
+        assert rep.satisfied == ((prop, n) == ("cover_free", 1)) != scanned
+        assert len(spy.call_args.args[3]) == 1
         assert rep == pair_u1_by("scan", prop, X, n, budget=3 * 10**9)[0]
         assert rep == PAIR_U1[prop][1](X.bits, n, budget=3 * 10**9)
 
@@ -1033,19 +1003,14 @@ class TestPairMulticover:
         # m-code (s, 1) fails at c_0 = 2s - 1 and holds at c_0 = 2s;
         # cover-free (z, 1) at z = 2s - 1 fails at c_0 = z and holds above;
         # threshold and threshold-bar (1, s) fail at c_0 = s and hold at
-        # s + 1.  The pair checkers that ask after their first block find
-        # the failure there, so they run the DP only where it holds
+        # s + 1.  The DP runs on both, and the scan only where it fails
         t = 4 * s
         n = {"cover_free": 2 * s - 1, "m_code": s}.get(prop, s)
         bound = {"cover_free": 2 * s - 1, "m_code": 2 * s - 1}.get(prop, s)
         for w in (bound, bound + 1):
             bits = covered_once(w, t)
-            rep, ran, blocks = pair_u1_by("cover", prop, bits, n)
-            assert rep.satisfied == (w > bound)
-            if rep.satisfied:
-                assert ran and blocks == (prop in AFTER_FIRST_BLOCK)
-            else:
-                assert blocks and ran == (prop not in AFTER_FIRST_BLOCK)
+            rep, ran, scanned = pair_u1_by("cover", prop, bits, n)
+            assert ran and rep.satisfied == (w > bound) != scanned
             assert rep == pair_u1_by("scan", prop, bits, n)[0] == PAIR_U1[prop][1](bits, n)
 
     @pytest.mark.parametrize("t, s, count", [(40, 2, (640380, 670020)), (7, 3, (2779, 3654)),
@@ -1056,16 +1021,16 @@ class TestPairMulticover:
         X = np.eye(t, dtype=np.uint8)[np.random.default_rng(s).permutation(t)]
         budget = 10**11
         for prop, expected in zip(("threshold", "threshold_bar"), count):
-            rep, ran, blocks = pair_u1_by("cover", prop, X, s, budget=budget)
-            assert ran and blocks == 1 and rep == VerificationReport(True, None, expected)
+            rep, ran, scanned = pair_u1_by("cover", prop, X, s, budget=budget)
+            assert ran and not scanned and rep == VerificationReport(True, None, expected)
             assert rep == pair_u1_by("scan", prop, X, s, budget=budget)[0]
 
     def test_screen_inputs_keep_the_scan(self):
         # 40 x 30 matrices at (2, 1) and (1, 2) have no weak column.  The
         # charges of cover-free, d-code and design sit below their fixed
-        # cost, and m-code's inputs fail in the scan's first block, so no
-        # row sum runs; the threshold checks ask only once a first block of
-        # 17 of their 465 sets passes, and then the DP does not pay
+        # cost, so no row sum runs; those of m-code and the threshold
+        # checks pass it, so each pays one row sum, and then the DP does
+        # not pay
         weak = mock.patch.object(multicover, "weak", wraps=multicover.weak)
         design = OutcomeFunction((0, 1))
         with mock.patch.object(multicover, "exceeds", side_effect=AssertionError("DP ran")):
@@ -1075,13 +1040,14 @@ class TestPairMulticover:
                     with weak as spy:
                         check_cover_free(rows, 2, 1)
                         check_d_code(rows, 2, 1)
-                        check_m_code(rows, 2, 1)
                         check_design(rows, design, 2)
                     assert not spy.called
-                    for check in (check_threshold_design, check_threshold_bar_design):
-                        with weak as spy, scan_blocks() as blocks:
-                            check(rows, 1, 2)
-                        assert spy.called == (blocks[0] > 1)
+                    for check in (lambda X: check_m_code(X, 2, 1),
+                                  lambda X: check_threshold_design(X, 1, 2),
+                                  lambda X: check_threshold_bar_design(X, 1, 2)):
+                        with weak as spy:
+                            check(rows)
+                        assert spy.call_count == 1
 
 
 def design_by(path, X, values, s, mode="at-most"):
@@ -1182,8 +1148,8 @@ class TestDesignMulticover:
         # the key scan's charge counts DESIGN_SCAN_COST d-code row scans each:
         # screen's 40 x 30 inputs at s = 2 charge 465 * 40 of them, below the
         # gate, and the 64 x 64 identity 43744 * 64, above it
-        assert 465 * 40 * verify.DESIGN_SCAN_COST <= multicover.COLUMN_COST
-        assert 43744 * 64 * verify.DESIGN_SCAN_COST > multicover.COLUMN_COST
+        assert 465 * 40 * multicover.DESIGN_SCAN_COST <= multicover.COLUMN_COST
+        assert 43744 * 64 * multicover.DESIGN_SCAN_COST > multicover.COLUMN_COST
 
 
 @contextlib.contextmanager
@@ -1240,6 +1206,90 @@ class TestDCodePaths:
             for seed in range(8):
                 verify.check_d_code(random_code(40, 30, 0.25, seed=seed).bits, 2, 1)
         assert taken == ["dp"] + ["scan"] * 8
+
+
+@contextlib.contextmanager
+def decision_events(raising):
+    """The calls a check makes to multicover.proves, multicover.exceeds,
+    lex_batches and _pair_scan, in order; those named in `raising` raise."""
+    events = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def called(*args, **kwargs):
+            events.append(name)
+            if name in raising:
+                raise AssertionError(f"{name} ran")
+            return real(*args, **kwargs)
+        return mock.patch.object(module, name, called)
+
+    with spy(multicover, "proves"), spy(multicover, "exceeds"), \
+            spy(verify, "lex_batches"), spy(verify, "_pair_scan"):
+        yield events
+
+
+def path_inputs(name, ex1):
+    """The matrices of a row of PATH_PINS: a permuted identity of n columns,
+    example 1 as built or with its rows and columns shuffled, or 16
+    matrices shaped like the benchmark's screen, their rows shuffled."""
+    if name.startswith("identity"):
+        n = int(name.split()[1])
+        rng = np.random.default_rng(n)
+        return [np.eye(n, dtype=np.uint8)[rng.permutation(n)][:, rng.permutation(n)]]
+    if name.startswith("ex1"):
+        return [permuted(ex1, seed=2) if name.endswith("shuffled") else ex1]
+    return [random_code(40, 30, 0.25, seed=seed).bits[np.random.default_rng(seed).permutation(40)]
+            for seed in range(16)]
+
+
+def run_check(X, check, budget):
+    """A check named as on the command line, `design l s` with the
+    saturating map of l."""
+    name, a, b = check.split()
+    if name == "design":
+        return check_design(X, OutcomeFunction.saturating(int(a)), int(b), budget=budget)
+    call = {"cover-free": check_cover_free, "d-code": check_d_code, "m-code": check_m_code,
+            "threshold": check_threshold_design, "threshold-bar": check_threshold_bar_design}
+    return call[name](X, int(a), int(b), budget=budget)
+
+
+EX1_CHECKS = [("d-code 3 2", None, "dp"), ("cover-free 1 1", None, "scan"),
+              ("cover-free 2 1", None, "dp, scan"), ("m-code 2 1", 3 * 10**9, "dp, scan"),
+              ("threshold 1 2", 2 * 10**9, "dp, scan"), ("threshold-bar 1 2", 2 * 10**9, "dp, scan"),
+              ("design 1 1", None, "scan"), ("design 1 2", None, "dp, scan"),
+              ("design 2 3", None, "scan")]
+# (inputs, check, budget, path): "dp" where multicover.exceeds decides with
+# no scan, "dp, scan" where it finds some c_j at or below the bound and the
+# scan finds the witness, "scan" where the gate, the price or l >= 2 keeps
+# the DP from running
+PATH_PINS = [(f"identity {n}", check, None, "dp") for n, check in [
+    (60, "cover-free 3 1"), (80, "d-code 3 1"), (16, "m-code 3 1"), (64, "design 1 3"),
+    (40, "threshold 1 2"), (40, "threshold-bar 1 2")]]
+PATH_PINS += [(name, *row) for name in ("ex1", "ex1 shuffled") for row in EX1_CHECKS]
+PATH_PINS += [("screen", check, None, "scan") for check in [
+    "cover-free 2 1", "d-code 2 1", "m-code 2 1", "design 1 2", "threshold 1 2",
+    "threshold-bar 1 2"]]
+
+
+class TestDecisionPaths:
+    """The path each check takes on the benchmark's inputs and on example 1,
+    with the path it does not take patched to raise.  Each check calls
+    multicover.proves at most once, before it enumerates anything."""
+
+    @pytest.mark.parametrize("inputs, check, budget, path", PATH_PINS,
+                             ids=[f"{name}-{check}" for name, check, _, _ in PATH_PINS])
+    def test_path(self, ex1, inputs, check, budget, path):
+        raising = {"dp": ("lex_batches", "_pair_scan"), "scan": ("exceeds",), "dp, scan": ()}[path]
+        for X in path_inputs(inputs, ex1):
+            with decision_events(raising) as events:
+                run_check(X, check, budget)
+            scans = [i for i, name in enumerate(events) if name in ("lex_batches", "_pair_scan")]
+            assert events.count("proves") <= 1 and events.count("exceeds") <= 1
+            if "proves" in events:
+                assert events.index("proves") < min(scans, default=len(events))
+            taken = [("dp", "exceeds" in events), ("scan", bool(scans))]
+            assert ", ".join(name for name, ran in taken if ran) == path
 
 
 class TestBinaryInput:

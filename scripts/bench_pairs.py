@@ -4,21 +4,23 @@
         [--pairs 10] [--seconds 20] [--seed 1] [--workload pipeline ...] \
         [--bytecode remove|compile]
 
-Each pair runs `python3 perfbench/run.py --trace 0` once in each tree (from
-that tree's root, with its own perfbench), on the same fresh seed: seed,
-seed + 1, ...  The side that runs first alternates from pair to pair, so a
-drift in machine speed falls on both sides alike.  Before the first run
-both trees are put in the same bytecode state, because .pyc files alone
-move a worker's peak RSS: `remove` (the default, as in a fresh checkout)
-deletes the .pyc files of src/ and perfbench/, `compile` writes them.
+Each pair runs `python3 perfbench/run.py --trace 0` once in each tree (with
+its own perfbench), on the same fresh seed: seed, seed + 1, ...  The side
+that runs first alternates from pair to pair, so a drift in machine speed
+falls on both sides alike.  Both trees run from one directory: before each
+run the tree is copied, without .git, into the same temporary path, as the
+path a tree runs from alone moves a worker's peak RSS.  Each copy is put in
+the same bytecode state, because .pyc files move it too: `remove` (the
+default, as in a fresh checkout) leaves out the .pyc files of src/ and
+perfbench/, `compile` writes them.
 
 The JSON written to --out holds every run's result and, per workload and
 end-to-end metric of the change tree's BENCHMARK.json: each side's median
 and quartiles, the number of pairs in which the change is better, and
 whether a gain claim would hold (better in at least 90% of the pairs, and
 the medians apart by more than the parent's interquartile range).  It also
-records the Python and numpy versions, the usable CPUs and each tree's
-bytecode state before and after the runs.
+records the Python and numpy versions, the usable CPUs, the run directory
+and each run's count of .pyc files after it ran.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,13 +57,18 @@ def set_bytecode(tree: Path, mode: str) -> None:
                 shutil.rmtree(cache)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its last stdout line (a JSON object) and its seconds."""
+def run_once(tree: Path, run_dir: Path, bytecode: str, workload: str, seed: int,
+             seconds: float) -> dict:
+    """One perfbench run of a copy of `tree` at `run_dir`: its last stdout
+    line (a JSON object) and its seconds, copy excluded."""
+    shutil.rmtree(run_dir, ignore_errors=True)
+    shutil.copytree(tree, run_dir, ignore=shutil.ignore_patterns(".git", "__pycache__"))
+    set_bytecode(run_dir, bytecode)
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+        cwd=run_dir, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: perfbench exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -112,38 +120,41 @@ def main(argv=None) -> int:
     workloads = args.workload or ["pipeline", "screen"]
     metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    for tree in trees.values():
-        set_bytecode(tree, args.bytecode)
+    run_dir = Path(tempfile.mkdtemp(prefix="bench_pairs_")) / "tree"
     record = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": len(os.sched_getaffinity(0)),
         "seconds_per_run": args.seconds,
         "bytecode_mode": args.bytecode,
-        "trees": {side: {"name": tree.name, "pyc_files_before": bytecode_files(tree)}
-                  for side, tree in trees.items()},
+        "trees": {side: {"name": tree.name} for side, tree in trees.items()},
+        "run_directory": str(run_dir),
         "workloads": {},
     }
-    for workload in workloads:
-        runs = []
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(trees[side], workload, seed, args.seconds)
-            runs.append(pair)
-            print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-                f"{side} wall_s {pair[side]['metrics']['wall_s']['value']:.4f}" for side in SIDES),
-                file=sys.stderr, flush=True)
-        record["workloads"][workload] = {
-            "runs": runs,
-            "all_correct": all(r[side]["correct"] and r[side]["failed"] == 0
-                               for r in runs for side in SIDES),
-            "metrics": compare(runs, metrics),
-        }
-    for side, tree in trees.items():
-        record["trees"][side]["pyc_files_after"] = bytecode_files(tree)
+    try:
+        for workload in workloads:
+            runs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(trees[side], run_dir, args.bytecode, workload, seed,
+                                          args.seconds)
+                    pair[side]["pyc_files"] = bytecode_files(run_dir)
+                runs.append(pair)
+                walls = (f"{side} wall_s {pair[side]['metrics']['wall_s']['value']:.4f}"
+                         for side in SIDES)
+                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(walls),
+                      file=sys.stderr, flush=True)
+            record["workloads"][workload] = {
+                "runs": runs,
+                "all_correct": all(r[side]["correct"] and r[side]["failed"] == 0
+                                   for r in runs for side in SIDES),
+                "metrics": compare(runs, metrics),
+            }
+    finally:
+        shutil.rmtree(run_dir.parent)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, result in record["workloads"].items():
         for name, m in result["metrics"].items():

@@ -12,29 +12,41 @@ witnesses) are identical across runs:
 All checkers share one enumeration, `sic.subsets.lex_batches`, which
 yields the subsets of range(n) in this order as rows of index arrays built
 with numpy copies, padding shorter subsets with -1 (a prefix still sorts
-before its extensions).  Index -1 selects an all-zero column appended to
-the matrix, so padding never counts as a hit.  Each checker tests a whole
-batch with numpy and reports the first failing row.  A batch holds at
-most about 4*10^6 row entries (rows times subset width times batch size;
-for `check_d_code`, batch size times the larger of rows times width and
-the column count).
+before its extensions).  Each checker tests a whole batch with numpy and
+reports the first failing row.  A batch holds at most 16384 subsets, and
+at most 4*10^6 // (rows * subset width) of them; the pair scans' families
+divide by t + 1 and `check_d_code` by t instead where that is larger,
+which bounds d-code's (batch, t) coverage counts too.
+
+Every checker reads a subset's rows through one kernel on packed uint64
+words, `sic.words.at_least`: the matrix's columns are packed as
+`sic.words.pack` packs rows, plus an all-zero column that index -1
+selects, so padding never counts as a hit.  For a batch it gathers each
+slot's column words, (width, batch, W) with W = word_count(N), and builds
+the planes "at least i hits", i = 0..k, by OR and AND; every flag a
+checker reads is an AND, OR or XOR of them and of column words, the same
+words `pack` makes of the flags.
 
 `check_cover_free`, `check_m_code` and the threshold checkers run one
 pair scan over rows packed into uint64 words (`sic.words`).  It compares
 a block of outer sets with every inner set at once; for each set it has
-its index row, its columns and its flagged rows as words, and m-code has
-one outer row per slot j of U.  A block holds
-PAIR_WORDS // (inner sets * W) outer rows, W = max(word_count(t),
-word_count(N)), in whole sets (at least one).  The inner family (Z, or the threshold checkers' one
-family, used in both roles) is stored; the outer blocks (U) are
-enumerated as the scan reaches them, and the first block reads the inner
-family batch by batch as it fills, so a first set that fails returns
-before the rest is built.  Inner sets run over all columns in lex order;
+its index row, its columns (the kernel run on the identity's words) and
+its flagged rows as words, and m-code has one outer row per slot j of U.
+A block holds PAIR_WORDS // (inner sets * W) outer rows, W =
+max(word_count(t), word_count(N)), in whole sets (at least one).  The
+inner family (Z, or the threshold checkers' one family, used in both
+roles) is stored; the outer family (U) is built as the scan reaches it,
+in runs of one block, then two, four, ... (at most a batch), and the
+first block reads the inner family batch by batch as it fills, so a
+first set that fails returns before the rest of either is built.  Inner sets run over all columns in lex order;
 a pair that does not apply (Z meets U, say) is not counted in
 tuples_checked, which leaves the documented order.
 `check_design` keeps one packed outcome key per candidate, b bits per row
-(b = 1 for a threshold map), and finds the first repeated key by sorting
-the keys so far after 1, 2, 4, ... batches.
+(b = 1 for a threshold map: the plane "at least l hits"; otherwise bit c
+of each row's label index, an XOR of planes, interleaved by
+`sic.words.interleave`), and finds the first repeated key by sorting the
+keys so far after 1, 2, 4, ... batches.  `check_d_code` unpacks the rows
+that S leaves usable to float32 for one BLAS product per batch.
 
 Checkers take a 0/1 matrix, a BinaryCode or a 2-D array, and raise
 ParameterOutOfRange on any other entry.  Before enumerating, each passes
@@ -95,7 +107,7 @@ from .errors import (
 )
 from .subsets import lex_batches, lex_count
 from .symmetry import translates
-from .words import first_repeat, overlap, pack, word_count
+from .words import at_least, first_repeat, identity, interleave, overlap, pack_columns, word_count
 
 DEFAULT_BUDGET = 1_000_000_000
 _MAX_BATCH = 16384          # subsets per batch
@@ -184,19 +196,11 @@ def _batch_size(entries: int) -> int:
     return max(1, min(_MAX_BATCH, _BATCH_ENTRIES // max(1, entries)))
 
 
-def _columns(bits: np.ndarray) -> np.ndarray:
-    """Columns of `bits` as rows, plus the all-zero row selected by -1."""
-    cols = np.zeros((bits.shape[1] + 1, bits.shape[0]), dtype=np.uint8)
-    cols[:-1] = bits.T
-    return cols
-
-
-def _hits(cols: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """(subsets, rows) count of each subset's columns that each row hits.
-    The gather puts the short subset axis first, so the sum adds whole
-    (subsets, rows) slices; summing over it in the middle is about twice
-    as slow."""
-    return cols[batch.T].sum(axis=0, dtype=np.int32)
+def _below(cols: np.ndarray, batch: np.ndarray, k: int, N: int) -> np.ndarray:
+    """(subsets, W) words of the N rows that fewer than k of each subset's
+    columns hit (`words.at_least`)."""
+    planes = at_least(cols, batch, k, N)
+    return planes[0] ^ planes[k]
 
 
 def _subset(row) -> tuple:
@@ -239,32 +243,40 @@ class _Sets(NamedTuple):
     flags: np.ndarray
 
 
-def _family(cols: np.ndarray, t: int, lo: int, hi: int, flags, size: int, group: int = 1):
+def _family(N: int, t: int, lo: int, hi: int, flags, size: int, group: int = 1):
     """The subsets of range(t) with sizes in [lo, hi] in lex order, as
     _Sets of at most `size` subsets each, with `group` rows of
-    flags(hits, batch) per subset."""
-    start = 0
-    # a batch's gather is (batch, hi, N) and its column flags (batch, t + 1)
-    for batch in lex_batches(t, lo, hi, min(size, _batch_size(max(cols.shape[1] * hi, t + 1)))):
-        m = len(batch)
-        inside = np.zeros((m, t + 1), dtype=bool)
-        inside[np.arange(m)[:, None], batch] = True
-        rows = flags(_hits(cols, batch), batch).reshape(m * group, -1)  # -1: N may be 0
-        yield _Sets(start, batch, pack(inside[:, :t]), pack(rows))
-        start += m
+    flags(batch), words of N flags, per subset; a set's columns are the
+    same kernel run on the identity's words.  The words are built for
+    runs of one block, then two, four, ... (at most a batch), and cut into
+    blocks of `size`: few kernel calls on a long scan, and little work
+    past an early failure."""
+    start, run = 0, size
+    for batch in lex_batches(t, lo, hi, _batch_size(max(N * hi, t + 1))):
+        a = 0
+        while a < len(batch):
+            sets = batch[a:a + run]
+            member = at_least(identity(t), sets, 1, t)[1]
+            rows = flags(sets).reshape(len(sets) * group, -1)
+            for b in range(0, len(sets), size):
+                yield _Sets(start + a + b, sets[b:b + size], member[b:b + size],
+                            rows[b * group:(b + size) * group])
+            a += len(sets)
+            run *= 2
+        start += len(batch)
 
 
-def _stored(cols: np.ndarray, t: int, lo: int, hi: int, flags):
+def _stored(N: int, t: int, lo: int, hi: int, flags):
     """The subsets of range(t) with sizes in [lo, hi] as one stored _Sets of
     np.empty arrays, one row of flags per subset, and a generator that
     fills it with the parts of `_family` and yields each part as a view."""
     n = lex_count(t, lo, hi)
     whole = _Sets(0, np.empty((n, hi), dtype=np.intp),
                   np.empty((word_count(t), n), dtype=np.uint64),
-                  np.empty((word_count(cols.shape[1]), n), dtype=np.uint64))
+                  np.empty((word_count(N), n), dtype=np.uint64))
 
     def fill():
-        for part in _family(cols, t, lo, hi, flags, _MAX_BATCH):
+        for part in _family(N, t, lo, hi, flags, _MAX_BATCH):
             span = slice(part.start, part.start + len(part.sets))
             whole.sets[span] = part.sets
             whole.member[:, span] = part.member.T
@@ -298,7 +310,8 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationRe
             if bads[-1][:group].any():  # the block's first set fails, and its pairs come first
                 break
         parts = [whole]
-        ok, bad = np.concatenate(oks, axis=1), np.concatenate(bads, axis=1)
+        ok, bad = ((oks[0], bads[0]) if len(oks) == 1  # one part needs no copy
+                   else (np.concatenate(oks, axis=1), np.concatenate(bads, axis=1)))
         if bad.any():
             g = int(np.argmax(bad.reshape(len(block.sets), -1).any(axis=1)))  # first failing set
             rows = slice(g * group, (g + 1) * group)
@@ -327,9 +340,9 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     size, scans = _check_pairs(comb(t, u), t, N, z, z, budget)
     if u == 1 and multicover.proves(X, bits, z, 1, scans, _BATCH_ENTRIES):
         return VerificationReport(True, None, t * comb(t - 1, z))
-    cols = _columns(bits)
-    U = _family(cols, t, u, u, lambda hits, batch: hits >= u, size)  # 1 on all of U
-    Z = _stored(cols, t, z, z, lambda hits, batch: hits <= 0)  # 0 on all of Z
+    cols = pack_columns(bits)
+    U = _family(N, t, u, u, lambda batch: at_least(cols, batch, u, N)[u], size)  # 1 on all of U
+    Z = _stored(N, t, z, z, lambda batch: _below(cols, batch, 1, N))  # 0 on all of Z
     return _pair_scan(U, Z, lambda U, Z: ~overlap(U.member, Z.member),
                       lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)})
 
@@ -365,15 +378,15 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
     _check_cost(scans, budget)
     if multicover.proves(X, bits, s, l, scans, _BATCH_ENTRIES, columns):
         return VerificationReport(True, None, comb(t, s) * (t - s))
-    cols = _columns(bits)
+    cols = pack_columns(bits)
     float_bits = bits.astype(np.float32)
     offset = 0
-    # a batch's coverage counts are (batch, t), its gather (batch, s, N)
+    # a batch's coverage counts are (batch, t), its rows usable per S (batch, N)
     for batch in lex_batches(t, s, s, _batch_size(max(N * s, t))):
         batch = batch[:subsets - offset]
-        qualifying = (_hits(cols, batch) <= l - 1).astype(np.float32)  # rows usable per S
-        covered = qualifying @ float_bits                       # (batch, t) counts
-        np.put_along_axis(covered, batch, 1.0, axis=1)          # members of S exempt
+        usable = np.unpackbits(_below(cols, batch, l, N).view(np.uint8), axis=1, count=N)
+        covered = usable.astype(np.float32) @ float_bits        # (batch, t) counts
+        covered[np.arange(len(batch))[:, None], batch] = 1.0    # members of S exempt
         bad = covered < 0.5
         if bad.any():
             r = int(np.flatnonzero(bad.any(axis=1))[0])
@@ -421,11 +434,14 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
         # (U, j) with |U| = k, and Z of at most k columns outside U
         return VerificationReport(True, None, sum(comb(t, k) * k * lex_count(t - k, 0, k)
                                                   for k in range(1, s + 1)))
-    cols = _columns(bits)
-    # outer row j of U: the rows with exactly u hits in U and a 1 at U[j]
-    U = _family(cols, t, u, s, lambda hits, batch: cols[batch].view(bool) & (hits == u)[:, None],
-                size, group=s)
-    Z = _stored(cols, t, 0, s, lambda hits, batch: hits <= 0)
+    cols = pack_columns(bits)
+
+    def flags(batch):  # outer row j of U: the rows with exactly u hits in U and a 1 at U[j]
+        planes = at_least(cols, batch, u + 1, N)
+        return np.take(cols, batch, axis=0) & (planes[u] ^ planes[u + 1])[:, None]
+
+    U = _family(N, t, u, s, flags, size, group=s)
+    Z = _stored(N, t, 0, s, lambda batch: _below(cols, batch, 1, N))
 
     def applies(U, Z):  # U and Z disjoint, |Z| <= |U|, and j in U
         size_U, size_Z = ((sets >= 0).sum(axis=1) for sets in (U.sets, Z.sets))
@@ -465,24 +481,27 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     # outcome vectors are equal iff their vectors of label indices are
     index = {v: i for i, v in enumerate(sorted(set(F.values)))}
     width = (len(index) - 1).bit_length()  # bits of one label index
-    label_bits = np.array([[index[v] >> b & 1 for b in range(width)] for v in F.values],
-                          dtype=bool)  # (l + 1, width)
     words = word_count(N * width)
     _check_cost(domain * N, budget, domain * (8 * words + 8), "design key store")
     if F.l == 1 and multicover.proves(X, bits, s, 1, domain * N * multicover.DESIGN_SCAN_COST,
                                       _BATCH_ENTRIES):
         return VerificationReport(True, None, domain)
+    label_bits = np.array([[index[v] >> b & 1 for b in range(width)] for v in F.values],
+                          dtype=bool)  # (l + 1, width)
+    # bit b of the label of min(hits, l) changes between i - 1 and i hits,
+    # reading 0 below 0 hits, so plane b is the XOR of those planes i
+    changes = [np.flatnonzero(c) for c in np.diff(label_bits, axis=0, prepend=False).T]
     keys = np.empty((domain, words), dtype=np.uint64)
-    cols = _columns(bits)
+    cols = pack_columns(bits)
     size = _batch_size(N * s)
     n = 0
     for k, batch in enumerate(lex_batches(t, lo, s, size), 1):
-        hits = _hits(cols, batch)
+        planes = at_least(cols, batch, F.l, N)
         if F.is_threshold:  # the one label bit is "reached l" or its negation
-            outcomes = hits >= F.l
+            keys[n:n + len(batch)] = planes[F.l]
         else:
-            outcomes = label_bits[np.minimum(hits, F.l)].reshape(len(batch), -1)
-        keys[n:n + len(batch)] = pack(outcomes)
+            keys[n:n + len(batch)] = interleave(
+                np.stack([np.bitwise_xor.reduce(planes[c], axis=0) for c in changes]), N)
         n += len(batch)
         if k & (k - 1) == 0 or n == domain:  # after 1, 2, 4, ... batches and the last
             repeat = first_repeat(keys[:n])
@@ -508,9 +527,9 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     size, scans = _check_pairs(lex_count(t, u, s), t, N, u, s, budget)
     if u == 1 and multicover.proves(X, bits, s, 1, scans, _BATCH_ENTRIES):
         return VerificationReport(True, None, _threshold_pairs(t, s, bar))
-    # the stored flags are the rows that do not fire on a set (< u hits; the
-    # <= kernel is the one the other checkers already map)
-    family, parts = _stored(_columns(bits), t, u, s, lambda hits, batch: hits <= u - 1)
+    # the stored flags are the rows that do not fire on a set (< u hits)
+    cols = pack_columns(bits)
+    family, parts = _stored(N, t, u, s, lambda batch: _below(cols, batch, u, N))
     for _ in parts:  # fill the family
         pass
     blocks = (_Sets(r, family.sets[r:r + size], family.member[:, r:r + size].T,

@@ -9,7 +9,9 @@ search, the element-wise construct path (Reed-Solomon encoding by digit
 arrays, shortening by evaluating and masking, binary expansion by scatter, the matrix reader by per-line loop),
 the bound optimizers' unpruned grid scans, the checkers' subset
 enumeration as a merge of Python tuples packed by `np.fromiter`, the
-design check by a dict of `bytes` keys, the threshold pair scans by one
+checkers' packed row kernel by a byte gather summed to counts
+(`byte_hits`), the d-code scan over every S with it, the design check by
+a dict of `bytes` keys, the threshold pair scans by one
 loop iteration per outer set, the cover-free and m-code checks by one loop
 iteration per U over the rows that U selects, the (z, u) upper-bound
 table by recursion through `lru_cache`, and `sic bounds` output from every
@@ -35,8 +37,7 @@ from sic.codes import BinaryCode, QaryCode, RSMeta
 from sic.errors import BudgetExceeded, MalformedFile, ParameterOutOfRange
 from sic.fields import FiniteField, _poly_rem, is_prime_power
 from sic.subsets import lex_batches, lex_count, lex_tuples
-from sic.verify import (OutcomeFunction, VerificationReport, _batch_size, _bits, _columns,
-                        _hits, _subset)
+from sic.verify import OutcomeFunction, VerificationReport, _batch_size, _bits, _subset
 
 
 def _poly_mul_mod(a, b, p: int) -> list[int]:
@@ -385,6 +386,20 @@ def rs_min_distance_structural(field: FiniteField, k: int) -> int:
     return q - k + 2
 
 
+def byte_columns(bits: np.ndarray) -> np.ndarray:
+    """Columns of `bits` as rows of bytes, plus the all-zero row selected by -1."""
+    cols = np.zeros((bits.shape[1] + 1, bits.shape[0]), dtype=np.uint8)
+    cols[:-1] = bits.T
+    return cols
+
+
+def byte_hits(cols: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """(subsets, rows) count of each subset's columns that each row hits,
+    by one (width, subsets, rows) byte gather of `byte_columns`: the byte
+    kernel that `sic.words.at_least` replaced in the checkers."""
+    return cols[batch.T].sum(axis=0, dtype=np.int32)
+
+
 def lex_subsets(items, lo: int, hi: int) -> list[tuple]:
     """Subsets with sizes in [lo, hi] in the order documented in `sic.verify`
     (Python orders a tuple before its extensions)."""
@@ -481,6 +496,31 @@ def brute_report(prop: str, bits, params: dict):
     return True, None, checked
 
 
+def d_code_by_hits(X, s: int, l: int, budget: int | None = None) -> VerificationReport:
+    """`sic.verify.check_d_code` by its BLAS scan over every s-subset, with
+    the rows each S leaves usable counted by `byte_hits`, no translate
+    reduction and no multicover decision."""
+    bits = _bits(X)
+    N, t = bits.shape
+    if not 1 <= l < s < t:
+        raise ParameterOutOfRange(f"need 1 <= l < s < t, got {(l, s, t)}")
+    _check_scans(comb(t, s) * (t - s) * N, budget)
+    cols = byte_columns(bits)
+    float_bits = bits.astype(np.float32)
+    offset = 0
+    for batch in lex_batches(t, s, s, _batch_size(max(N * s, t))):
+        covered = (byte_hits(cols, batch) <= l - 1).astype(np.float32) @ float_bits
+        np.put_along_axis(covered, batch, 1.0, axis=1)  # members of S exempt
+        bad = covered < 0.5
+        if bad.any():
+            r = int(np.flatnonzero(bad.any(axis=1))[0])
+            j = int(np.flatnonzero(bad[r])[0])
+            checked = (offset + r) * (t - s) + j + 1 - int((batch[r] < j).sum())
+            return VerificationReport(False, {"S": _subset(batch[r]), "j": j}, checked)
+        offset += len(batch)
+    return VerificationReport(True, None, comb(t, s) * (t - s))
+
+
 def _check_scans(scans: int, budget: int | None) -> None:
     """The documented row-scan budget, 10^9 unless given, restated so that
     the oracles share no cost code with the checkers they test."""
@@ -508,11 +548,11 @@ def design_by_dict(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     _check_scans(sum(comb(t, k) for k in range(lo, s + 1)) * N, budget)
     # outcome vectors are equal iff their vectors of label indices are
     labels = np.unique(F.values, return_inverse=True)[1].astype(np.min_scalar_type(F.l))
-    cols = _columns(bits)
+    cols = byte_columns(bits)
     seen: dict[bytes, int] = {}  # outcome key -> enumeration index of its first subset
     size = _batch_size(N * s)
     for batch in lex_batches(t, lo, s, size):
-        outcomes = labels[np.minimum(_hits(cols, batch), F.l)]
+        outcomes = labels[np.minimum(byte_hits(cols, batch), F.l)]
         for r, key in enumerate(map(bytes, outcomes)):
             n = len(seen)
             prev = seen.setdefault(key, n)
@@ -536,11 +576,11 @@ def threshold_pairs_by_loop(X, u: int, s: int, bar: bool,
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     n_sets = sum(comb(t, i) for i in range(u, s + 1))
     _check_scans(n_sets * n_sets * N, budget)  # every ordered pair compared, P' = P too
-    cols = _columns(bits)
+    cols = byte_columns(bits)
     batches = list(lex_batches(t, u, s, _batch_size(N * s)))
     sets = np.concatenate(batches)
     # bit-packed rows: fire[i] marks the rows with >= u hits in set i
-    fire = np.concatenate([np.packbits(_hits(cols, b) >= u, axis=1) for b in batches])
+    fire = np.concatenate([np.packbits(byte_hits(cols, b) >= u, axis=1) for b in batches])
     silent = ~fire
     if bar:
         member = np.zeros((n_sets, t + 1), dtype=bool)
@@ -574,7 +614,7 @@ def cover_free_by_rows(X, z: int, u: int, budget: int | None = None) -> Verifica
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
     _check_scans(comb(t, u) * comb(t, z) * N, budget)  # every pair compared, disjoint or not
-    cols = _columns(bits)
+    cols = byte_columns(bits)
     checked = 0
     for U in lex_tuples(t, u, u):
         rows = cols[:, cols[list(U)].all(axis=0)]  # the rows that are 1 on all of U
@@ -600,7 +640,7 @@ def m_code_by_rows(X, s: int, u: int, budget: int | None = None) -> Verification
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
     # s slots per U against every Z of at most s columns, whether it applies or not
     _check_scans(lex_count(t, u, s) * s * lex_count(t, 0, s) * N, budget)
-    cols = _columns(bits)
+    cols = byte_columns(bits)
     checked = 0
     for U in lex_tuples(t, u, s):
         rows = cols[:, cols[list(U)].sum(axis=0) == u]  # the rows with exactly u hits in U

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (batches_by_fromiter, brute_report, cover_free_by_rows, design_by_dict,
-                     lex_by_merge, lex_subsets, m_code_by_rows, qary_agreement_matrix,
-                     threshold_pairs_by_loop)
+from helpers import (batches_by_fromiter, brute_report, cover_free_by_rows, d_code_by_hits,
+                     design_by_dict, lex_by_merge, lex_subsets, m_code_by_rows,
+                     qary_agreement_matrix, threshold_pairs_by_loop)
 import sic
 from sic import multicover, subsets, symmetry, verify
 from sic.codes import BinaryCode, QaryCode, binary_expand, random_code, rs_extended, shorten
@@ -1429,13 +1429,13 @@ def design_batches(size):
 
 
 @st.composite
-def packed_inputs(draw, t_min, t_max):
-    """A matrix with t_min..t_max columns and 1..12 or 63..130 rows, so that
-    row flags and design keys take one, two or three words (up to seven with
-    three-bit labels); sometimes with identity rows on top, so that strong
-    properties can hold."""
+def packed_inputs(draw, t_min, t_max, rows=st.integers(1, 12) | st.integers(63, 130)):
+    """A matrix with t_min..t_max columns and `rows` rows, by default 1..12
+    or 63..130, so that row flags and design keys take one, two or three
+    words (up to seven with three-bit labels); sometimes with identity rows
+    on top, so that strong properties can hold."""
     t = draw(st.integers(t_min, t_max))
-    N = draw(st.integers(1, 12) | st.integers(63, 130))
+    N = draw(rows)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = (rng.random((N, t)) < draw(st.sampled_from([0.1, 0.25, 0.5]))).astype(np.uint8)
     if draw(st.booleans()):
@@ -1444,10 +1444,47 @@ def packed_inputs(draw, t_min, t_max):
     return X
 
 
+TWO_WORD_CHECKS = {  # prop: (checker, oracle, strengths, most columns)
+    "cover_free": (lambda X, p, **kw: check_cover_free(X, p["z"], p["u"], **kw),
+                   lambda X, p, **kw: cover_free_by_rows(X, p["z"], p["u"], **kw),
+                   [{"z": 1, "u": 1}, {"z": 2, "u": 1}, {"z": 1, "u": 2}], 130),
+    "d_code": (lambda X, p, **kw: check_d_code(X, p["s"], p["l"], **kw),
+               lambda X, p, **kw: d_code_by_hits(X, p["s"], p["l"], **kw),
+               [{"s": 2, "l": 1}, {"s": 3, "l": 2}], 130),
+    # a threshold map at l = 2, and three labels, b = 2 bits of key per row
+    "design": (lambda X, p, **kw: check_design(X, OutcomeFunction(p["values"]), 2, p["mode"],
+                                               **kw),
+               lambda X, p, **kw: design_by_dict(X, OutcomeFunction(p["values"]), 2, p["mode"],
+                                                 **kw),
+               [{"values": v, "mode": m} for v in [(0, 0, 1), (0, 1, 2)]
+                for m in ["at-most", "exactly"]], 130),
+    # where they hold, these s = 2 scans and their oracles' loops grow as t^4
+    "m_code": (lambda X, p, **kw: check_m_code(X, 2, 1, **kw),
+               lambda X, p, **kw: m_code_by_rows(X, 2, 1, **kw), [{}], 72),
+    "threshold": (lambda X, p, **kw: check_threshold_design(X, 1, 2, **kw),
+                  lambda X, p, **kw: threshold_pairs_by_loop(X, 1, 2, False, **kw), [{}], 80),
+    "threshold_bar": (lambda X, p, **kw: check_threshold_bar_design(X, 1, 2, **kw),
+                      lambda X, p, **kw: threshold_pairs_by_loop(X, 1, 2, True, **kw), [{}], 80),
+}
+
+
 class TestPackedScansAgainstOracles:
     """The word-packed pair and duplicate scans give the reports of the
     loop and dict scans they replaced, also when a block holds one or seven
     outer sets and when a batch holds one or seven candidates."""
+
+    @pytest.mark.parametrize("prop", sorted(TWO_WORD_CHECKS))
+    @settings(deadline=None, max_examples=6)
+    @given(data=st.data())
+    def test_two_word_reports_match_oracles(self, prop, data):
+        # 65 or more rows and columns: every row flag, column set and design
+        # key takes two or more words.  The scan runs, as the DP is refused
+        checker, oracle, strengths, t_max = TWO_WORD_CHECKS[prop]
+        X = data.draw(packed_inputs(65, t_max, rows=st.integers(65, 130)))
+        p = data.draw(st.sampled_from(strengths))
+        with multicover_path("scan"):
+            got = checker(X, p, budget=10**13)
+        assert got == oracle(X, p, budget=10**13)
 
     @pytest.mark.parametrize("size", ["default", "block1", "block7"])
     @pytest.mark.parametrize("bar", [False, True], ids=["threshold", "threshold_bar"])
@@ -1590,6 +1627,20 @@ class TestPackedScansAgainstOracles:
         assert got == cover_free_by_rows(X, 2, 1) == VerificationReport(
             False, {"U": (0,), "Z": (1, 2)}, 1)
         assert sizes == [(1, 7), (2, 7), (2, 7)]
+
+    def test_early_failure_builds_one_block_of_the_outer_family(self):
+        # column 0 is empty, so U = (0, 1) fails at its first Z.  The outer
+        # family's words are built for runs of one block, then two, four,
+        # ..., so only the first block of its 44,850 sets is built
+        X = (np.random.default_rng(3).random((40, 300)) < 0.25).astype(np.uint8)
+        X[:, 0] = 0
+        size = verify._check_pairs(comb(300, 2), 300, 40, 1, 1, None)[0]
+        with mock.patch.object(verify, "at_least", wraps=verify.at_least) as spy:
+            got = check_cover_free(X, 1, 2)
+        assert got == cover_free_by_rows(X, 1, 2) == VerificationReport(
+            False, {"U": (0, 1), "Z": (2,)}, 1)
+        # the columns and the rows of the first block of U, then of all 300 Z
+        assert [len(call.args[1]) for call in spy.call_args_list] == [size, size, 300, 300]
 
     def test_m_code_witness_in_second_block(self):
         # column 1 repeats column 2, so only row 2 has a 1 at column 1.  The

@@ -9,14 +9,20 @@ witnesses) are identical across runs:
 * pairs of subsets are ordered by the outer subset first, then the inner;
 * within a tuple, the distinguished element is scanned in ascending order.
 
-All checkers share one enumeration, `sic.subsets.lex_batches`, which
-yields the subsets of range(n) in this order as rows of index arrays built
-with numpy copies, padding shorter subsets with -1 (a prefix still sorts
-before its extensions).  Each checker tests a whole batch with numpy and
-reports the first failing row.  A batch holds at most 16384 subsets, and
-at most 4*10^6 // (rows * subset width) of them; the pair scans' families
-divide by t + 1 and `check_d_code` by t instead where that is larger,
-which bounds d-code's (batch, t) coverage counts too.
+All checkers share one enumeration, `_batches`, over
+`sic.subsets.lex_batches`, which yields the subsets of range(n) in this
+order as rows of index arrays built with numpy copies, padding shorter
+subsets with -1 (a prefix still sorts before its extensions).  Each batch
+also gives, built on first use, each set's columns as words and its
+size.  Each checker tests a whole batch with numpy and reports the first
+failing row.  A batch holds at most 16384 subsets, and at most 4*10^6 //
+(rows * subset width) of them; the pair scans' families divide by t + 1
+and `check_d_code` by t instead where that is larger, which bounds
+d-code's (batch, t) coverage counts too.  A family that fits in one batch
+and in _MAX_BATCH entries (index rows, column words and sizes) is built
+once and kept, read-only: the last 8 such families, at most 1 MiB
+together, so a run of checks on many small matrices builds each family
+once and computes only its matrix's flags.
 
 Every checker reads a subset's rows through one kernel on packed uint64
 words, `sic.words.at_least`: the matrix's columns are packed as
@@ -38,7 +44,9 @@ inner family (Z, or the threshold checkers' one family, used in both
 roles) is stored; the outer family (U) is built as the scan reaches it,
 in runs of one block, then two, four, ... (at most a batch), and the
 first block reads the inner family batch by batch as it fills, so a
-first set that fails returns before the rest of either is built.  Inner sets run over all columns in lex order;
+first set that fails returns before the rest of either is built (the
+threshold checkers fill only the batches that hold their first block
+before it).  Inner sets run over all columns in lex order;
 a pair that does not apply (Z meets U, say) is not counted in
 tuples_checked, which leaves the documented order.
 `check_design` keeps one packed outcome key per candidate, b bits per row
@@ -92,6 +100,8 @@ compare the scan's charge before either runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import comb
 from typing import NamedTuple
 
@@ -226,42 +236,101 @@ def _check_pairs(outer: int, t: int, N: int, lo: int, hi: int, budget: int | Non
     one, W = max(word_count(t), word_count(N)); and the scan's charge.  The
     scan compares every outer row with every inner set, outer rows * inner
     sets * N row scans, and stores the family's index rows and words
-    (`_check_cost`)."""
+    (`_check_cost`), besides each set's size, one byte where hi < 256."""
     inner = lex_count(t, lo, hi)
     scans = outer * group * inner * N
     _check_cost(scans, budget, inner * 8 * (hi + word_count(t) + word_count(N)), "pair family")
     return max(1, PAIR_WORDS // (inner * max(word_count(t), word_count(N)) * group)), scans
 
 
+class _Batch:
+    """A batch of `_batches`: `sets`, the index rows of subsets of range(t)
+    padded with -1, and, each built on first use, `member`, the words of
+    each set's columns (`at_least` on the identity's words), and `sizes`.
+    A slice of it is a _Batch of those rows that keeps what was built."""
+
+    def __init__(self, t: int, sets: np.ndarray):
+        self.t, self.sets = t, sets
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    def __getitem__(self, rows: slice) -> "_Batch":
+        part = _Batch(self.t, self.sets[rows])
+        for name in ("member", "sizes"):
+            if name in self.__dict__:  # built already
+                setattr(part, name, self.__dict__[name][rows])
+        return part
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        return at_least(identity(self.t), self.sets, 1, self.t)[1]
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        sizes = np.zeros(len(self.sets), dtype=np.min_scalar_type(self.sets.shape[1]))
+        for column in self.sets.T:  # by column: faster than a sum along rows of a few entries
+            sizes += column >= 0
+        return sizes
+
+
+@lru_cache(maxsize=8)
+def _whole(t: int, lo: int, hi: int) -> _Batch:
+    """The subsets of range(t) with sizes in [lo, hi] as one _Batch, all
+    built; cached, so read-only."""
+    batch = _Batch(t, next(lex_batches(t, lo, hi, lex_count(t, lo, hi))))
+    for array in (batch.sets, batch.member, batch.sizes):
+        array.setflags(write=False)
+    return batch
+
+
+def _batches(t: int, lo: int, hi: int, size: int):
+    """The subsets of range(t) with sizes in [lo, hi] in lex order, as
+    _Batch of at most `size` subsets each (`lex_batches`).  This is the
+    checkers' one enumeration.
+
+    A family that fits in one batch, and whose index rows, member words
+    and sizes take at most _MAX_BATCH entries, is built once and kept
+    read-only: the last 8 such families, at most 8 * 8 * _MAX_BATCH bytes
+    (1 MiB) together.  Any other family is built afresh, batch by batch."""
+    n = lex_count(t, lo, hi)
+    if n <= size and n * (hi + word_count(t) + 1) <= _MAX_BATCH:
+        yield _whole(t, lo, hi)
+        return
+    for sets in lex_batches(t, lo, hi, size):
+        yield _Batch(t, sets)
+
+
 class _Sets(NamedTuple):
-    """Sets of a family, from set number `start` on: their index rows, and
-    their columns and `group` rows of row flags per set as packed words,
-    one row of words each (one column in a stored family, for `overlap`)."""
+    """Sets of a family, from set number `start` on: their index rows, their
+    columns and `group` rows of row flags per set as packed words, one row
+    of words each (one column in a stored family, for `overlap`), and their
+    sizes."""
     start: int
     sets: np.ndarray
     member: np.ndarray
     flags: np.ndarray
+    sizes: np.ndarray
 
 
 def _family(N: int, t: int, lo: int, hi: int, flags, size: int, group: int = 1):
     """The subsets of range(t) with sizes in [lo, hi] in lex order, as
     _Sets of at most `size` subsets each, with `group` rows of
-    flags(batch), words of N flags, per subset; a set's columns are the
-    same kernel run on the identity's words.  The words are built for
-    runs of one block, then two, four, ... (at most a batch), and cut into
-    blocks of `size`: few kernel calls on a long scan, and little work
-    past an early failure."""
+    flags(batch), words of N flags, per subset.  The flags, and a set's
+    columns where its batch has not built them, are built for runs of one
+    block, then two, four, ... (at most a batch), and cut into blocks of
+    `size`: few kernel calls on a long scan, and little work past an early
+    failure."""
     start, run = 0, size
-    for batch in lex_batches(t, lo, hi, _batch_size(max(N * hi, t + 1))):
+    for batch in _batches(t, lo, hi, _batch_size(max(N * hi, t + 1))):
         a = 0
         while a < len(batch):
-            sets = batch[a:a + run]
-            member = at_least(identity(t), sets, 1, t)[1]
-            rows = flags(sets).reshape(len(sets) * group, -1)
-            for b in range(0, len(sets), size):
-                yield _Sets(start + a + b, sets[b:b + size], member[b:b + size],
-                            rows[b * group:(b + size) * group])
-            a += len(sets)
+            part = batch[a:a + run]
+            rows = flags(part.sets).reshape(len(part) * group, -1)
+            for b in range(0, len(part), size):
+                yield _Sets(start + a + b, part.sets[b:b + size], part.member[b:b + size],
+                            rows[b * group:(b + size) * group], part.sizes[b:b + size])
+            a += len(part)
             run *= 2
         start += len(batch)
 
@@ -273,7 +342,8 @@ def _stored(N: int, t: int, lo: int, hi: int, flags):
     n = lex_count(t, lo, hi)
     whole = _Sets(0, np.empty((n, hi), dtype=np.intp),
                   np.empty((word_count(t), n), dtype=np.uint64),
-                  np.empty((word_count(N), n), dtype=np.uint64))
+                  np.empty((word_count(N), n), dtype=np.uint64),
+                  np.empty(n, dtype=np.min_scalar_type(hi)))
 
     def fill():
         for part in _family(N, t, lo, hi, flags, _MAX_BATCH):
@@ -281,7 +351,9 @@ def _stored(N: int, t: int, lo: int, hi: int, flags):
             whole.sets[span] = part.sets
             whole.member[:, span] = part.member.T
             whole.flags[:, span] = part.flags.T
-            yield _Sets(part.start, whole.sets[span], whole.member[:, span], whole.flags[:, span])
+            whole.sizes[span] = part.sizes
+            yield _Sets(part.start, whole.sets[span], whole.member[:, span], whole.flags[:, span],
+                        whole.sizes[span])
 
     return whole, fill()
 
@@ -382,8 +454,8 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
     float_bits = bits.astype(np.float32)
     offset = 0
     # a batch's coverage counts are (batch, t), its rows usable per S (batch, N)
-    for batch in lex_batches(t, s, s, _batch_size(max(N * s, t))):
-        batch = batch[:subsets - offset]
+    for batch in _batches(t, s, s, _batch_size(max(N * s, t))):
+        batch = batch.sets[:subsets - offset]
         usable = np.unpackbits(_below(cols, batch, l, N).view(np.uint8), axis=1, count=N)
         covered = usable.astype(np.float32) @ float_bits        # (batch, t) counts
         covered[np.arange(len(batch))[:, None], batch] = 1.0    # members of S exempt
@@ -444,9 +516,8 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     Z = _stored(N, t, 0, s, lambda batch: _below(cols, batch, 1, N))
 
     def applies(U, Z):  # U and Z disjoint, |Z| <= |U|, and j in U
-        size_U, size_Z = ((sets >= 0).sum(axis=1) for sets in (U.sets, Z.sets))
-        pairs = ~overlap(U.member, Z.member) & (size_Z <= size_U[:, None])
-        slots = np.arange(s) < size_U[:, None]
+        pairs = ~overlap(U.member, Z.member) & (Z.sizes <= U.sizes[:, None])
+        slots = np.arange(s) < U.sizes[:, None]
         return (slots[:, :, None] & pairs[:, None]).reshape(-1, len(Z.sets))
 
     return _pair_scan(U, Z, applies,
@@ -495,8 +566,8 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     cols = pack_columns(bits)
     size = _batch_size(N * s)
     n = 0
-    for k, batch in enumerate(lex_batches(t, lo, s, size), 1):
-        planes = at_least(cols, batch, F.l, N)
+    for k, batch in enumerate(_batches(t, lo, s, size), 1):
+        planes = at_least(cols, batch.sets, F.l, N)
         if F.is_threshold:  # the one label bit is "reached l" or its negation
             keys[n:n + len(batch)] = planes[F.l]
         else:
@@ -513,9 +584,9 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
 
 def _nth_subset(t: int, lo: int, hi: int, size: int, n: int) -> tuple:
     """Subset number n of the enumeration of `check_design`."""
-    for batch in lex_batches(t, lo, hi, size):
+    for batch in _batches(t, lo, hi, size):
         if n < len(batch):
-            return _subset(batch[n])
+            return _subset(batch.sets[n])
         n -= len(batch)
 
 
@@ -529,26 +600,27 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
         return VerificationReport(True, None, _threshold_pairs(t, s, bar))
     # the stored flags are the rows that do not fire on a set (< u hits)
     cols = pack_columns(bits)
-    family, parts = _stored(N, t, u, s, lambda batch: _below(cols, batch, u, N))
-    for _ in parts:  # fill the family
-        pass
+    family, fill = _stored(N, t, u, s, lambda batch: _below(cols, batch, u, N))
+    n = len(family.sets)
+    first = [next(fill)]  # the parts that hold the first block; its pairs fill the rest
+    while first[-1].start + len(first[-1].sets) < min(size, n):
+        first.append(next(fill))
     blocks = (_Sets(r, family.sets[r:r + size], family.member[:, r:r + size].T,
-                    ~family.flags[:, r:r + size].T) for r in range(0, len(family.sets), size))
+                    ~family.flags[:, r:r + size].T, family.sizes[r:r + size])
+              for r in range(0, n, size))
     if bar:
-        outside = ~family.member
-
         def applies(P, Q):  # P is not a subset of Q
-            return overlap(P.member, outside)
+            return overlap(P.member, ~Q.member)
     else:
-        sizes = (family.sets >= 0).sum(axis=1)
-
         def applies(P, Q):  # |Q| <= |P| and Q != P
-            pairs = sizes[None, :] <= sizes[P.start:P.start + len(P.sets), None]
-            pairs[np.arange(len(P.sets)), np.arange(P.start, P.start + len(P.sets))] = False
+            pairs = Q.sizes <= P.sizes[:, None]
+            own = np.arange(P.start - Q.start, P.start - Q.start + len(P.sets))  # P's sets in Q
+            inside = (own >= 0) & (own < len(Q.sets))
+            pairs[inside, own[inside]] = False
             return pairs
 
     # no row fires on P but not on Q
-    return _pair_scan(blocks, (family, [family]), applies,
+    return _pair_scan(blocks, (family, chain(first, fill)), applies,
                       lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)})
 
 

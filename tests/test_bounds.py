@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sic
@@ -348,6 +348,17 @@ class TestLowerZ1:
     @given(st.integers(41, 200))
     def test_matches_full_grid_drawn(self, z):
         assert lower_z1(z) == lower_z1_full_grid(z)
+
+    @given(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-12, 1e-3, 0.5, 1 - 1e-12, 1.0]),
+           st.floats(1e-9, 2e-3) | st.sampled_from([1e-9, 2e-3]))
+    @example(0.0, 2e-3)  # the low end clipped
+    @example(1.0, 2e-3)  # the high end clipped
+    def test_zoom_axis_is_linspace_bit_for_bit(self, centre, radius):
+        # both ends clipped, to 1e-12 below and 1 - 1e-12 above, included
+        lo, hi = max(centre - radius, 1e-12), min(centre + radius, 1 - 1e-12)
+        want = np.linspace(lo, hi, 61)
+        assert bounds._zoom_axis(centre, radius).view(np.uint64).tolist() == \
+            want.view(np.uint64).tolist()
 
 
 class TestUniversalUpper:

@@ -597,7 +597,7 @@ class TestExamples:
     def test_raised_budget_checks_example_2(self, capsys):
         # its 6,608,580 subsets that contain column 0 take 7.8*10^10 row
         # scans, but the multicover DP decides it, and example 1, at once
-        with mock.patch.object(verify, "lex_batches", side_effect=AssertionError("enumerated S")):
+        with mock.patch.object(verify, "_batches", side_effect=AssertionError("enumerated S")):
             code, out, _ = run(capsys, "examples", "--budget", "100000000000")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -792,12 +792,12 @@ def d_code_by(path, X, s, l, budget=None):
     """check_d_code's report by its scan ("scan") or by the multicover DP
     wherever its tables are small ("cover"), and whether it enumerated S."""
     with multicover_path(path), \
-            mock.patch.object(verify, "lex_batches", wraps=subsets.lex_batches) as spy:
+            mock.patch.object(verify, "_batches", wraps=verify._batches) as spy:
         return check_d_code(X, s, l, budget=budget), spy.called
 
 
 def never_enumerates():
-    return mock.patch.object(verify, "lex_batches", side_effect=AssertionError("enumerated S"))
+    return mock.patch.object(verify, "_batches", side_effect=AssertionError("enumerated S"))
 
 
 class TestMulticover:
@@ -1056,7 +1056,7 @@ def design_by(path, X, values, s, mode="at-most"):
     ran, and whether the key scan did."""
     with multicover_path(path), \
             mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as dp, \
-            mock.patch.object(verify, "lex_batches", wraps=subsets.lex_batches) as scan:
+            mock.patch.object(verify, "_batches", wraps=verify._batches) as scan:
         rep = check_design(X, OutcomeFunction(values), s, mode)
     return rep, dp.called, scan.called
 
@@ -1162,7 +1162,7 @@ def d_code_paths():
 
     def recorded(*args, **kwargs):
         with mock.patch.object(multicover, "exceeds", wraps=multicover.exceeds) as dp, \
-                mock.patch.object(verify, "lex_batches", wraps=subsets.lex_batches) as scan:
+                mock.patch.object(verify, "_batches", wraps=verify._batches) as scan:
             try:
                 report = real(*args, **kwargs)
             except BudgetExceeded:
@@ -1211,7 +1211,8 @@ class TestDCodePaths:
 @contextlib.contextmanager
 def decision_events(raising):
     """The calls a check makes to multicover.proves, multicover.exceeds,
-    lex_batches and _pair_scan, in order; those named in `raising` raise."""
+    the enumeration seam _batches and _pair_scan, in order; those named in
+    `raising` raise."""
     events = []
 
     def spy(module, name):
@@ -1225,7 +1226,7 @@ def decision_events(raising):
         return mock.patch.object(module, name, called)
 
     with spy(multicover, "proves"), spy(multicover, "exceeds"), \
-            spy(verify, "lex_batches"), spy(verify, "_pair_scan"):
+            spy(verify, "_batches"), spy(verify, "_pair_scan"):
         yield events
 
 
@@ -1280,11 +1281,11 @@ class TestDecisionPaths:
     @pytest.mark.parametrize("inputs, check, budget, path", PATH_PINS,
                              ids=[f"{name}-{check}" for name, check, _, _ in PATH_PINS])
     def test_path(self, ex1, inputs, check, budget, path):
-        raising = {"dp": ("lex_batches", "_pair_scan"), "scan": ("exceeds",), "dp, scan": ()}[path]
+        raising = {"dp": ("_batches", "_pair_scan"), "scan": ("exceeds",), "dp, scan": ()}[path]
         for X in path_inputs(inputs, ex1):
             with decision_events(raising) as events:
                 run_check(X, check, budget)
-            scans = [i for i, name in enumerate(events) if name in ("lex_batches", "_pair_scan")]
+            scans = [i for i, name in enumerate(events) if name in ("_batches", "_pair_scan")]
             assert events.count("proves") <= 1 and events.count("exceeds") <= 1
             if "proves" in events:
                 assert events.index("proves") < min(scans, default=len(events))
@@ -1639,8 +1640,20 @@ class TestPackedScansAgainstOracles:
             got = check_cover_free(X, 1, 2)
         assert got == cover_free_by_rows(X, 1, 2) == VerificationReport(
             False, {"U": (0, 1), "Z": (2,)}, 1)
-        # the columns and the rows of the first block of U, then of all 300 Z
-        assert [len(call.args[1]) for call in spy.call_args_list] == [size, size, 300, 300]
+        # the row flags of the first block of U, then of all 300 Z; a set's
+        # columns (the kernel on the identity's 300 rows) may come from the
+        # enumeration's cache, so those calls are left out
+        flags = [len(call.args[1]) for call in spy.call_args_list if call.args[3] == 40]
+        assert flags == [size, 300]
+
+    def test_threshold_failure_in_the_first_block_builds_one_part(self, ex1):
+        # example 1 at (2, 3) fails at its first pair.  The first block is
+        # one set, inside the first part of 16384 of the family's 325,500
+        # sets, so the flags are built for that part alone
+        with mock.patch.object(verify, "_below", wraps=verify._below) as spy:
+            got = check_threshold_design(ex1, 2, 3, budget=10**13)
+        assert got == VerificationReport(False, {"P": (0, 1), "Pprime": (0, 2)}, 1)
+        assert [len(call.args[1]) for call in spy.call_args_list] == [16384]
 
     def test_m_code_witness_in_second_block(self):
         # column 1 repeats column 2, so only row 2 has a 1 at column 1.  The
@@ -1654,3 +1667,82 @@ class TestPackedScansAgainstOracles:
             with scan_sizes(size, X, subsets.lex_count(7, 0, 2), group=2):
                 assert check_m_code(X, 2, 1) == want
         assert m_code_by_rows(X, 2, 1) == want
+
+
+ORACLES = {
+    "cover_free": lambda X, p: cover_free_by_rows(X, p["z"], p["u"]),
+    "d_code": lambda X, p: d_code_by_hits(X, p["s"], p["l"]),
+    "m_code": lambda X, p: m_code_by_rows(X, p["s"], p["u"]),
+    "design": lambda X, p: design_by_dict(X, OutcomeFunction(values=p["values"]), p["s"],
+                                          p["mode"]),
+    "threshold": lambda X, p: threshold_pairs_by_loop(X, p["u"], p["s"], False),
+    "threshold_bar": lambda X, p: threshold_pairs_by_loop(X, p["u"], p["s"], True),
+}
+
+
+class TestEnumerationCache:
+    """`verify._batches` keeps each family that fits in one batch and in
+    _MAX_BATCH entries, built once and read-only; no report depends on
+    whether a family came from the cache."""
+
+    @pytest.mark.parametrize("prop", sorted(CHECKERS))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_cold_warm_and_bypassed_reports_match_oracles(self, prop, data):
+        t = data.draw(st.integers(max(5, MIN_COLUMNS[prop]), 12))
+        N = data.draw(st.integers(1, 25))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = (rng.random((N, t)) < data.draw(st.sampled_from([0.15, 0.3, 0.5]))).astype(np.uint8)
+        if data.draw(st.booleans()):
+            X[:min(N, t)] = np.eye(t, dtype=np.uint8)[:min(N, t)]
+        params = draw_params(data.draw, prop, t)
+        if prop in ("m_code", "threshold", "threshold_bar"):
+            params["s"] = min(params["s"], 3)  # the oracles' loops grow fast with s
+            params["u"] = min(params["u"], params["s"] - 1)
+        with multicover_path("scan"):
+            verify._whole.cache_clear()
+            cold = CHECKERS[prop](X, params)
+            warm = CHECKERS[prop](X, params)
+            with mock.patch.object(verify, "_whole", verify._whole.__wrapped__):
+                bypassed = CHECKERS[prop](X, params)
+        assert cold == warm == bypassed == ORACLES[prop](X, params)
+
+    def test_cached_arrays_are_read_only(self):
+        batch, = verify._batches(30, 0, 2, verify._MAX_BATCH)
+        assert batch is verify._whole(30, 0, 2)
+        for arrays in (batch, batch[3:9]):
+            for array in (arrays.sets, arrays.member, arrays.sizes):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_retained_bytes_within_the_stated_bound(self):
+        # each family kept holds at most _MAX_BATCH entries of at most 8
+        # bytes, and the cache keeps the last `maxsize` of them: the
+        # docstring's 8 * 8 * _MAX_BATCH bytes
+        kept = {}  # key: family, in order of last use
+        real = verify._whole
+
+        def recorded(*key):
+            kept.pop(key, None)  # reinserted, so the dict runs from least to most recent
+            kept[key] = real(*key)
+            return kept[key]
+
+        real.cache_clear()
+        with mock.patch.object(verify, "_whole", recorded):
+            for t in range(2, 300, 7):
+                for lo, hi in [(1, 1), (0, 1), (2, 2), (1, 2), (0, 2), (3, 3), (0, 4), (t, t)]:
+                    if hi <= t:
+                        next(verify._batches(t, lo, hi, verify._MAX_BATCH))
+            for seed in range(4):  # the screen checks
+                X = random_code(40, 30, 0.25, seed=seed).bits
+                for prop, params in [("cover_free", {"z": 2, "u": 1}), ("d_code", {"s": 2, "l": 1}),
+                                     ("m_code", {"s": 2, "u": 1}), ("threshold", {"u": 1, "s": 2}),
+                                     ("design", {"values": (0, 1), "s": 2, "mode": "at-most"})]:
+                    CHECKERS[prop](X, params)
+        info = real.cache_info()
+        retained = list(kept.values())[-info.maxsize:]
+        assert info.currsize == len(retained) == info.maxsize == 8
+        sizes = [sum(a.nbytes for a in (b.sets, b.member, b.sizes)) for b in kept.values()]
+        assert max(sizes) <= 8 * verify._MAX_BATCH < 2 * max(sizes)  # some family near the cap
+        assert sum(a.nbytes for b in retained for a in (b.sets, b.member, b.sizes)) \
+            <= info.maxsize * 8 * verify._MAX_BATCH

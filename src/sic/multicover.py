@@ -49,17 +49,26 @@ from .symmetry import translates
 
 # row scans the d-code scan runs in the time one open column of the DP takes
 # beyond its gathers: about 95 us per column of example 1 as a plain array,
-# whose full scan runs 3.3*10^10 row scans/s (2-vCPU VM)
+# whose full scan ran 3.3*10^10 row scans/s when this was set (2-vCPU
+# AMD EPYC VM).  Re-measured on a 2-vCPU Intel Xeon VM (best of 7), that
+# scan runs 1.2-1.3*10^10 row scans/s at (3, 2) and the DP takes 144-158 us
+# a column, gathers included: about 1.9*10^6 row scans.  The value is kept,
+# so that no check changes path
 COLUMN_COST = 3_000_000
 # row scans the d-code scan runs in the time the DP updates one state of a
 # column's table: 1.1-6.4 ns per update, 35-210 row scans at the scan's
 # 3.3*10^10/s, on column 0 of example 3 at (10, 3) and (6, 2) and of random
-# 300-column matrices of weight 7-14 at l = 1-3 (best of 5, 2-vCPU VM)
+# 300-column matrices of weight 7-14 at l = 1-3 (best of 5, 2-vCPU AMD EPYC
+# VM); at the 2.0-2.1*10^10/s measured on the Intel Xeon VM the same times
+# are 22-134 row scans
 STATE_COST = 100
 # row scans of the d-code scan in the time of one row scan of check_design's
-# key scan: the key scan ran 4.0*10^8 row scans/s on the 64 x 64 permuted
-# identity at s = 3, the d-code scan 3.1-3.3*10^10 on the 80 x 80 one at
-# (3, 1) (best of 7, 2-vCPU VM); so design's own gate is COLUMN_COST // 70
+# key scan.  Set at 70 from 4.0*10^8 key-scan row scans/s on the 64 x 64
+# permuted identity at s = 3 against 3.1-3.3*10^10 for the d-code scan on
+# the 80 x 80 one at (3, 1) (best of 7, 2-vCPU AMD EPYC VM); re-measured on
+# a 2-vCPU Intel Xeon VM (best of 7), 4.8*10^8 against 2.0-2.1*10^10, a
+# ratio of 42-44.  Kept at 70, so that no check changes path; design's own
+# gate is COLUMN_COST // 70
 DESIGN_SCAN_COST = 70
 
 

@@ -12,17 +12,21 @@ witnesses) are identical across runs:
 All checkers share one enumeration, `_batches`, over
 `sic.subsets.lex_batches`, which yields the subsets of range(n) in this
 order as rows of index arrays built with numpy copies, padding shorter
-subsets with -1 (a prefix still sorts before its extensions).  Each batch
-also gives, built on first use, each set's columns as words and its
-size.  Each checker tests a whole batch with numpy and reports the first
-failing row.  A batch holds at most 16384 subsets, and at most 4*10^6 //
-(rows * subset width) of them; the pair scans' families divide by t + 1
-and `check_d_code` by t instead where that is larger, which bounds
-d-code's (batch, t) coverage counts too.  A family that fits in one batch
-and in _MAX_BATCH entries (index rows, column words and sizes) is built
-once and kept, read-only: the last 8 such families, at most 1 MiB
-together, so a run of checks on many small matrices builds each family
-once and computes only its matrix's flags.
+subsets with -1 (a prefix still sorts before its extensions).  Every set
+a checker handles is one type, `_Sets`: a batch is the number of its
+first set in the family and its index rows, and the pair scans describe
+the runs they read (`_described`: each set's columns as words and its
+size) and add their row flags, so the other checks never build those.
+Each checker tests a whole batch with numpy and reports the first
+failing row, numbered from the batch's start.  A batch holds at most
+16384 subsets, and at most 4*10^6 // (rows * subset width) of them; the
+pair scans' families divide by t + 1 and `check_d_code` by t instead
+where that is larger, which bounds d-code's (batch, t) coverage counts
+too.  A family that fits in one batch and in _MAX_BATCH entries (index
+rows, column words and sizes) is built once, described, and kept,
+read-only: the last 8 such families, at most 1 MiB together, so a run of
+checks on many small matrices builds each family once and computes only
+its matrix's flags.
 
 Every checker reads a subset's rows through one kernel on packed uint64
 words, `sic.words.at_least`: the matrix's columns are packed as
@@ -100,7 +104,7 @@ compare the scan's charge before either runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from math import comb
 from typing import NamedTuple
@@ -243,117 +247,104 @@ def _check_pairs(outer: int, t: int, N: int, lo: int, hi: int, budget: int | Non
     return max(1, PAIR_WORDS // (inner * max(word_count(t), word_count(N)) * group)), scans
 
 
-class _Batch:
-    """A batch of `_batches`: `sets`, the index rows of subsets of range(t)
-    padded with -1, and, each built on first use, `member`, the words of
-    each set's columns (`at_least` on the identity's words), and `sizes`.
-    A slice of it is a _Batch of those rows that keeps what was built."""
+class _Sets(NamedTuple):
+    """Sets of a family, numbered from `start` on: their index rows, padded
+    with -1, and, once described, their columns as words (`at_least` on
+    the identity's words) and their sizes; in a pair scan also their row
+    flags as words.  Each array has one row per set (m-code's flags one
+    row per slot of U, too); a stored family's words are the transposed
+    views `_stored` gives them."""
+    start: int
+    sets: np.ndarray
+    member: np.ndarray | None = None
+    flags: np.ndarray | None = None
+    sizes: np.ndarray | None = None
 
-    def __init__(self, t: int, sets: np.ndarray):
-        self.t, self.sets = t, sets
+    def cut(self, a: int, b: int) -> "_Sets":
+        """Sets a to b of these (rows a:b of each array), numbered on."""
+        return _Sets(self.start + a, self.sets[a:b],  # written out: faster than a loop
+                     None if self.member is None else self.member[a:b],
+                     None if self.flags is None else self.flags[a:b],
+                     None if self.sizes is None else self.sizes[a:b])
 
-    def __len__(self) -> int:
-        return len(self.sets)
 
-    def __getitem__(self, rows: slice) -> "_Batch":
-        part = _Batch(self.t, self.sets[rows])
-        for name in ("member", "sizes"):
-            if name in self.__dict__:  # built already
-                setattr(part, name, self.__dict__[name][rows])
+def _described(t: int, part: _Sets) -> _Sets:
+    """`part` with each set's columns as words and its size, unless it has
+    them already."""
+    if part.member is not None:
         return part
-
-    @cached_property
-    def member(self) -> np.ndarray:
-        return at_least(identity(self.t), self.sets, 1, self.t)[1]
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        sizes = np.zeros(len(self.sets), dtype=np.min_scalar_type(self.sets.shape[1]))
-        for column in self.sets.T:  # by column: faster than a sum along rows of a few entries
-            sizes += column >= 0
-        return sizes
+    sizes = np.zeros(len(part.sets), dtype=np.min_scalar_type(part.sets.shape[1]))
+    for column in part.sets.T:  # by column: faster than a sum along rows of a few entries
+        sizes += column >= 0
+    return part._replace(member=at_least(identity(t), part.sets, 1, t)[1], sizes=sizes)
 
 
 @lru_cache(maxsize=8)
-def _whole(t: int, lo: int, hi: int) -> _Batch:
-    """The subsets of range(t) with sizes in [lo, hi] as one _Batch, all
-    built; cached, so read-only."""
-    batch = _Batch(t, next(lex_batches(t, lo, hi, lex_count(t, lo, hi))))
-    for array in (batch.sets, batch.member, batch.sizes):
+def _whole(t: int, lo: int, hi: int) -> _Sets:
+    """The subsets of range(t) with sizes in [lo, hi] as one described
+    _Sets; cached, so read-only."""
+    whole = _described(t, _Sets(0, next(lex_batches(t, lo, hi, lex_count(t, lo, hi)))))
+    for array in (whole.sets, whole.member, whole.sizes):
         array.setflags(write=False)
-    return batch
+    return whole
 
 
 def _batches(t: int, lo: int, hi: int, size: int):
     """The subsets of range(t) with sizes in [lo, hi] in lex order, as
-    _Batch of at most `size` subsets each (`lex_batches`).  This is the
-    checkers' one enumeration.
+    numbered _Sets of at most `size` subsets each (`lex_batches`).  This
+    is the checkers' one enumeration.
 
     A family that fits in one batch, and whose index rows, member words
-    and sizes take at most _MAX_BATCH entries, is built once and kept
-    read-only: the last 8 such families, at most 8 * 8 * _MAX_BATCH bytes
-    (1 MiB) together.  Any other family is built afresh, batch by batch."""
+    and sizes take at most _MAX_BATCH entries, is built once, described,
+    and kept read-only: the last 8 such families, at most 8 * 8 *
+    _MAX_BATCH bytes (1 MiB) together.  Any other family is built afresh,
+    batch by batch, as index rows alone."""
     n = lex_count(t, lo, hi)
     if n <= size and n * (hi + word_count(t) + 1) <= _MAX_BATCH:
         yield _whole(t, lo, hi)
         return
-    for sets in lex_batches(t, lo, hi, size):
-        yield _Batch(t, sets)
+    # every batch but the last is full, so batch k starts at set k * size
+    for start, sets in zip(range(0, n, size), lex_batches(t, lo, hi, size)):
+        yield _Sets(start, sets)
 
 
-class _Sets(NamedTuple):
-    """Sets of a family, from set number `start` on: their index rows, their
-    columns and `group` rows of row flags per set as packed words, one row
-    of words each (one column in a stored family, for `overlap`), and their
-    sizes."""
-    start: int
-    sets: np.ndarray
-    member: np.ndarray
-    flags: np.ndarray
-    sizes: np.ndarray
-
-
-def _family(N: int, t: int, lo: int, hi: int, flags, size: int, group: int = 1):
+def _family(N: int, t: int, lo: int, hi: int, flags, size: int):
     """The subsets of range(t) with sizes in [lo, hi] in lex order, as
-    _Sets of at most `size` subsets each, with `group` rows of
-    flags(batch), words of N flags, per subset.  The flags, and a set's
-    columns where its batch has not built them, are built for runs of one
+    described _Sets of at most `size` subsets each, with flags(sets), words
+    of N flags, for their row flags.  The words are built for runs of one
     block, then two, four, ... (at most a batch), and cut into blocks of
     `size`: few kernel calls on a long scan, and little work past an early
     failure."""
-    start, run = 0, size
+    run = size
     for batch in _batches(t, lo, hi, _batch_size(max(N * hi, t + 1))):
         a = 0
-        while a < len(batch):
-            part = batch[a:a + run]
-            rows = flags(part.sets).reshape(len(part) * group, -1)
-            for b in range(0, len(part), size):
-                yield _Sets(start + a + b, part.sets[b:b + size], part.member[b:b + size],
-                            rows[b * group:(b + size) * group], part.sizes[b:b + size])
-            a += len(part)
+        while a < len(batch.sets):
+            part = _described(t, batch.cut(a, a + run))
+            part = part._replace(flags=flags(part.sets))
+            for b in range(0, len(part.sets), size):
+                yield part.cut(b, b + size)
+            a += len(part.sets)
             run *= 2
-        start += len(batch)
 
 
 def _stored(N: int, t: int, lo: int, hi: int, flags):
     """The subsets of range(t) with sizes in [lo, hi] as one stored _Sets of
-    np.empty arrays, one row of flags per subset, and a generator that
-    fills it with the parts of `_family` and yields each part as a view."""
+    np.empty arrays, and a generator that fills it with the parts of
+    `_family` and yields each part as a cut.  Its words are the columns of
+    (W, sets) arrays, viewed transposed, so that a part's member.T and
+    flags.T are the (W, sets) words `overlap` reads."""
     n = lex_count(t, lo, hi)
     whole = _Sets(0, np.empty((n, hi), dtype=np.intp),
-                  np.empty((word_count(t), n), dtype=np.uint64),
-                  np.empty((word_count(N), n), dtype=np.uint64),
+                  np.empty((word_count(t), n), dtype=np.uint64).T,
+                  np.empty((word_count(N), n), dtype=np.uint64).T,
                   np.empty(n, dtype=np.min_scalar_type(hi)))
 
     def fill():
         for part in _family(N, t, lo, hi, flags, _MAX_BATCH):
-            span = slice(part.start, part.start + len(part.sets))
-            whole.sets[span] = part.sets
-            whole.member[:, span] = part.member.T
-            whole.flags[:, span] = part.flags.T
-            whole.sizes[span] = part.sizes
-            yield _Sets(part.start, whole.sets[span], whole.member[:, span], whole.flags[:, span],
-                        whole.sizes[span])
+            view = whole.cut(part.start, part.start + len(part.sets))
+            for stored, built in zip(view[1:], part[1:]):  # index rows, words and sizes
+                stored[...] = built
+            yield view
 
     return whole, fill()
 
@@ -375,10 +366,11 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationRe
     whole, parts = inner
     checked = 0
     for block in outer:
+        flags = block.flags.reshape(-1, block.flags.shape[-1])  # m-code's (sets, s, W) flattened
         oks, bads = [], []
         for part in parts:
             oks.append(applies(block, part))
-            bads.append(oks[-1] & ~overlap(block.flags, part.flags))
+            bads.append(oks[-1] & ~overlap(flags, part.flags.T))
             if bads[-1][:group].any():  # the block's first set fails, and its pairs come first
                 break
         parts = [whole]
@@ -415,7 +407,7 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     cols = pack_columns(bits)
     U = _family(N, t, u, u, lambda batch: at_least(cols, batch, u, N)[u], size)  # 1 on all of U
     Z = _stored(N, t, z, z, lambda batch: _below(cols, batch, 1, N))  # 0 on all of Z
-    return _pair_scan(U, Z, lambda U, Z: ~overlap(U.member, Z.member),
+    return _pair_scan(U, Z, lambda U, Z: ~overlap(U.member, Z.member.T),
                       lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)})
 
 
@@ -452,10 +444,9 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
         return VerificationReport(True, None, comb(t, s) * (t - s))
     cols = pack_columns(bits)
     float_bits = bits.astype(np.float32)
-    offset = 0
     # a batch's coverage counts are (batch, t), its rows usable per S (batch, N)
-    for batch in _batches(t, s, s, _batch_size(max(N * s, t))):
-        batch = batch.sets[:subsets - offset]
+    for part in _batches(t, s, s, _batch_size(max(N * s, t))):
+        batch = part.sets[:subsets - part.start]
         usable = np.unpackbits(_below(cols, batch, l, N).view(np.uint8), axis=1, count=N)
         covered = usable.astype(np.float32) @ float_bits        # (batch, t) counts
         covered[np.arange(len(batch))[:, None], batch] = 1.0    # members of S exempt
@@ -464,10 +455,9 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
             r = int(np.flatnonzero(bad.any(axis=1))[0])
             j = int(np.flatnonzero(bad[r])[0])
             within = j + 1 - int((batch[r] < j).sum())
-            checked = (offset + r) * (t - s) + within
+            checked = (part.start + r) * (t - s) + within
             return VerificationReport(False, {"S": _subset(batch[r]), "j": j}, checked)
-        offset += len(batch)
-        if offset == subsets:
+        if part.start + len(batch) == subsets:
             break
     return VerificationReport(True, None, comb(t, s) * (t - s))
 
@@ -512,11 +502,11 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
         planes = at_least(cols, batch, u + 1, N)
         return np.take(cols, batch, axis=0) & (planes[u] ^ planes[u + 1])[:, None]
 
-    U = _family(N, t, u, s, flags, size, group=s)
+    U = _family(N, t, u, s, flags, size)
     Z = _stored(N, t, 0, s, lambda batch: _below(cols, batch, 1, N))
 
     def applies(U, Z):  # U and Z disjoint, |Z| <= |U|, and j in U
-        pairs = ~overlap(U.member, Z.member) & (Z.sizes <= U.sizes[:, None])
+        pairs = ~overlap(U.member, Z.member.T) & (Z.sizes <= U.sizes[:, None])
         slots = np.arange(s) < U.sizes[:, None]
         return (slots[:, :, None] & pairs[:, None]).reshape(-1, len(Z.sets))
 
@@ -565,15 +555,14 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     keys = np.empty((domain, words), dtype=np.uint64)
     cols = pack_columns(bits)
     size = _batch_size(N * s)
-    n = 0
     for k, batch in enumerate(_batches(t, lo, s, size), 1):
+        n = batch.start + len(batch.sets)
         planes = at_least(cols, batch.sets, F.l, N)
         if F.is_threshold:  # the one label bit is "reached l" or its negation
-            keys[n:n + len(batch)] = planes[F.l]
+            keys[batch.start:n] = planes[F.l]
         else:
-            keys[n:n + len(batch)] = interleave(
+            keys[batch.start:n] = interleave(
                 np.stack([np.bitwise_xor.reduce(planes[c], axis=0) for c in changes]), N)
-        n += len(batch)
         if k & (k - 1) == 0 or n == domain:  # after 1, 2, 4, ... batches and the last
             repeat = first_repeat(keys[:n])
             if repeat is not None:
@@ -585,9 +574,8 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
 def _nth_subset(t: int, lo: int, hi: int, size: int, n: int) -> tuple:
     """Subset number n of the enumeration of `check_design`."""
     for batch in _batches(t, lo, hi, size):
-        if n < len(batch):
-            return _subset(batch.sets[n])
-        n -= len(batch)
+        if n < batch.start + len(batch.sets):
+            return _subset(batch.sets[n - batch.start])
 
 
 def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> VerificationReport:
@@ -605,12 +593,11 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     first = [next(fill)]  # the parts that hold the first block; its pairs fill the rest
     while first[-1].start + len(first[-1].sets) < min(size, n):
         first.append(next(fill))
-    blocks = (_Sets(r, family.sets[r:r + size], family.member[:, r:r + size].T,
-                    ~family.flags[:, r:r + size].T, family.sizes[r:r + size])
+    blocks = (family.cut(r, r + size)._replace(flags=~family.flags[r:r + size])
               for r in range(0, n, size))
     if bar:
         def applies(P, Q):  # P is not a subset of Q
-            return overlap(P.member, ~Q.member)
+            return overlap(P.member, ~Q.member.T)
     else:
         def applies(P, Q):  # |Q| <= |P| and Q != P
             pairs = Q.sizes <= P.sizes[:, None]

@@ -38,6 +38,9 @@ def pack(flags: np.ndarray) -> np.ndarray:
     return np.packbits(padded).view(np.uint64).reshape(n, word_count(m))  # one flat pass
 
 
+_BITS = pack(np.eye(64, dtype=bool))[:, 0]  # flag i of a row of 64 as its word
+
+
 def pack_columns(bits: np.ndarray) -> np.ndarray:
     """(t + 1, W) words of the (N, t) 0/1 matrix `bits`: row j is column j
     packed, W = word_count(N), and row t, which index -1 selects, is zero."""
@@ -49,8 +52,12 @@ def pack_columns(bits: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=4)
 def identity(t: int) -> np.ndarray:
     """`pack_columns` of the t x t identity, so that `at_least(identity(t),
-    batch, 1, t)[1]` marks each set's columns.  Cached, so read-only."""
-    cols = pack_columns(np.eye(t, dtype=bool))
+    batch, 1, t)[1]` marks each set's columns.  Row j sets bit j of word
+    j // 64 from a table of the 64 bits in `pack`'s order, so it takes its
+    (t + 1) * W words alone, not the t x t flags.  Cached, so read-only."""
+    cols = np.zeros((t + 1, word_count(t)), dtype=np.uint64)
+    j = np.arange(t)
+    cols[j, j // 64] = _BITS[j % 64]
     cols.setflags(write=False)
     return cols
 

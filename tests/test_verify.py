@@ -618,6 +618,8 @@ def permuted(code, seed):
 # every shortened RS code with q <= 8 and at most 4096 columns
 RS_CODES = [(q, k, r) for q in (2, 3, 4, 5, 7, 8) for k in range(2, q + 2) for r in range(k)
             if q ** (k - r) <= 4096]
+# those with t > 2 columns, which have a d-code (s, l), 1 <= l < s < t
+D_CODES = [(q, k, r) for q, k, r in RS_CODES if q ** (k - r) > 2]
 # every one of dimension k - r >= 2 with k <= q and at most 8^5 columns
 PERMUTED_CODES = [(q, k, r) for q in (2, 3, 4, 5, 7, 8) for k in range(2, q + 1)
                   for r in range(k - 1) if q ** (k - r) <= 8**5]
@@ -801,25 +803,34 @@ def never_enumerates():
 
 
 class TestMulticover:
-    @pytest.mark.parametrize("q,k,r", RS_CODES, ids=[f"q{q}-k{k}-r{r}" for q, k, r in RS_CODES])
+    @pytest.mark.parametrize("q,k,r", D_CODES, ids=[f"q{q}-k{k}-r{r}" for q, k, r in D_CODES])
     def test_decision_matches_the_scan(self, q, k, r):
-        # every (s, l) whose full scan takes at most 10^7 row scans, on the
-        # code with its rows and columns shuffled (column 0's DP alone) and
-        # as a plain array (every column's DP); a satisfied report where the
+        # every (s, l) whose scan takes at most 10^7 row scans, on the code
+        # with its rows and columns shuffled (where `translates` finds its
+        # translates, the S that contain column 0 and column 0's DP alone)
+        # and as a plain array (every column's DP).  A code with no (s, l)
+        # that cheap compares the cheapest, (2, 1), on the shuffled code:
+        # at most 1.3*10^9 row scans (t = 4096, N = 72), or, where the code
+        # is the whole space of its length (k = q + 1, whose shuffled rows
+        # `translates` declines), a full scan that fails at once.  So every
+        # code compares at least one (s, l).  A satisfied report where the
         # DP ran comes without enumerating S, and a failure from the scan.
         # The DP runs where its tables are small or the columns are weak:
         # every row of an RS code has t/q ones, so all columns are alike
         code = rs_binary(q, k, r)
         N, t = code.bits.shape
-        for X in (permuted(code, seed=1000 * q + 10 * k + r), code.bits):
-            for s in range(2, min(t, 8)):
-                for l in range(1, s):
-                    if comb(t, s) * (t - s) * N <= 10**7:
-                        scan, _ = d_code_by("scan", X, s, l)
-                        cover, enumerated = d_code_by("cover", X, s, l)
-                        assert cover == scan, (s, l)
-                        decided = (l + 1) ** code.weight <= 4096 or t // q <= l
-                        assert enumerated != (scan.satisfied and decided)
+        shuffled = permuted(code, seed=1000 * q + 10 * k + r)
+        reduced = symmetry.translates(shuffled) is not None
+        cheap = [(X, s, l) for s in range(2, min(t, 8)) for l in range(1, s)
+                 for X, sets in ((shuffled, comb(t - 1, s - 1) if reduced else comb(t, s)),
+                                 (code.bits, comb(t, s)))
+                 if sets * (t - s) * N <= 10**7]
+        for X, s, l in cheap or [(shuffled, 2, 1)]:
+            scan, _ = d_code_by("scan", X, s, l, budget=10**13)
+            cover, enumerated = d_code_by("cover", X, s, l, budget=10**13)
+            assert cover == scan, (s, l)
+            decided = (l + 1) ** code.weight <= 4096 or t // q <= l
+            assert enumerated != (scan.satisfied and decided)
 
     def test_empty_column_fails(self):
         # supp(3) is empty, so c_3 = 0: every S fails with j = 3
@@ -1646,6 +1657,23 @@ class TestPackedScansAgainstOracles:
         flags = [len(call.args[1]) for call in spy.call_args_list if call.args[3] == 40]
         assert flags == [size, 300]
 
+    def test_wide_pair_scan_memory(self):
+        # 8000 columns: each set's columns take 125 words, and the stored
+        # family of 8000 singletons about 7.75 MiB; the identity's words
+        # (8 MB) are built without the dense 8000 x 8000 flags (64 MB, plus
+        # pack's padded copy), which held the peak at 145.5 MiB
+        X = np.ones((24, 8000), dtype=np.uint8)
+        verify._whole.cache_clear()
+        verify.identity.cache_clear()
+        tracemalloc.start()
+        try:
+            got = check_cover_free(X, 1, 1, budget=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == VerificationReport(False, {"U": (0,), "Z": (1,)}, 1)
+        assert peak <= 20 * 2**20
+
     def test_threshold_failure_in_the_first_block_builds_one_part(self, ex1):
         # example 1 at (2, 3) fails at its first pair.  The first block is
         # one set, inside the first part of 16384 of the family's 325,500
@@ -1710,7 +1738,7 @@ class TestEnumerationCache:
     def test_cached_arrays_are_read_only(self):
         batch, = verify._batches(30, 0, 2, verify._MAX_BATCH)
         assert batch is verify._whole(30, 0, 2)
-        for arrays in (batch, batch[3:9]):
+        for arrays in (batch, batch.cut(3, 9)):
             for array in (arrays.sets, arrays.member, arrays.sizes):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import byte_columns, byte_hits
-from sic.words import at_least, identity, interleave, pack, pack_columns, word_count
+from sic.words import (
+    at_least,
+    first_repeat,
+    identity,
+    interleave,
+    overlap,
+    pack,
+    pack_columns,
+    word_count,
+)
 
 ROWS = [0, 1, 63, 64, 65, 130]  # no word, one, one full, and two or three words
 
@@ -60,6 +69,12 @@ class TestRowKernel:
             assert np.array_equal(members, pack(np.isin(np.arange(t), [0, t - 1])[None]))
         assert not identity(5).flags.writeable
 
+    @settings(deadline=None)
+    @given(st.integers(1, 1000))
+    def test_identity_is_the_packed_eye(self, t):
+        # set bit by bit, not packed from t x t flags, in pack's bit order
+        assert np.array_equal(identity(t), pack_columns(np.eye(t, dtype=bool)))
+
 
 @st.composite
 def label_planes(draw):
@@ -98,3 +113,52 @@ class TestInterleave:
         planes[0, 1, 1] |= np.uint64(1)  # a bit past flag 64 of the second row
         assert not np.array_equal(planes[0, 0], planes[0, 1])
         assert np.array_equal(interleave(planes, 65), pack(flags))
+
+
+@st.composite
+def flag_rows(draw, rows=st.integers(0, 12)):
+    """Rows of 1-190 flags (one to three words), as a bool matrix."""
+    m = draw(st.integers(1, 190))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((draw(rows), m)) < draw(st.sampled_from([0.02, 0.1, 0.5]))
+
+
+class TestOverlap:
+    @settings(deadline=None)
+    @given(flag_rows(), st.data())
+    def test_shared_bits_are_shared_flags(self, A, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        B = rng.random((data.draw(st.integers(0, 12)), A.shape[1])) < 0.1
+        got = overlap(pack(A), pack(B).T)
+        assert got.shape == (len(A), len(B)) and got.dtype == bool
+        assert np.array_equal(got, (A.astype(int) @ B.T.astype(int)) > 0)
+
+
+def first_repeat_by_dict(flags: np.ndarray):
+    """(p, n) of the first row n equal to an earlier row p, by a dict scan."""
+    seen = {}
+    for n, row in enumerate(map(tuple, flags)):
+        if row in seen:
+            return seen[row], n
+        seen[row] = n
+    return None
+
+
+class TestFirstRepeat:
+    @settings(deadline=None)
+    @given(flag_rows(), st.integers(0, 4))
+    def test_matches_a_dict_scan(self, flags, pool):
+        # rows drawn from `pool` rows repeat often; pool 0 keeps them as drawn
+        if pool and len(flags):
+            flags = flags[np.random.default_rng(pool).integers(0, min(pool, len(flags)), len(flags))]
+        assert first_repeat(pack(flags)) == first_repeat_by_dict(flags)
+
+    @settings(deadline=None)
+    @given(flag_rows(rows=st.integers(1, 12)))
+    def test_no_repeat_all_equal_and_no_rows(self, flags):
+        _, first = np.unique(flags, axis=0, return_index=True)
+        assert first_repeat(pack(flags[np.sort(first)])) is None
+        equal = np.repeat(flags[:1], len(flags), axis=0)
+        assert first_repeat(pack(equal)) == first_repeat_by_dict(equal) == \
+            (None if len(flags) == 1 else (0, 1))
+        assert first_repeat(pack(flags[:0])) is None

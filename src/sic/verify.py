@@ -24,9 +24,13 @@ pair scans' families divide by t + 1 and `check_d_code` by t instead
 where that is larger, which bounds d-code's (batch, t) coverage counts
 too.  A family that fits in one batch and in _MAX_BATCH entries (index
 rows, column words and sizes) is built once, described, and kept,
-read-only: the last 8 such families, at most 1 MiB together, so a run of
-checks on many small matrices builds each family once and computes only
-its matrix's flags.
+read-only: the last 8 such families, at most 1 MiB together.  A pair
+scan stores a kept family as it is, with one fresh array for its row
+flags, and reads the pairs that apply in each block of two kept families
+from `_mask`, which keeps them, read-only: the last 64 masks, at most
+1 MiB together; d-code's "j outside S" mask of a kept batch is kept there
+too.  So a run of checks on many small matrices builds each family and
+each mask once and computes only its matrix's flags.
 
 Every checker reads a subset's rows through one kernel on packed uint64
 words, `sic.words.at_least`: the matrix's columns are packed as
@@ -126,6 +130,7 @@ from .words import at_least, first_repeat, identity, interleave, overlap, pack_c
 DEFAULT_BUDGET = 1_000_000_000
 _MAX_BATCH = 16384          # subsets per batch
 _BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
+_MASK_BYTES = 16384         # largest mask `_mask` keeps
 _BLOCK_ENTRIES = _BATCH_ENTRIES // 2  # coincidence block columns * t (counter and scratch)
 PAIR_WORDS = 8192           # words per block of the pair scans
 STORE_BYTES = 2**30         # check_design's key store, or a pair scan's stored family
@@ -282,11 +287,19 @@ def _described(t: int, part: _Sets) -> _Sets:
 @lru_cache(maxsize=8)
 def _whole(t: int, lo: int, hi: int) -> _Sets:
     """The subsets of range(t) with sizes in [lo, hi] as one described
-    _Sets; cached, so read-only."""
+    _Sets, its member words the transposed view of (W, sets) words, as a
+    stored family's are; cached, so read-only."""
     whole = _described(t, _Sets(0, next(lex_batches(t, lo, hi, lex_count(t, lo, hi)))))
+    whole = whole._replace(member=np.ascontiguousarray(whole.member.T).T)
     for array in (whole.sets, whole.member, whole.sizes):
         array.setflags(write=False)
     return whole
+
+
+def _kept(t: int, lo: int, hi: int, size: int) -> bool:
+    """Does `_batches` keep this family at `size` subsets per batch?"""
+    n = lex_count(t, lo, hi)
+    return n <= size and n * (hi + word_count(t) + 1) <= _MAX_BATCH
 
 
 def _batches(t: int, lo: int, hi: int, size: int):
@@ -299,13 +312,17 @@ def _batches(t: int, lo: int, hi: int, size: int):
     and kept read-only: the last 8 such families, at most 8 * 8 *
     _MAX_BATCH bytes (1 MiB) together.  Any other family is built afresh,
     batch by batch, as index rows alone."""
-    n = lex_count(t, lo, hi)
-    if n <= size and n * (hi + word_count(t) + 1) <= _MAX_BATCH:
+    if _kept(t, lo, hi, size):
         yield _whole(t, lo, hi)
         return
     # every batch but the last is full, so batch k starts at set k * size
-    for start, sets in zip(range(0, n, size), lex_batches(t, lo, hi, size)):
+    for start, sets in zip(range(0, lex_count(t, lo, hi), size), lex_batches(t, lo, hi, size)):
         yield _Sets(start, sets)
+
+
+def _flag_batch(N: int, t: int, hi: int) -> int:
+    """Subsets per batch of a family whose row flags a pair scan builds."""
+    return _batch_size(max(N * hi, t + 1))
 
 
 def _family(N: int, t: int, lo: int, hi: int, flags, size: int):
@@ -316,7 +333,7 @@ def _family(N: int, t: int, lo: int, hi: int, flags, size: int):
     `size`: few kernel calls on a long scan, and little work past an early
     failure."""
     run = size
-    for batch in _batches(t, lo, hi, _batch_size(max(N * hi, t + 1))):
+    for batch in _batches(t, lo, hi, _flag_batch(N, t, hi)):
         a = 0
         while a < len(batch.sets):
             part = _described(t, batch.cut(a, a + run))
@@ -328,12 +345,23 @@ def _family(N: int, t: int, lo: int, hi: int, flags, size: int):
 
 
 def _stored(N: int, t: int, lo: int, hi: int, flags):
-    """The subsets of range(t) with sizes in [lo, hi] as one stored _Sets of
-    np.empty arrays, and a generator that fills it with the parts of
-    `_family` and yields each part as a cut.  Its words are the columns of
-    (W, sets) arrays, viewed transposed, so that a part's member.T and
-    flags.T are the (W, sets) words `overlap` reads."""
+    """The subsets of range(t) with sizes in [lo, hi] as one stored _Sets,
+    and a generator that fills it and yields each part it filled as a cut.
+    Its words are the columns of (W, sets) arrays, viewed transposed, so
+    that a part's member.T and flags.T are the (W, sets) words `overlap`
+    reads.  A family `_batches` keeps is stored as the kept _Sets with a
+    fresh array for its flags, which the generator fills in one part; any
+    other is stored in np.empty arrays, filled with the parts of
+    `_family`."""
     n = lex_count(t, lo, hi)
+    if _kept(t, lo, hi, _flag_batch(N, t, hi)):
+        whole = _whole(t, lo, hi)._replace(flags=np.empty((word_count(N), n), dtype=np.uint64).T)
+
+        def flag():
+            whole.flags[...] = flags(whole.sets)
+            yield whole
+
+        return whole, flag()
     whole = _Sets(0, np.empty((n, hi), dtype=np.intp),
                   np.empty((word_count(t), n), dtype=np.uint64).T,
                   np.empty((word_count(N), n), dtype=np.uint64).T,
@@ -349,7 +377,30 @@ def _stored(N: int, t: int, lo: int, hi: int, flags):
     return whole, fill()
 
 
-def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationReport:
+@lru_cache(maxsize=64)
+def _mask(applies, t: int, outer: tuple, inner: tuple, group: int, start: int, length: int):
+    """applies(block, family) for sets start to start + length of the kept
+    family `outer` and the whole kept family `inner` (both (lo, hi) sizes
+    of subsets of range(t)), `group` rows per outer set, and the number of
+    its pairs that apply.  A rule's mask depends on nothing else, so it is
+    computed once and cached, read-only: callers ask only for masks of at
+    most _MASK_BYTES bytes, and the cache keeps the last 64, at most 64 *
+    _MASK_BYTES bytes (1 MiB) together."""
+    pairs = applies(_whole(t, *outer).cut(start, start + length), _whole(t, *inner))
+    pairs.setflags(write=False)
+    return pairs, int(np.count_nonzero(pairs))
+
+
+def _mask_key(N: int, t: int, outer: tuple, inner: tuple) -> tuple | None:
+    """The key of a pair scan's masks in `_mask`, (t, outer, inner), where
+    `_family` and `_stored` keep both its families ((lo, hi) each); else
+    None, and each block's mask is computed as the scan reaches it."""
+    if all(_kept(t, lo, hi, _flag_batch(N, t, hi)) for lo, hi in (outer, inner)):
+        return t, outer, inner
+    return None
+
+
+def _pair_scan(outer, inner, applies, witness, group: int = 1, key=None) -> VerificationReport:
     """The report of the first bad pair of an outer row and an inner set:
     one that applies where no row flagged in the outer row is flagged in
     the inner set.
@@ -359,9 +410,10 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationRe
     the parts as it needs them, the later ones the whole family.  Each
     outer set has `group` outer rows, and pairs run by outer set, then
     inner set, then row of the group.  applies(block, part) is the (rows,
-    sets) bool of the pairs that count, and witness(outer set, row of its
-    group, inner set) the witness of a bad pair.  tuples_checked counts the
-    pairs that apply, up to the first bad one.
+    sets) bool of the pairs that count, read from `_mask` where `key` is
+    `_mask_key`'s and the part is the whole family, and witness(outer set,
+    row of its group, inner set) the witness of a bad pair.  tuples_checked
+    counts the pairs that apply, up to the first bad one.
     """
     whole, parts = inner
     checked = 0
@@ -369,22 +421,54 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1) -> VerificationRe
         flags = block.flags.reshape(-1, block.flags.shape[-1])  # m-code's (sets, s, W) flattened
         oks, bads = [], []
         for part in parts:
-            oks.append(applies(block, part))
-            bads.append(oks[-1] & ~overlap(flags, part.flags.T))
+            if (key is not None and part is whole
+                    and len(block.sets) * group * len(whole.sets) <= _MASK_BYTES):
+                oks.append(_mask(applies, *key, group, block.start, len(block.sets)))
+            else:
+                oks.append((applies(block, part), None))  # counted where needed
+            bads.append(oks[-1][0] & ~overlap(flags, part.flags.T))
             if bads[-1][:group].any():  # the block's first set fails, and its pairs come first
                 break
         parts = [whole]
-        ok, bad = ((oks[0], bads[0]) if len(oks) == 1  # one part needs no copy
-                   else (np.concatenate(oks, axis=1), np.concatenate(bads, axis=1)))
+        (ok, count), bad = ((oks[0], bads[0]) if len(oks) == 1  # one part needs no copy
+                            else ((np.concatenate([o for o, _ in oks], axis=1), None),
+                                  np.concatenate(bads, axis=1)))
         if bad.any():
-            g = int(np.argmax(bad.reshape(len(block.sets), -1).any(axis=1)))  # first failing set
+            g = int(np.argmax(bad)) // (group * bad.shape[1])  # first failing set
             rows = slice(g * group, (g + 1) * group)
             j, slot = divmod(int(np.argmax(bad[rows].T)), group)  # by inner set, then row
             checked += int(np.count_nonzero(ok[:rows.start]) + np.count_nonzero(ok[rows, :j])
                            + np.count_nonzero(ok[rows.start:rows.start + slot + 1, j]))
             return VerificationReport(False, witness(block.sets[g], slot, whole.sets[j]), checked)
-        checked += int(np.count_nonzero(ok))
+        checked += int(np.count_nonzero(ok)) if count is None else count
     return VerificationReport(True, None, checked)
+
+
+def _apart(U: _Sets, Z: _Sets) -> np.ndarray:
+    """Pairs of U and Z that share no column."""
+    return ~overlap(U.member, Z.member.T)
+
+
+def _m_code_pairs(U: _Sets, Z: _Sets) -> np.ndarray:
+    """m-code's pairs, one row per slot j of U (s slots): U and Z disjoint,
+    |Z| <= |U|, and j in U."""
+    pairs = _apart(U, Z) & (Z.sizes <= U.sizes[:, None])
+    slots = np.arange(U.sets.shape[1]) < U.sizes[:, None]
+    return (slots[:, :, None] & pairs[:, None]).reshape(-1, len(Z.sets))
+
+
+def _not_within(P: _Sets, Q: _Sets) -> np.ndarray:
+    """Pairs with P not a subset of Q."""
+    return overlap(P.member, ~Q.member.T)
+
+
+def _smaller_other(P: _Sets, Q: _Sets) -> np.ndarray:
+    """Pairs with |Q| <= |P| and Q != P."""
+    pairs = Q.sizes <= P.sizes[:, None]
+    own = np.arange(P.start - Q.start, P.start - Q.start + len(P.sets))  # P's sets in Q
+    inside = (own >= 0) & (own < len(Q.sets))
+    pairs[inside, own[inside]] = False
+    return pairs
 
 
 def check_cover_free(X, z: int, u: int, budget: int | None = None) -> VerificationReport:
@@ -407,8 +491,8 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     cols = pack_columns(bits)
     U = _family(N, t, u, u, lambda batch: at_least(cols, batch, u, N)[u], size)  # 1 on all of U
     Z = _stored(N, t, z, z, lambda batch: _below(cols, batch, 1, N))  # 0 on all of Z
-    return _pair_scan(U, Z, lambda U, Z: ~overlap(U.member, Z.member.T),
-                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)})
+    return _pair_scan(U, Z, _apart, lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)},
+                      key=_mask_key(N, t, (u, u), (z, z)))
 
 
 def d_code_scans(t: int, s: int, N: int) -> int:
@@ -448,12 +532,14 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
     for part in _batches(t, s, s, _batch_size(max(N * s, t))):
         batch = part.sets[:subsets - part.start]
         usable = np.unpackbits(_below(cols, batch, l, N).view(np.uint8), axis=1, count=N)
-        covered = usable.astype(np.float32) @ float_bits        # (batch, t) counts
-        covered[np.arange(len(batch))[:, None], batch] = 1.0    # members of S exempt
-        bad = covered < 0.5
+        bad = usable.astype(np.float32) @ float_bits < 0.5      # (batch, t) counts of 0
+        # members of S exempt: a kept batch is described, and its mask cached
+        if part.member is not None and len(batch) * t <= _MASK_BYTES:
+            bad &= _mask(_apart, t, (s, s), (1, 1), 1, 0, len(batch))[0]
+        else:
+            bad[np.arange(len(batch))[:, None], batch] = False
         if bad.any():
-            r = int(np.flatnonzero(bad.any(axis=1))[0])
-            j = int(np.flatnonzero(bad[r])[0])
+            r, j = divmod(int(np.argmax(bad)), t)  # row-major: the first S, then its first j
             within = j + 1 - int((batch[r] < j).sum())
             checked = (part.start + r) * (t - s) + within
             return VerificationReport(False, {"S": _subset(batch[r]), "j": j}, checked)
@@ -504,14 +590,9 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
 
     U = _family(N, t, u, s, flags, size)
     Z = _stored(N, t, 0, s, lambda batch: _below(cols, batch, 1, N))
-
-    def applies(U, Z):  # U and Z disjoint, |Z| <= |U|, and j in U
-        pairs = ~overlap(U.member, Z.member.T) & (Z.sizes <= U.sizes[:, None])
-        slots = np.arange(s) < U.sizes[:, None]
-        return (slots[:, :, None] & pairs[:, None]).reshape(-1, len(Z.sets))
-
-    return _pair_scan(U, Z, applies,
-                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])}, group=s)
+    return _pair_scan(U, Z, _m_code_pairs,
+                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])},
+                      group=s, key=_mask_key(N, t, (u, s), (0, s)))
 
 
 def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
@@ -540,18 +621,12 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     lo = s if mode == "exactly" else F.l if F.is_threshold else 0
     domain = lex_count(t, lo, s)
     # outcome vectors are equal iff their vectors of label indices are
-    index = {v: i for i, v in enumerate(sorted(set(F.values)))}
-    width = (len(index) - 1).bit_length()  # bits of one label index
+    width = (len(set(F.values)) - 1).bit_length()  # bits of one label index
     words = word_count(N * width)
     _check_cost(domain * N, budget, domain * (8 * words + 8), "design key store")
     if F.l == 1 and multicover.proves(X, bits, s, 1, domain * N * multicover.DESIGN_SCAN_COST,
                                       _BATCH_ENTRIES):
         return VerificationReport(True, None, domain)
-    label_bits = np.array([[index[v] >> b & 1 for b in range(width)] for v in F.values],
-                          dtype=bool)  # (l + 1, width)
-    # bit b of the label of min(hits, l) changes between i - 1 and i hits,
-    # reading 0 below 0 hits, so plane b is the XOR of those planes i
-    changes = [np.flatnonzero(c) for c in np.diff(label_bits, axis=0, prepend=False).T]
     keys = np.empty((domain, words), dtype=np.uint64)
     cols = pack_columns(bits)
     size = _batch_size(N * s)
@@ -561,14 +636,31 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
         if F.is_threshold:  # the one label bit is "reached l" or its negation
             keys[batch.start:n] = planes[F.l]
         else:
-            keys[batch.start:n] = interleave(
-                np.stack([np.bitwise_xor.reduce(planes[c], axis=0) for c in changes]), N)
+            keys[batch.start:n] = interleave(np.stack(
+                [np.bitwise_xor.reduce(planes[c], axis=0) for c in _label_changes(F.values)]), N)
         if k & (k - 1) == 0 or n == domain:  # after 1, 2, 4, ... batches and the last
             repeat = first_repeat(keys[:n])
             if repeat is not None:
                 P, Pprime = (_nth_subset(t, lo, s, size, i) for i in repeat)
                 return VerificationReport(False, {"P": P, "Pprime": Pprime}, repeat[1] + 1)
     return VerificationReport(True, None, domain)
+
+
+@lru_cache(maxsize=8)
+def _label_changes(values: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """For each bit b of a label index under the outcome map `values`, the
+    hit counts i at which bit b of the label of min(hits, l) changes from
+    i - 1 hits, reading 0 below 0 hits; so plane b of a design key is the
+    XOR of the planes "at least i hits" at those i.  Cached per map, so
+    read-only: the last 8 maps, each at most (l + 1) * width indices."""
+    index = {v: i for i, v in enumerate(sorted(set(values)))}
+    width = (len(index) - 1).bit_length()
+    label_bits = np.array([[index[v] >> b & 1 for b in range(width)] for v in values],
+                          dtype=bool)  # (l + 1, width)
+    changes = tuple(np.flatnonzero(c) for c in np.diff(label_bits, axis=0, prepend=False).T)
+    for c in changes:
+        c.setflags(write=False)
+    return changes
 
 
 def _nth_subset(t: int, lo: int, hi: int, size: int, n: int) -> tuple:
@@ -595,20 +687,10 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
         first.append(next(fill))
     blocks = (family.cut(r, r + size)._replace(flags=~family.flags[r:r + size])
               for r in range(0, n, size))
-    if bar:
-        def applies(P, Q):  # P is not a subset of Q
-            return overlap(P.member, ~Q.member.T)
-    else:
-        def applies(P, Q):  # |Q| <= |P| and Q != P
-            pairs = Q.sizes <= P.sizes[:, None]
-            own = np.arange(P.start - Q.start, P.start - Q.start + len(P.sets))  # P's sets in Q
-            inside = (own >= 0) & (own < len(Q.sets))
-            pairs[inside, own[inside]] = False
-            return pairs
-
     # no row fires on P but not on Q
-    return _pair_scan(blocks, (family, chain(first, fill)), applies,
-                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)})
+    return _pair_scan(blocks, (family, chain(first, fill)), _not_within if bar else _smaller_other,
+                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)},
+                      key=_mask_key(N, t, (u, s), (u, s)))
 
 
 def _threshold_pairs(t: int, s: int, bar: bool) -> int:

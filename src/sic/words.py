@@ -43,10 +43,13 @@ _BITS = pack(np.eye(64, dtype=bool))[:, 0]  # flag i of a row of 64 as its word
 
 def pack_columns(bits: np.ndarray) -> np.ndarray:
     """(t + 1, W) words of the (N, t) 0/1 matrix `bits`: row j is column j
-    packed, W = word_count(N), and row t, which index -1 selects, is zero."""
-    cols = np.zeros((bits.shape[1] + 1, word_count(bits.shape[0])), dtype=np.uint64)
-    cols[:-1] = pack(bits.T)
-    return cols
+    packed, W = word_count(N), and row t, which index -1 selects, is zero.
+    The columns are copied once, in their own dtype, into a zeroed buffer
+    of t + 1 padded rows, which one flat pass packs into the words."""
+    N, t = bits.shape
+    padded = np.zeros((t + 1, 64 * word_count(N)), dtype=bits.dtype)
+    padded[:t, :N] = bits.T
+    return np.packbits(padded).view(np.uint64).reshape(t + 1, word_count(N))
 
 
 @lru_cache(maxsize=4)

@@ -1696,6 +1696,19 @@ class TestPackedScansAgainstOracles:
                 assert check_m_code(X, 2, 1) == want
         assert m_code_by_rows(X, 2, 1) == want
 
+    def test_m_code_witness_at_second_slot_of_a_later_set(self):
+        # the first failure is U = (0, 5), the sixth outer set, at its second
+        # slot j = 5: the last set of block 1 at three sets per block, the
+        # second of block 1 at four, the sixth of the one default block.
+        # The flat index of the first bad row, // (group * inner sets),
+        # is that set, and the oracle loops over U one by one
+        X = (np.random.default_rng(91).random((12, 7)) < 0.3).astype(np.uint8)
+        want = m_code_by_rows(X, 2, 1)
+        assert want == VerificationReport(False, {"U": (0, 5), "Z": (1, 2), "j": 5}, 141)
+        for size in ("default", "block3", "block4"):
+            with scan_sizes(size, X, subsets.lex_count(7, 0, 2), group=2):
+                assert check_m_code(X, 2, 1) == want
+
 
 ORACLES = {
     "cover_free": lambda X, p: cover_free_by_rows(X, p["z"], p["u"]),
@@ -1729,11 +1742,14 @@ class TestEnumerationCache:
             params["u"] = min(params["u"], params["s"] - 1)
         with multicover_path("scan"):
             verify._whole.cache_clear()
+            verify._mask.cache_clear()
             cold = CHECKERS[prop](X, params)
             warm = CHECKERS[prop](X, params)
             with mock.patch.object(verify, "_whole", verify._whole.__wrapped__):
                 bypassed = CHECKERS[prop](X, params)
-        assert cold == warm == bypassed == ORACLES[prop](X, params)
+            with mock.patch.object(verify, "_mask", verify._mask.__wrapped__):
+                unmasked = CHECKERS[prop](X, params)
+        assert cold == warm == bypassed == unmasked == ORACLES[prop](X, params)
 
     def test_cached_arrays_are_read_only(self):
         batch, = verify._batches(30, 0, 2, verify._MAX_BATCH)
@@ -1774,3 +1790,95 @@ class TestEnumerationCache:
         assert max(sizes) <= 8 * verify._MAX_BATCH < 2 * max(sizes)  # some family near the cap
         assert sum(a.nbytes for b in retained for a in (b.sets, b.member, b.sizes)) \
             <= info.maxsize * 8 * verify._MAX_BATCH
+
+
+SCREEN_CHECKS = [("cover_free", {"z": 2, "u": 1}), ("d_code", {"s": 2, "l": 1}),
+                 ("m_code", {"s": 2, "u": 1}), ("threshold", {"u": 1, "s": 2}),
+                 ("threshold_bar", {"u": 1, "s": 2}),
+                 ("design", {"values": (0, 1), "s": 2, "mode": "at-most"})]
+
+
+class TestMaskCache:
+    """`verify._mask` keeps, per block of a pair scan over two kept families,
+    the pairs that apply and their count, and d-code's "j outside S" mask of
+    a kept batch; `verify._label_changes` keeps each design map's label
+    planes.  Both are read-only and bounded, and no report depends on them."""
+
+    def test_cached_masks_are_read_only(self):
+        X = random_code(40, 30, 0.25, seed=0).bits
+        verify._mask.cache_clear()
+        check_cover_free(X, 2, 1)  # fails in its first block of 18 U against 435 Z
+        check_d_code(X, 2, 1)      # its one kept batch of 435 S against 30 columns
+        assert verify._mask.cache_info().currsize == 2
+        for key in [(verify._apart, 30, (1, 1), (2, 2), 1, 0, 18),
+                    (verify._apart, 30, (2, 2), (1, 1), 1, 0, 435)]:
+            hits = verify._mask.cache_info().hits
+            mask, count = verify._mask(*key)
+            assert verify._mask.cache_info().hits == hits + 1  # the key the checker used
+            assert count == np.count_nonzero(mask)
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 0] = True
+        for changes in verify._label_changes((0, 2, 1, 3)):
+            with pytest.raises(ValueError, match="read-only"):
+                changes[0] = 0
+
+    def test_retained_bytes_within_the_stated_bound(self):
+        # each mask kept takes at most _MASK_BYTES bytes, and the cache keeps
+        # the last `maxsize` of them: the docstring's 64 * _MASK_BYTES bytes
+        kept = {}  # key: (mask, count), in order of last use
+        real = verify._mask
+
+        def recorded(*key):
+            kept.pop(key, None)  # reinserted, so the dict runs from least to most recent
+            kept[key] = real(*key)
+            return kept[key]
+
+        real.cache_clear()
+        with mock.patch.object(verify, "_mask", recorded):
+            for t in range(30, 12, -2):
+                for seed in range(4):  # the screen checks, and on fewer columns
+                    X = random_code(40, t, 0.25, seed=seed).bits
+                    for prop, params in SCREEN_CHECKS:
+                        CHECKERS[prop](X, params)
+        info = real.cache_info()
+        retained = [mask for mask, _ in list(kept.values())[-info.maxsize:]]
+        assert info.currsize == len(retained) == info.maxsize == 64
+        sizes = [mask.nbytes for mask, _ in kept.values()]
+        assert max(sizes) <= verify._MASK_BYTES < 2 * max(sizes)  # some mask near the cap
+        assert sum(mask.nbytes for mask in retained) <= info.maxsize * verify._MASK_BYTES == 2**20
+
+    def test_label_planes_kept_per_map_within_the_stated_bound(self):
+        # the last 8 maps, each at most (l + 1) * width indices
+        X = random_code(12, 9, 0.3, seed=1).bits
+        verify._label_changes.cache_clear()
+        for l in range(1, 5):
+            for top in range(3):
+                values = tuple(range(top, top + l)) + (9,)
+                F = OutcomeFunction(values=values)
+                assert check_design(X, F, l) == design_by_dict(X, F, l, "at-most")
+                width = (len(set(values)) - 1).bit_length()
+                changes = verify._label_changes(values)
+                assert len(changes) == width
+                assert sum(len(c) for c in changes) <= (l + 1) * width
+        info = verify._label_changes.cache_info()
+        assert info.currsize == info.maxsize == 8
+
+    def test_block_bounds_change_between_calls(self):
+        # PAIR_WORDS set for five, then seven, then five outer sets per block:
+        # blocks of one start end elsewhere (0 to 5 and 0 to 7), so a mask
+        # keyed by less than the block's start and length would be another
+        # block's.  The identity rows make most checks hold, so every block
+        # of their scans is read
+        X = (np.random.default_rng(5).random((16, 9)) < 0.3).astype(np.uint8)
+        X[:9] = np.eye(9, dtype=np.uint8)
+        inner = {"cover_free": (comb(9, 2), 1), "m_code": (subsets.lex_count(9, 0, 2), 2),
+                 "threshold": (subsets.lex_count(9, 1, 2), 1),
+                 "threshold_bar": (subsets.lex_count(9, 1, 2), 1)}
+        verify._mask.cache_clear()
+        with multicover_path("scan"):
+            for size in ("block5", "block7", "block5"):
+                for prop, params in SCREEN_CHECKS:
+                    if prop in inner:
+                        with scan_sizes(size, X, *inner[prop]):
+                            assert CHECKERS[prop](X, params) == ORACLES[prop](X, params)
+        assert verify._mask.cache_info().hits > 0

@@ -69,6 +69,17 @@ class TestRowKernel:
             assert np.array_equal(members, pack(np.isin(np.arange(t), [0, t - 1])[None]))
         assert not identity(5).flags.writeable
 
+    @given(N=st.sampled_from([1, 7, 8, 63, 64, 65, 200]), t=st.integers(1, 20),
+           dtype=st.sampled_from([bool, np.uint8]), seed=st.integers(0, 2**32 - 1))
+    def test_columns_are_the_packed_transpose(self, N, t, dtype, seed):
+        # packed in one pass into a zeroed buffer: the words of pack(bits.T),
+        # padding bits zero, and a zero row for index -1
+        bits = (np.random.default_rng(seed).random((N, t)) < 0.5).astype(dtype)
+        cols = pack_columns(bits)
+        assert cols.shape == (t + 1, word_count(N)) and cols.dtype == np.uint64
+        assert np.array_equal(cols[:t], pack(bits.T))
+        assert not cols[t].any() and not padding(cols, N).any()
+
     @settings(deadline=None)
     @given(st.integers(1, 1000))
     def test_identity_is_the_packed_eye(self, t):

@@ -111,7 +111,7 @@ def cheaper(bits: np.ndarray, l: int, scans: int, weak_columns: np.ndarray,
     if (weak_columns.size - np.count_nonzero(weak_columns)) * COLUMN_COST >= scans:
         return False
     open_columns = np.flatnonzero(~weak_columns)
-    weights = bits[:, open_columns].sum(axis=0)
+    weights = bits[:, open_columns].sum(axis=0, dtype=np.int64)
     # capped, the power stays small and still exceeds `entries` where it would
     if (l + 1) ** min(int(weights.max(initial=0)), entries.bit_length()) > entries:
         return False

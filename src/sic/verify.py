@@ -26,11 +26,11 @@ too.  A family that fits in one batch and in _MAX_BATCH entries (index
 rows, column words and sizes) is built once, described, and kept,
 read-only: the last 8 such families, at most 1 MiB together.  A pair
 scan stores a kept family as it is, with one fresh array for its row
-flags, and reads the pairs that apply in each block of two kept families
-from `_mask`, which keeps them, read-only: the last 64 masks, at most
-1 MiB together; d-code's "j outside S" mask of a kept batch is kept there
-too.  So a run of checks on many small matrices builds each family and
-each mask once and computes only its matrix's flags.
+flags, and reads the pairs that apply in each block against the whole
+inner family from `_mask`, which keeps them by rule, families and block,
+read-only: the last 64 masks of at most 8 KiB, 512 KiB together.  So a
+run of checks on many small matrices builds each family and each mask
+once and computes only its matrix's flags.
 
 Every checker reads a subset's rows through one kernel on packed uint64
 words, `sic.words.at_least`: the matrix's columns are packed as
@@ -130,7 +130,7 @@ from .words import at_least, first_repeat, identity, interleave, overlap, pack_c
 DEFAULT_BUDGET = 1_000_000_000
 _MAX_BATCH = 16384          # subsets per batch
 _BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
-_MASK_BYTES = 16384         # largest mask `_mask` keeps
+_MASK_BYTES = 8192          # largest mask `_mask` keeps (a full block of one-word rows)
 _BLOCK_ENTRIES = _BATCH_ENTRIES // 2  # coincidence block columns * t (counter and scratch)
 PAIR_WORDS = 8192           # words per block of the pair scans
 STORE_BYTES = 2**30         # check_design's key store, or a pair scan's stored family
@@ -377,30 +377,31 @@ def _stored(N: int, t: int, lo: int, hi: int, flags):
     return whole, fill()
 
 
-@lru_cache(maxsize=64)
-def _mask(applies, t: int, outer: tuple, inner: tuple, group: int, start: int, length: int):
-    """applies(block, family) for sets start to start + length of the kept
-    family `outer` and the whole kept family `inner` (both (lo, hi) sizes
-    of subsets of range(t)), `group` rows per outer set, and the number of
-    its pairs that apply.  A rule's mask depends on nothing else, so it is
-    computed once and cached, read-only: callers ask only for masks of at
-    most _MASK_BYTES bytes, and the cache keeps the last 64, at most 64 *
-    _MASK_BYTES bytes (1 MiB) together."""
-    pairs = applies(_whole(t, *outer).cut(start, start + length), _whole(t, *inner))
-    pairs.setflags(write=False)
-    return pairs, int(np.count_nonzero(pairs))
+_MASKS: dict = {}  # `_mask`'s masks and counts by key, the least recently used first
 
 
-def _mask_key(N: int, t: int, outer: tuple, inner: tuple) -> tuple | None:
-    """The key of a pair scan's masks in `_mask`, (t, outer, inner), where
-    `_family` and `_stored` keep both its families ((lo, hi) each); else
-    None, and each block's mask is computed as the scan reaches it."""
-    if all(_kept(t, lo, hi, _flag_batch(N, t, hi)) for lo, hi in (outer, inner)):
-        return t, outer, inner
-    return None
+def _mask(key: tuple, block: _Sets, whole: _Sets) -> tuple[np.ndarray, int]:
+    """applies(block, whole), and the number of its pairs that apply, for
+    key = (applies, t, outer, inner, group, start, length): the block is
+    sets start to start + length of the family `outer`, `group` rows each,
+    and `whole` the family `inner` ((lo, hi) sizes of subsets of range(t)
+    each).  The key names both, and a rule's mask depends on nothing else,
+    so each mask is computed once and kept in _MASKS, read-only: pair scans
+    ask only for masks of at most _MASK_BYTES bytes, and the last 64 are
+    kept, at most 64 * _MASK_BYTES bytes (512 KiB) together."""
+    mask = _MASKS.pop(key, None)  # reinserted below, as the most recently used
+    if mask is None:
+        pairs = key[0](block, whole)
+        pairs.setflags(write=False)
+        mask = pairs, int(np.count_nonzero(pairs))
+    _MASKS[key] = mask
+    if len(_MASKS) > 64:
+        del _MASKS[next(iter(_MASKS))]
+    return mask
 
 
-def _pair_scan(outer, inner, applies, witness, group: int = 1, key=None) -> VerificationReport:
+def _pair_scan(outer, inner, applies, witness, families: tuple,
+               group: int = 1) -> VerificationReport:
     """The report of the first bad pair of an outer row and an inner set:
     one that applies where no row flagged in the outer row is flagged in
     the inner set.
@@ -410,10 +411,11 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1, key=None) -> Veri
     the parts as it needs them, the later ones the whole family.  Each
     outer set has `group` outer rows, and pairs run by outer set, then
     inner set, then row of the group.  applies(block, part) is the (rows,
-    sets) bool of the pairs that count, read from `_mask` where `key` is
-    `_mask_key`'s and the part is the whole family, and witness(outer set,
-    row of its group, inner set) the witness of a bad pair.  tuples_checked
-    counts the pairs that apply, up to the first bad one.
+    sets) bool of the pairs that count, read from `_mask` where the part is
+    the whole family, with `families` = (t, outer, inner) naming the two
+    families by their (lo, hi) sizes; witness(outer set, row of its group,
+    inner set) is the witness of a bad pair.  tuples_checked counts the
+    pairs that apply, up to the first bad one.
     """
     whole, parts = inner
     checked = 0
@@ -421,9 +423,9 @@ def _pair_scan(outer, inner, applies, witness, group: int = 1, key=None) -> Veri
         flags = block.flags.reshape(-1, block.flags.shape[-1])  # m-code's (sets, s, W) flattened
         oks, bads = [], []
         for part in parts:
-            if (key is not None and part is whole
-                    and len(block.sets) * group * len(whole.sets) <= _MASK_BYTES):
-                oks.append(_mask(applies, *key, group, block.start, len(block.sets)))
+            if part is whole and len(block.sets) * group * len(whole.sets) <= _MASK_BYTES:
+                oks.append(_mask((applies, *families, group, block.start, len(block.sets)),
+                                 block, whole))
             else:
                 oks.append((applies(block, part), None))  # counted where needed
             bads.append(oks[-1][0] & ~overlap(flags, part.flags.T))
@@ -492,7 +494,7 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     U = _family(N, t, u, u, lambda batch: at_least(cols, batch, u, N)[u], size)  # 1 on all of U
     Z = _stored(N, t, z, z, lambda batch: _below(cols, batch, 1, N))  # 0 on all of Z
     return _pair_scan(U, Z, _apart, lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)},
-                      key=_mask_key(N, t, (u, u), (z, z)))
+                      (t, (u, u), (z, z)))
 
 
 def d_code_scans(t: int, s: int, N: int) -> int:
@@ -533,11 +535,7 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
         batch = part.sets[:subsets - part.start]
         usable = np.unpackbits(_below(cols, batch, l, N).view(np.uint8), axis=1, count=N)
         bad = usable.astype(np.float32) @ float_bits < 0.5      # (batch, t) counts of 0
-        # members of S exempt: a kept batch is described, and its mask cached
-        if part.member is not None and len(batch) * t <= _MASK_BYTES:
-            bad &= _mask(_apart, t, (s, s), (1, 1), 1, 0, len(batch))[0]
-        else:
-            bad[np.arange(len(batch))[:, None], batch] = False
+        bad[np.arange(len(batch))[:, None], batch] = False  # members of S exempt
         if bad.any():
             r, j = divmod(int(np.argmax(bad)), t)  # row-major: the first S, then its first j
             within = j + 1 - int((batch[r] < j).sum())
@@ -592,7 +590,7 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     Z = _stored(N, t, 0, s, lambda batch: _below(cols, batch, 1, N))
     return _pair_scan(U, Z, _m_code_pairs,
                       lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])},
-                      group=s, key=_mask_key(N, t, (u, s), (0, s)))
+                      (t, (u, s), (0, s)), group=s)
 
 
 def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
@@ -621,12 +619,19 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
     lo = s if mode == "exactly" else F.l if F.is_threshold else 0
     domain = lex_count(t, lo, s)
     # outcome vectors are equal iff their vectors of label indices are
-    width = (len(set(F.values)) - 1).bit_length()  # bits of one label index
+    index = {v: i for i, v in enumerate(sorted(set(F.values)))}
+    width = (len(index) - 1).bit_length()  # bits of one label index
     words = word_count(N * width)
     _check_cost(domain * N, budget, domain * (8 * words + 8), "design key store")
     if F.l == 1 and multicover.proves(X, bits, s, 1, domain * N * multicover.DESIGN_SCAN_COST,
                                       _BATCH_ENTRIES):
         return VerificationReport(True, None, domain)
+    if not F.is_threshold:  # a threshold map's key is one plane, read as it is
+        label_bits = np.array([[index[v] >> b & 1 for b in range(width)] for v in F.values],
+                              dtype=bool)  # (l + 1, width)
+        # bit b of the label of min(hits, l) changes between i - 1 and i hits,
+        # reading 0 below 0 hits, so plane b is the XOR of those planes i
+        changes = [np.flatnonzero(c) for c in np.diff(label_bits, axis=0, prepend=False).T]
     keys = np.empty((domain, words), dtype=np.uint64)
     cols = pack_columns(bits)
     size = _batch_size(N * s)
@@ -636,31 +641,14 @@ def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
         if F.is_threshold:  # the one label bit is "reached l" or its negation
             keys[batch.start:n] = planes[F.l]
         else:
-            keys[batch.start:n] = interleave(np.stack(
-                [np.bitwise_xor.reduce(planes[c], axis=0) for c in _label_changes(F.values)]), N)
+            keys[batch.start:n] = interleave(
+                np.stack([np.bitwise_xor.reduce(planes[c], axis=0) for c in changes]), N)
         if k & (k - 1) == 0 or n == domain:  # after 1, 2, 4, ... batches and the last
             repeat = first_repeat(keys[:n])
             if repeat is not None:
                 P, Pprime = (_nth_subset(t, lo, s, size, i) for i in repeat)
                 return VerificationReport(False, {"P": P, "Pprime": Pprime}, repeat[1] + 1)
     return VerificationReport(True, None, domain)
-
-
-@lru_cache(maxsize=8)
-def _label_changes(values: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """For each bit b of a label index under the outcome map `values`, the
-    hit counts i at which bit b of the label of min(hits, l) changes from
-    i - 1 hits, reading 0 below 0 hits; so plane b of a design key is the
-    XOR of the planes "at least i hits" at those i.  Cached per map, so
-    read-only: the last 8 maps, each at most (l + 1) * width indices."""
-    index = {v: i for i, v in enumerate(sorted(set(values)))}
-    width = (len(index) - 1).bit_length()
-    label_bits = np.array([[index[v] >> b & 1 for b in range(width)] for v in values],
-                          dtype=bool)  # (l + 1, width)
-    changes = tuple(np.flatnonzero(c) for c in np.diff(label_bits, axis=0, prepend=False).T)
-    for c in changes:
-        c.setflags(write=False)
-    return changes
 
 
 def _nth_subset(t: int, lo: int, hi: int, size: int, n: int) -> tuple:
@@ -689,8 +677,7 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
               for r in range(0, n, size))
     # no row fires on P but not on Q
     return _pair_scan(blocks, (family, chain(first, fill)), _not_within if bar else _smaller_other,
-                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)},
-                      key=_mask_key(N, t, (u, s), (u, s)))
+                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)}, (t, (u, s), (u, s)))
 
 
 def _threshold_pairs(t: int, s: int, bar: bool) -> int:

@@ -44,10 +44,13 @@ _BITS = pack(np.eye(64, dtype=bool))[:, 0]  # flag i of a row of 64 as its word
 def pack_columns(bits: np.ndarray) -> np.ndarray:
     """(t + 1, W) words of the (N, t) 0/1 matrix `bits`: row j is column j
     packed, W = word_count(N), and row t, which index -1 selects, is zero.
-    The columns are copied once, in their own dtype, into a zeroed buffer
-    of t + 1 padded rows, which one flat pass packs into the words."""
+    The columns are copied once into a zeroed buffer of t + 1 padded rows,
+    uint8 for uint8 entries and bool for any other dtype (a cast that keeps
+    a float or wide integer matrix out of `np.packbits` and the buffer at
+    one byte an entry), which one flat pass packs into the words."""
     N, t = bits.shape
-    padded = np.zeros((t + 1, 64 * word_count(N)), dtype=bits.dtype)
+    dtype = np.uint8 if bits.dtype == np.uint8 else bool
+    padded = np.zeros((t + 1, 64 * word_count(N)), dtype=dtype)
     padded[:t, :N] = bits.T
     return np.packbits(padded).view(np.uint64).reshape(t + 1, word_count(N))
 

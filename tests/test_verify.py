@@ -1329,6 +1329,19 @@ class TestBinaryInput:
             self.CALLS[name](wrap(self.BAD[bad]))
         self.CALLS[name](wrap(self.I7))
 
+    @pytest.mark.parametrize("path", ["scan", "default"])
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float32, np.float64])
+    @pytest.mark.parametrize("name", [name for name in CALLS if name != "d_certificate"])
+    def test_every_dtype_of_0_1_entries_gives_the_uint8_report(self, name, dtype, path):
+        # a BinaryCode keeps its bits in the dtype it was given; the scans
+        # pack, and the multicover DP counts, float and wide integer 0/1
+        # entries as they do uint8 ones.  The identity rows leave columns
+        # open to the DP on the default path
+        X = np.vstack([np.eye(21, dtype=np.uint8), random_code(12, 21, 0.3, seed=3).bits])
+        with multicover_path(path):
+            assert self.CALLS[name](BinaryCode(bits=X.astype(dtype), weight=None)) \
+                == self.CALLS[name](X)
+
     @pytest.mark.parametrize("call, message", [
         (lambda: check_d_code(np.zeros(4, np.uint8), 2, 1), "binary code must be a 2-D matrix"),
         (lambda: check_design(np.eye(4, dtype=np.uint8), OutcomeFunction.saturating(3), 2),
@@ -1742,12 +1755,12 @@ class TestEnumerationCache:
             params["u"] = min(params["u"], params["s"] - 1)
         with multicover_path("scan"):
             verify._whole.cache_clear()
-            verify._mask.cache_clear()
+            verify._MASKS.clear()
             cold = CHECKERS[prop](X, params)
             warm = CHECKERS[prop](X, params)
             with mock.patch.object(verify, "_whole", verify._whole.__wrapped__):
                 bypassed = CHECKERS[prop](X, params)
-            with mock.patch.object(verify, "_mask", verify._mask.__wrapped__):
+            with mock.patch.object(verify, "_MASK_BYTES", -1):  # no mask is read from _mask
                 unmasked = CHECKERS[prop](X, params)
         assert cold == warm == bypassed == unmasked == ORACLES[prop](X, params)
 
@@ -1799,86 +1812,65 @@ SCREEN_CHECKS = [("cover_free", {"z": 2, "u": 1}), ("d_code", {"s": 2, "l": 1}),
 
 
 class TestMaskCache:
-    """`verify._mask` keeps, per block of a pair scan over two kept families,
-    the pairs that apply and their count, and d-code's "j outside S" mask of
-    a kept batch; `verify._label_changes` keeps each design map's label
-    planes.  Both are read-only and bounded, and no report depends on them."""
+    """`verify._mask` keeps, per block of a pair scan against the whole inner
+    family, the pairs that apply and their count, keyed by the rule, the
+    two families and the block.  They are read-only and bounded, and no
+    report depends on them."""
 
     def test_cached_masks_are_read_only(self):
         X = random_code(40, 30, 0.25, seed=0).bits
-        verify._mask.cache_clear()
+        verify._MASKS.clear()
         check_cover_free(X, 2, 1)  # fails in its first block of 18 U against 435 Z
-        check_d_code(X, 2, 1)      # its one kept batch of 435 S against 30 columns
-        assert verify._mask.cache_info().currsize == 2
-        for key in [(verify._apart, 30, (1, 1), (2, 2), 1, 0, 18),
-                    (verify._apart, 30, (2, 2), (1, 1), 1, 0, 435)]:
-            hits = verify._mask.cache_info().hits
-            mask, count = verify._mask(*key)
-            assert verify._mask.cache_info().hits == hits + 1  # the key the checker used
+        assert list(verify._MASKS) == [(verify._apart, 30, (1, 1), (2, 2), 1, 0, 18)]
+        for prop, params in SCREEN_CHECKS:
+            CHECKERS[prop](X, params)
+        assert len(verify._MASKS) > 1
+        for mask, count in verify._MASKS.values():
             assert count == np.count_nonzero(mask)
             with pytest.raises(ValueError, match="read-only"):
                 mask[0, 0] = True
-        for changes in verify._label_changes((0, 2, 1, 3)):
-            with pytest.raises(ValueError, match="read-only"):
-                changes[0] = 0
 
     def test_retained_bytes_within_the_stated_bound(self):
         # each mask kept takes at most _MASK_BYTES bytes, and the cache keeps
-        # the last `maxsize` of them: the docstring's 64 * _MASK_BYTES bytes
-        kept = {}  # key: (mask, count), in order of last use
-        real = verify._mask
-
-        def recorded(*key):
-            kept.pop(key, None)  # reinserted, so the dict runs from least to most recent
-            kept[key] = real(*key)
-            return kept[key]
-
-        real.cache_clear()
-        with mock.patch.object(verify, "_mask", recorded):
-            for t in range(30, 12, -2):
-                for seed in range(4):  # the screen checks, and on fewer columns
-                    X = random_code(40, t, 0.25, seed=seed).bits
-                    for prop, params in SCREEN_CHECKS:
-                        CHECKERS[prop](X, params)
-        info = real.cache_info()
-        retained = [mask for mask, _ in list(kept.values())[-info.maxsize:]]
-        assert info.currsize == len(retained) == info.maxsize == 64
-        sizes = [mask.nbytes for mask, _ in kept.values()]
-        assert max(sizes) <= verify._MASK_BYTES < 2 * max(sizes)  # some mask near the cap
-        assert sum(mask.nbytes for mask in retained) <= info.maxsize * verify._MASK_BYTES == 2**20
-
-    def test_label_planes_kept_per_map_within_the_stated_bound(self):
-        # the last 8 maps, each at most (l + 1) * width indices
-        X = random_code(12, 9, 0.3, seed=1).bits
-        verify._label_changes.cache_clear()
-        for l in range(1, 5):
-            for top in range(3):
-                values = tuple(range(top, top + l)) + (9,)
-                F = OutcomeFunction(values=values)
-                assert check_design(X, F, l) == design_by_dict(X, F, l, "at-most")
-                width = (len(set(values)) - 1).bit_length()
-                changes = verify._label_changes(values)
-                assert len(changes) == width
-                assert sum(len(c) for c in changes) <= (l + 1) * width
-        info = verify._label_changes.cache_info()
-        assert info.currsize == info.maxsize == 8
+        # the last 64 of them: the docstring's 64 * _MASK_BYTES bytes
+        largest = 0
+        verify._MASKS.clear()
+        for t in range(30, 12, -2):
+            for seed in range(4):  # the screen checks, and on fewer columns
+                X = random_code(40, t, 0.25, seed=seed).bits
+                for prop, params in SCREEN_CHECKS:
+                    CHECKERS[prop](X, params)
+                    sizes = [mask.nbytes for mask, _ in verify._MASKS.values()]
+                    largest = max([largest] + sizes)
+                    assert len(sizes) <= 64 and sum(sizes) <= 64 * verify._MASK_BYTES == 2**19
+        assert len(verify._MASKS) == 64
+        assert largest <= verify._MASK_BYTES < 2 * largest  # some mask near the cap
 
     def test_block_bounds_change_between_calls(self):
-        # PAIR_WORDS set for five, then seven, then five outer sets per block:
-        # blocks of one start end elsewhere (0 to 5 and 0 to 7), so a mask
-        # keyed by less than the block's start and length would be another
-        # block's.  The identity rows make most checks hold, so every block
-        # of their scans is read
+        # PAIR_WORDS set for five, then seven, then five outer sets per block,
+        # with batches of 40 sets in between: blocks of one start end
+        # elsewhere (0 to 5 and 0 to 7), so a mask keyed by less than the
+        # block's start and length would be another block's.  At 40 sets a
+        # batch no family with more than 40 entries is kept, so the scans
+        # also read masks of families stored batch by batch.  The identity
+        # rows make most checks hold, so every block of their scans is read
         X = (np.random.default_rng(5).random((16, 9)) < 0.3).astype(np.uint8)
         X[:9] = np.eye(9, dtype=np.uint8)
         inner = {"cover_free": (comb(9, 2), 1), "m_code": (subsets.lex_count(9, 0, 2), 2),
                  "threshold": (subsets.lex_count(9, 1, 2), 1),
                  "threshold_bar": (subsets.lex_count(9, 1, 2), 1)}
-        verify._mask.cache_clear()
-        with multicover_path("scan"):
-            for size in ("block5", "block7", "block5"):
+        hits = []  # whether each mask read was kept already
+        real = verify._mask
+
+        def recorded(key, block, whole):
+            hits.append(key in verify._MASKS)
+            return real(key, block, whole)
+
+        verify._MASKS.clear()
+        with multicover_path("scan"), mock.patch.object(verify, "_mask", recorded):
+            for size in ("block5", "block7", "batch40", "block5"):
                 for prop, params in SCREEN_CHECKS:
                     if prop in inner:
                         with scan_sizes(size, X, *inner[prop]):
                             assert CHECKERS[prop](X, params) == ORACLES[prop](X, params)
-        assert verify._mask.cache_info().hits > 0
+        assert any(hits) and not all(hits)

@@ -70,7 +70,8 @@ class TestRowKernel:
         assert not identity(5).flags.writeable
 
     @given(N=st.sampled_from([1, 7, 8, 63, 64, 65, 200]), t=st.integers(1, 20),
-           dtype=st.sampled_from([bool, np.uint8]), seed=st.integers(0, 2**32 - 1))
+           dtype=st.sampled_from([bool, np.uint8, np.int64, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
     def test_columns_are_the_packed_transpose(self, N, t, dtype, seed):
         # packed in one pass into a zeroed buffer: the words of pack(bits.T),
         # padding bits zero, and a zero row for index -1

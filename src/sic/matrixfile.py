@@ -40,9 +40,10 @@ def write_matrix(code: BinaryCode, path, comments: Iterable[str] = ()) -> None:
     time.  A matrix the reader would reject or read differently (no rows or
     columns, an entry outside {0, 1}, a column off the stated weight)
     raises ParameterOutOfRange before the file opens."""
-    if 0 in _bits(code).shape:  # _bits refuses entries outside {0, 1}
+    bits = _bits(code)  # uint8; _bits refuses entries outside {0, 1}
+    if 0 in bits.shape:
         raise ParameterOutOfRange(f"cannot write a {code.N} x {code.t} matrix")
-    _check_weight(code.bits, code.weight, ParameterOutOfRange)
+    _check_weight(bits, code.weight, ParameterOutOfRange)
     header = f"{MAGIC} {VERSION} {code.N} {code.t}"
     if code.weight is not None:
         header += f" {code.weight}"
@@ -57,7 +58,7 @@ def write_matrix(code: BinaryCode, path, comments: Iterable[str] = ()) -> None:
         fh.write(f"{header}\n".encode("ascii"))
         for a in range(0, code.N, rows):
             block = chars[:min(rows, code.N - a)]
-            np.add(code.bits[a:a + rows] != 0, ord("0"), out=block[:, :-1], dtype=np.uint8)
+            np.add(bits[a:a + rows], ord("0"), out=block[:, :-1])
             fh.write(block)
         fh.write(tail)
 

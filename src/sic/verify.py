@@ -25,12 +25,16 @@ where that is larger, which bounds d-code's (batch, t) coverage counts
 too.  A family that fits in one batch and in _MAX_BATCH entries (index
 rows, column words and sizes) is built once, described, and kept,
 read-only: the last 8 such families, at most 1 MiB together.  A pair
-scan stores a kept family as it is, with one fresh array for its row
-flags, and reads the pairs that apply in each block against the whole
-inner family from `_mask`, which keeps them by rule, families and block,
-read-only: the last 64 masks of at most 8 KiB, 512 KiB together.  So a
-run of checks on many small matrices builds each family and each mask
-once and computes only its matrix's flags.
+scan whose two families are both kept runs on the plan of its shape,
+`_pair_plan` (rule, families, rows, group, block size), built once and
+cached: its charge and stored bytes, its block size, and for each block
+it has read the pairs that apply and their count, read-only, at most
+128 KiB of them a plan, the last 4 plans 512 KiB together.  Such a call
+packs its matrix, takes the two families from `_whole`, builds one flags
+array for each and runs through the plan's blocks, so a run of checks on
+many small matrices builds each family, plan and mask once and computes
+only its matrix's flags.  `check_d_code` exempts the members of the sets
+of its kept family from one cached array the same way.
 
 Every checker reads a subset's rows through one kernel on packed uint64
 words, `sic.words.at_least`: the matrix's columns are packed as
@@ -47,9 +51,10 @@ a block of outer sets with every inner set at once; for each set it has
 its index row, its columns (the kernel run on the identity's words) and
 its flagged rows as words, and m-code has one outer row per slot j of U.
 A block holds PAIR_WORDS // (inner sets * W) outer rows, W =
-max(word_count(t), word_count(N)), in whole sets (at least one).  The
-inner family (Z, or the threshold checkers' one family, used in both
-roles) is stored; the outer family (U) is built as the scan reaches it,
+max(word_count(t), word_count(N)), in whole sets (at least one).  Where
+a family is not kept the scan streams: the inner family (Z, or the
+threshold checkers' one family, used in both roles) is stored, and the
+outer family (U) is built as the scan reaches it,
 in runs of one block, then two, four, ... (at most a batch), and the
 first block reads the inner family batch by batch as it fills, so a
 first set that fails returns before the rest of either is built (the
@@ -130,7 +135,7 @@ from .words import at_least, first_repeat, identity, interleave, overlap, pack_c
 DEFAULT_BUDGET = 1_000_000_000
 _MAX_BATCH = 16384          # subsets per batch
 _BATCH_ENTRIES = 4_000_000  # row entries per batch: rows * width * subsets
-_MASK_BYTES = 8192          # largest mask `_mask` keeps (a full block of one-word rows)
+_PLAN_MASK_BYTES = 2**17    # masks a pair scan's plan keeps (`_block`)
 _BLOCK_ENTRIES = _BATCH_ENTRIES // 2  # coincidence block columns * t (counter and scratch)
 PAIR_WORDS = 8192           # words per block of the pair scans
 STORE_BYTES = 2**30         # check_design's key store, or a pair scan's stored family
@@ -198,16 +203,18 @@ class VerificationReport:
 
 
 def _bits(X, binary: bool = True) -> np.ndarray:
-    """The matrix of a BinaryCode as stored, or of a 2-D array as uint8.
-    With `binary`, any entry outside {0, 1} raises ParameterOutOfRange; the
-    entries are read before the cast, which would turn -1 into 255."""
-    arr = X.bits if isinstance(X, BinaryCode) else np.asarray(X)
+    """The matrix of a BinaryCode or a 2-D array as uint8; without `binary`,
+    a BinaryCode's as stored.  With `binary`, any entry outside {0, 1}
+    raises ParameterOutOfRange; the entries are read before the cast, which
+    would turn -1 into 255.  So every checker's arithmetic sees one dtype."""
+    code = isinstance(X, BinaryCode)
+    arr = X.bits if code else np.asarray(X)
     if arr.ndim != 2:
         raise ParameterOutOfRange("binary code must be a 2-D matrix")
     if binary and not (arr.max(initial=0) <= 1 if arr.dtype.kind in "bu"
                        else ((arr == 0) | (arr == 1)).all()):
         raise ParameterOutOfRange("binary code entries must be 0 or 1")
-    return arr if isinstance(X, BinaryCode) else arr.astype(np.uint8, copy=False)
+    return arr if code and not binary else arr.astype(np.uint8, copy=False)
 
 
 def _batch_size(entries: int) -> int:
@@ -222,8 +229,9 @@ def _below(cols: np.ndarray, batch: np.ndarray, k: int, N: int) -> np.ndarray:
     return planes[0] ^ planes[k]
 
 
-def _subset(row) -> tuple:
-    return tuple(int(c) for c in row if c >= 0)
+def _subset(row: np.ndarray) -> tuple:
+    """The columns of an index row, without its -1 padding, as Python ints."""
+    return tuple(row[row >= 0].tolist())
 
 
 def _check_cost(scans: int, budget: int | None, store: int = 0, what: str = "") -> None:
@@ -235,21 +243,6 @@ def _check_cost(scans: int, budget: int | None, store: int = 0, what: str = "") 
         raise BudgetExceeded(f"{scans} row scans exceed budget {limit}")
     if store > STORE_BYTES:
         raise BudgetExceeded(f"{what} of {store} bytes exceeds {STORE_BYTES}")
-
-
-def _check_pairs(outer: int, t: int, N: int, lo: int, hi: int, budget: int | None,
-                 group: int = 1) -> tuple[int, int]:
-    """Outer sets per block of a pair scan of `outer` outer sets, `group`
-    rows each, against the stored family of the subsets of range(t) with
-    sizes in [lo, hi]: PAIR_WORDS // (inner sets * W * group), at least
-    one, W = max(word_count(t), word_count(N)); and the scan's charge.  The
-    scan compares every outer row with every inner set, outer rows * inner
-    sets * N row scans, and stores the family's index rows and words
-    (`_check_cost`), besides each set's size, one byte where hi < 256."""
-    inner = lex_count(t, lo, hi)
-    scans = outer * group * inner * N
-    _check_cost(scans, budget, inner * 8 * (hi + word_count(t) + word_count(N)), "pair family")
-    return max(1, PAIR_WORDS // (inner * max(word_count(t), word_count(N)) * group)), scans
 
 
 class _Sets(NamedTuple):
@@ -345,23 +338,12 @@ def _family(N: int, t: int, lo: int, hi: int, flags, size: int):
 
 
 def _stored(N: int, t: int, lo: int, hi: int, flags):
-    """The subsets of range(t) with sizes in [lo, hi] as one stored _Sets,
-    and a generator that fills it and yields each part it filled as a cut.
-    Its words are the columns of (W, sets) arrays, viewed transposed, so
-    that a part's member.T and flags.T are the (W, sets) words `overlap`
-    reads.  A family `_batches` keeps is stored as the kept _Sets with a
-    fresh array for its flags, which the generator fills in one part; any
-    other is stored in np.empty arrays, filled with the parts of
-    `_family`."""
+    """The subsets of range(t) with sizes in [lo, hi] as one stored _Sets
+    in np.empty arrays, and a generator that fills it with the parts of
+    `_family` and yields each part it filled as a cut.  Its words are the
+    columns of (W, sets) arrays, viewed transposed, so that a part's
+    member.T and flags.T are the (W, sets) words `overlap` reads."""
     n = lex_count(t, lo, hi)
-    if _kept(t, lo, hi, _flag_batch(N, t, hi)):
-        whole = _whole(t, lo, hi)._replace(flags=np.empty((word_count(N), n), dtype=np.uint64).T)
-
-        def flag():
-            whole.flags[...] = flags(whole.sets)
-            yield whole
-
-        return whole, flag()
     whole = _Sets(0, np.empty((n, hi), dtype=np.intp),
                   np.empty((word_count(t), n), dtype=np.uint64).T,
                   np.empty((word_count(N), n), dtype=np.uint64).T,
@@ -377,72 +359,130 @@ def _stored(N: int, t: int, lo: int, hi: int, flags):
     return whole, fill()
 
 
-_MASKS: dict = {}  # `_mask`'s masks and counts by key, the least recently used first
+class _Plan(NamedTuple):
+    """What a pair scan's shape fixes, built once by `_pair_plan`: its
+    charge in row scans, the bytes it stores, its outer sets per block, its
+    rule and outer rows per set; and, where `_batches` keeps both of its
+    families, a list with an entry per block, None until `_block` builds
+    it.  The kept families themselves come from `_whole`, once the scan
+    runs, so a check that the DP decides builds neither."""
+    scans: int
+    store: int
+    size: int
+    applies: object
+    group: int
+    blocks: list | None = None
 
 
-def _mask(key: tuple, block: _Sets, whole: _Sets) -> tuple[np.ndarray, int]:
-    """applies(block, whole), and the number of its pairs that apply, for
-    key = (applies, t, outer, inner, group, start, length): the block is
-    sets start to start + length of the family `outer`, `group` rows each,
-    and `whole` the family `inner` ((lo, hi) sizes of subsets of range(t)
-    each).  The key names both, and a rule's mask depends on nothing else,
-    so each mask is computed once and kept in _MASKS, read-only: pair scans
-    ask only for masks of at most _MASK_BYTES bytes, and the last 64 are
-    kept, at most 64 * _MASK_BYTES bytes (512 KiB) together."""
-    mask = _MASKS.pop(key, None)  # reinserted below, as the most recently used
-    if mask is None:
-        pairs = key[0](block, whole)
-        pairs.setflags(write=False)
-        mask = pairs, int(np.count_nonzero(pairs))
-    _MASKS[key] = mask
-    if len(_MASKS) > 64:
-        del _MASKS[next(iter(_MASKS))]
-    return mask
+@lru_cache(maxsize=4)
+def _pair_plan(applies, N: int, t: int, outer: tuple, inner: tuple, group: int,
+               words: int, batch: int) -> _Plan:
+    """The plan of a pair scan by the rule `applies` of the family `outer`,
+    `group` rows a set, against the family `inner`, each named by the (lo,
+    hi) sizes of its subsets of range(t), on N rows.  `words` and `batch`
+    are PAIR_WORDS and _MAX_BATCH, in the key so that no plan is read
+    under other values than its own.
+
+    The scan compares every outer row with every inner set, outer rows *
+    inner sets * N row scans; it stores the inner family's index rows and
+    words, besides each set's size, one byte where hi < 256; and a block
+    holds words // (inner sets * W * group) outer sets, at least one, W =
+    max(word_count(t), word_count(N)).
+
+    Cached, so read-only but for the masks that `_block` adds: the last 4
+    plans, each keeping masks of at most _PLAN_MASK_BYTES (128 KiB), at most
+    512 KiB together."""
+    n, m = lex_count(t, *inner), lex_count(t, *outer)
+    size = max(1, words // (n * max(word_count(t), word_count(N)) * group))
+    plan = _Plan(m * group * n * N, n * 8 * (inner[1] + word_count(t) + word_count(N)), size,
+                 applies, group)
+    if not all(_kept(t, lo, hi, _flag_batch(N, t, hi)) for lo, hi in (outer, inner)):
+        return plan
+    return plan._replace(blocks=[None] * -(-m // size))
 
 
-def _pair_scan(outer, inner, applies, witness, families: tuple,
-               group: int = 1) -> VerificationReport:
-    """The report of the first bad pair of an outer row and an inner set:
-    one that applies where no row flagged in the outer row is flagged in
-    the inner set.
+def _check_pairs(applies, N: int, t: int, outer: tuple, inner: tuple, budget: int | None,
+                 group: int = 1) -> _Plan:
+    """The plan of a pair scan (`_pair_plan`), once `_check_cost` passes its
+    charge and the family it stores."""
+    plan = _pair_plan(applies, N, t, outer, inner, group, PAIR_WORDS, _MAX_BATCH)
+    _check_cost(plan.scans, budget, plan.store, "pair family")
+    return plan
 
+
+def _block(plan: _Plan, i: int, outer: _Sets, inner: _Sets) -> tuple:
+    """Block i of a plan's scan of the kept families `outer` and `inner`:
+    its outer sets' index rows, the slice of their outer rows, the (rows,
+    inner sets) bool of the pairs that apply, read-only, and their count.
+    The plan keeps it while the masks it keeps take at most
+    _PLAN_MASK_BYTES bytes."""
+    a = i * plan.size
+    block = outer.cut(a, a + plan.size)
+    mask = plan.applies(block, inner)
+    mask.setflags(write=False)
+    rows = slice(a * plan.group, (a + len(block.sets)) * plan.group)
+    entry = block.sets, rows, mask, int(np.count_nonzero(mask))
+    if mask.nbytes + sum(kept[2].nbytes for kept in plan.blocks if kept) <= _PLAN_MASK_BYTES:
+        plan.blocks[i] = entry
+    return entry
+
+
+def _planned(plan: _Plan, outer: _Sets, inner: _Sets, outer_flags: np.ndarray,
+             inner_flags: np.ndarray):
+    """The blocks of a plan's scan of the kept families `outer` and `inner`,
+    for `_pair_scan`, given their row flags as words, one row per outer
+    row (m-code's (sets, s, W) as they come) and per inner set."""
+    outer_flags = outer_flags.reshape(-1, outer_flags.shape[-1])
+    inner_flags = np.ascontiguousarray(inner_flags.T)
+    for i, entry in enumerate(plan.blocks):
+        sets, rows, ok, count = entry or _block(plan, i, outer, inner)
+        yield sets, inner.sets, ok, count, ok & ~overlap(outer_flags[rows], inner_flags)
+
+
+def _streamed(outer, inner, applies, group: int = 1):
+    """The blocks of a scan on families built as it runs, for `_pair_scan`:
     `outer` yields the blocks of a family of _Sets, and `inner` is a stored
-    family with its parts, as `_stored` returns them: the first block reads
-    the parts as it needs them, the later ones the whole family.  Each
-    outer set has `group` outer rows, and pairs run by outer set, then
-    inner set, then row of the group.  applies(block, part) is the (rows,
-    sets) bool of the pairs that count, read from `_mask` where the part is
-    the whole family, with `families` = (t, outer, inner) naming the two
-    families by their (lo, hi) sizes; witness(outer set, row of its group,
-    inner set) is the witness of a bad pair.  tuples_checked counts the
-    pairs that apply, up to the first bad one.
-    """
+    family with its parts, as `_stored` returns them.  The first block
+    reads the parts as it needs them, and stops at the first part in which
+    its first set fails; the later ones read the whole family.
+    applies(block, part) is the (rows, sets) bool of the pairs that count."""
     whole, parts = inner
-    checked = 0
     for block in outer:
         flags = block.flags.reshape(-1, block.flags.shape[-1])  # m-code's (sets, s, W) flattened
         oks, bads = [], []
         for part in parts:
-            if part is whole and len(block.sets) * group * len(whole.sets) <= _MASK_BYTES:
-                oks.append(_mask((applies, *families, group, block.start, len(block.sets)),
-                                 block, whole))
-            else:
-                oks.append((applies(block, part), None))  # counted where needed
-            bads.append(oks[-1][0] & ~overlap(flags, part.flags.T))
+            oks.append(applies(block, part))
+            bads.append(oks[-1] & ~overlap(flags, part.flags.T))
             if bads[-1][:group].any():  # the block's first set fails, and its pairs come first
                 break
         parts = [whole]
-        (ok, count), bad = ((oks[0], bads[0]) if len(oks) == 1  # one part needs no copy
-                            else ((np.concatenate([o for o, _ in oks], axis=1), None),
-                                  np.concatenate(bads, axis=1)))
+        ok, bad = ((oks[0], bads[0]) if len(oks) == 1  # one part needs no copy
+                   else (np.concatenate(oks, axis=1), np.concatenate(bads, axis=1)))
+        yield block.sets, whole.sets, ok, int(np.count_nonzero(ok)), bad
+
+
+def _pair_scan(blocks, witness, group: int = 1) -> VerificationReport:
+    """The report of the first bad pair of an outer row and an inner set:
+    one that applies where no row flagged in the outer row is flagged in
+    the inner set.  This is the block loop of both kinds of scan.
+
+    `blocks` yields, per block, the index rows of its outer sets and of the
+    inner sets, the (rows, inner sets) bool of the pairs that apply, their
+    count, and the bool of the bad pairs (`_planned`, `_streamed`).  Each
+    outer set has `group` outer rows, and pairs run by outer set, then
+    inner set, then row of the group; witness(outer set, row of its group,
+    inner set) is the witness of a bad pair.  tuples_checked counts the
+    pairs that apply, up to the first bad one."""
+    checked = 0
+    for outer, inner, ok, count, bad in blocks:
         if bad.any():
             g = int(np.argmax(bad)) // (group * bad.shape[1])  # first failing set
             rows = slice(g * group, (g + 1) * group)
             j, slot = divmod(int(np.argmax(bad[rows].T)), group)  # by inner set, then row
             checked += int(np.count_nonzero(ok[:rows.start]) + np.count_nonzero(ok[rows, :j])
                            + np.count_nonzero(ok[rows.start:rows.start + slot + 1, j]))
-            return VerificationReport(False, witness(block.sets[g], slot, whole.sets[j]), checked)
-        checked += int(np.count_nonzero(ok)) if count is None else count
+            return VerificationReport(False, witness(outer[g], slot, inner[j]), checked)
+        checked += count
     return VerificationReport(True, None, checked)
 
 
@@ -487,18 +527,44 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     N, t = bits.shape
     if z < 1 or u < 1 or z + u > t:
         raise ParameterOutOfRange(f"need z, u >= 1 and z + u <= t, got {(z, u, t)}")
-    size, scans = _check_pairs(comb(t, u), t, N, z, z, budget)
-    if u == 1 and multicover.proves(X, bits, z, 1, scans, _BATCH_ENTRIES):
+    plan = _check_pairs(_apart, N, t, (u, u), (z, z), budget)
+    if u == 1 and multicover.proves(X, bits, z, 1, plan.scans, _BATCH_ENTRIES):
         return VerificationReport(True, None, t * comb(t - 1, z))
     cols = pack_columns(bits)
-    U = _family(N, t, u, u, lambda batch: at_least(cols, batch, u, N)[u], size)  # 1 on all of U
-    Z = _stored(N, t, z, z, lambda batch: _below(cols, batch, 1, N))  # 0 on all of Z
-    return _pair_scan(U, Z, _apart, lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)},
-                      (t, (u, u), (z, z)))
+    U = lambda batch: at_least(cols, batch, u, N)[u]  # 1 on all of U
+    Z = lambda batch: _below(cols, batch, 1, N)  # 0 on all of Z
+    if plan.blocks is None:
+        blocks = _streamed(_family(N, t, u, u, U, plan.size), _stored(N, t, z, z, Z), _apart)
+    else:  # a singleton's rows are its column's
+        outer, inner = _whole(t, u, u), _whole(t, z, z)
+        blocks = _planned(plan, outer, inner, cols[:t] if u == 1 else U(outer.sets), Z(inner.sets))
+    return _pair_scan(blocks, lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)})
 
 
 def d_code_scans(t: int, s: int, N: int) -> int:
     return comb(t, s) * (t - s) * N
+
+
+def _outside(t: int, s: int, batch: np.ndarray, kept: bool) -> np.ndarray:
+    """(sets, t) bool: is column j outside set r of `batch`, a batch of the
+    s-subsets of range(t)?  For the kept family (`_batches`) it is a view of
+    one cached, read-only array, `_kept_outside`; for any other, built."""
+    if kept:
+        return _kept_outside(t, s)[:len(batch)]
+    outside = np.ones((len(batch), t), dtype=bool)
+    outside[np.arange(len(batch))[:, None], batch] = False
+    return outside
+
+
+@lru_cache(maxsize=2)
+def _kept_outside(t: int, s: int) -> np.ndarray:
+    """`_outside` of the kept family of s-subsets of range(t), read-only.
+    `check_d_code` asks for it only where it takes at most 8 * _MAX_BATCH
+    bytes (128 KiB), as a kept family does, so the last 2 kept take at most
+    256 KiB."""
+    outside = _outside(t, s, _whole(t, s, s).sets, False)
+    outside.setflags(write=False)
+    return outside
 
 
 def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationReport:
@@ -531,11 +597,13 @@ def check_d_code(X, s: int, l: int, budget: int | None = None) -> VerificationRe
     cols = pack_columns(bits)
     float_bits = bits.astype(np.float32)
     # a batch's coverage counts are (batch, t), its rows usable per S (batch, N)
-    for part in _batches(t, s, s, _batch_size(max(N * s, t))):
+    size = _batch_size(max(N * s, t))
+    kept = _kept(t, s, s, size) and comb(t, s) * t <= 8 * _MAX_BATCH
+    for part in _batches(t, s, s, size):
         batch = part.sets[:subsets - part.start]
         usable = np.unpackbits(_below(cols, batch, l, N).view(np.uint8), axis=1, count=N)
         bad = usable.astype(np.float32) @ float_bits < 0.5      # (batch, t) counts of 0
-        bad[np.arange(len(batch))[:, None], batch] = False  # members of S exempt
+        bad &= _outside(t, s, batch, kept)  # members of S exempt
         if bad.any():
             r, j = divmod(int(np.argmax(bad)), t)  # row-major: the first S, then its first j
             within = j + 1 - int((batch[r] < j).sum())
@@ -575,8 +643,8 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    size, scans = _check_pairs(lex_count(t, u, s), t, N, 0, s, budget, group=s)
-    if u == 1 and multicover.proves(X, bits, 2 * s - 1, 1, scans, _BATCH_ENTRIES):
+    plan = _check_pairs(_m_code_pairs, N, t, (u, s), (0, s), budget, group=s)
+    if u == 1 and multicover.proves(X, bits, 2 * s - 1, 1, plan.scans, _BATCH_ENTRIES):
         # (U, j) with |U| = k, and Z of at most k columns outside U
         return VerificationReport(True, None, sum(comb(t, k) * k * lex_count(t - k, 0, k)
                                                   for k in range(1, s + 1)))
@@ -586,11 +654,15 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
         planes = at_least(cols, batch, u + 1, N)
         return np.take(cols, batch, axis=0) & (planes[u] ^ planes[u + 1])[:, None]
 
-    U = _family(N, t, u, s, flags, size)
-    Z = _stored(N, t, 0, s, lambda batch: _below(cols, batch, 1, N))
-    return _pair_scan(U, Z, _m_code_pairs,
-                      lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])},
-                      (t, (u, s), (0, s)), group=s)
+    Z = lambda batch: _below(cols, batch, 1, N)
+    if plan.blocks is None:
+        blocks = _streamed(_family(N, t, u, s, flags, plan.size), _stored(N, t, 0, s, Z),
+                           _m_code_pairs, s)
+    else:
+        outer, inner = _whole(t, u, s), _whole(t, 0, s)
+        blocks = _planned(plan, outer, inner, flags(outer.sets), Z(inner.sets))
+    return _pair_scan(blocks, lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])},
+                      group=s)
 
 
 def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
@@ -663,21 +735,28 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     N, t = bits.shape
     if not (1 <= u < s and 2 * s < t):
         raise ParameterOutOfRange(f"need 1 <= u < s < t/2, got {(u, s, t)}")
-    size, scans = _check_pairs(lex_count(t, u, s), t, N, u, s, budget)
-    if u == 1 and multicover.proves(X, bits, s, 1, scans, _BATCH_ENTRIES):
+    rule = _not_within if bar else _smaller_other
+    plan = _check_pairs(rule, N, t, (u, s), (u, s), budget)
+    if u == 1 and multicover.proves(X, bits, s, 1, plan.scans, _BATCH_ENTRIES):
         return VerificationReport(True, None, _threshold_pairs(t, s, bar))
-    # the stored flags are the rows that do not fire on a set (< u hits)
+    # the inner flags are the rows that do not fire on a set (< u hits), the
+    # outer ones their complement: no row fires on P but not on Q
     cols = pack_columns(bits)
-    family, fill = _stored(N, t, u, s, lambda batch: _below(cols, batch, u, N))
-    n = len(family.sets)
-    first = [next(fill)]  # the parts that hold the first block; its pairs fill the rest
-    while first[-1].start + len(first[-1].sets) < min(size, n):
-        first.append(next(fill))
-    blocks = (family.cut(r, r + size)._replace(flags=~family.flags[r:r + size])
-              for r in range(0, n, size))
-    # no row fires on P but not on Q
-    return _pair_scan(blocks, (family, chain(first, fill)), _not_within if bar else _smaller_other,
-                      lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)}, (t, (u, s), (u, s)))
+    below = lambda batch: _below(cols, batch, u, N)
+    if plan.blocks is None:
+        family, fill = _stored(N, t, u, s, below)
+        n, size = len(family.sets), plan.size
+        first = [next(fill)]  # the parts that hold the first block; its pairs fill the rest
+        while first[-1].start + len(first[-1].sets) < min(size, n):
+            first.append(next(fill))
+        outer = (family.cut(r, r + size)._replace(flags=~family.flags[r:r + size])
+                 for r in range(0, n, size))
+        blocks = _streamed(outer, (family, chain(first, fill)), rule)
+    else:
+        family = _whole(t, u, s)
+        flags = below(family.sets)
+        blocks = _planned(plan, family, family, ~flags, flags)
+    return _pair_scan(blocks, lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)})
 
 
 def _threshold_pairs(t: int, s: int, bar: bool) -> int:

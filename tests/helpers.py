@@ -618,13 +618,13 @@ def cover_free_by_rows(X, z: int, u: int, budget: int | None = None) -> Verifica
     checked = 0
     for U in lex_tuples(t, u, u):
         rows = cols[:, cols[list(U)].all(axis=0)]  # the rows that are 1 on all of U
-        rest = [c for c in range(t) if c not in U] + [-1]
+        rest = np.array([c for c in range(t) if c not in U] + [-1])
         rows = rows[rest]  # Z indexes the columns outside U, then the zero column
         for batch in lex_batches(t - u, z, z, _batch_size(rows.shape[1] * z)):
             blocked = rows[batch].any(axis=1).all(axis=1)
             if blocked.any():
                 r = int(np.argmax(blocked))
-                Z = _subset(rest[c] for c in batch[r])
+                Z = _subset(rest[batch[r]])
                 return VerificationReport(False, {"U": U, "Z": Z}, checked + r + 1)
             checked += len(batch)
     return VerificationReport(True, None, checked)
@@ -645,14 +645,14 @@ def m_code_by_rows(X, s: int, u: int, budget: int | None = None) -> Verification
     for U in lex_tuples(t, u, s):
         rows = cols[:, cols[list(U)].sum(axis=0) == u]  # the rows with exactly u hits in U
         at_j = rows[list(U)].T.astype(bool)              # (rows, |U|): row is 1 at j
-        rest = [c for c in range(t) if c not in U] + [-1]
+        rest = np.array([c for c in range(t) if c not in U] + [-1])
         rows = rows[rest]  # Z indexes the columns outside U, then the zero column
         for batch in lex_batches(t - len(U), 0, len(U), _batch_size(rows.shape[1] * len(U))):
             avoid = ~rows[batch].any(axis=1)                              # (batch, rows): 0 on Z
             bad = np.flatnonzero(~(avoid[:, :, None] & at_j).any(axis=1))  # over (Z, j) pairs
             if bad.size:
                 r, pos = divmod(int(bad[0]), len(U))
-                witness = {"U": U, "Z": _subset(rest[c] for c in batch[r]), "j": U[pos]}
+                witness = {"U": U, "Z": _subset(rest[batch[r]]), "j": U[pos]}
                 return VerificationReport(False, witness, checked + int(bad[0]) + 1)
             checked += batch.size
     return VerificationReport(True, None, checked)

@@ -1342,6 +1342,23 @@ class TestBinaryInput:
             assert self.CALLS[name](BinaryCode(bits=X.astype(dtype), weight=None)) \
                 == self.CALLS[name](X)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_binary_code_bits_are_read_as_uint8(self, tmp_path, dtype):
+        # `_bits` casts a BinaryCode's 0/1 bits to uint8 once, so the six
+        # checkers, the certificate and the matrix file see the uint8
+        # matrix; coincidence reads the bits as stored.  The rows of the
+        # 2-subsets of 7 columns give every column weight 6
+        from sic.matrixfile import write_matrix
+        pairs = BinaryCode(bits=pair_matrix(7).bits.astype(np.uint8), weight=6)
+        code = BinaryCode(bits=pairs.bits.astype(dtype), weight=6)
+        assert verify._bits(code).dtype == np.uint8
+        assert verify._bits(code, binary=False) is code.bits
+        for name, call in self.CALLS.items():
+            assert call(code) == call(pairs), name
+        write_matrix(code, tmp_path / "wide.sic")
+        write_matrix(pairs, tmp_path / "uint8.sic")
+        assert (tmp_path / "wide.sic").read_bytes() == (tmp_path / "uint8.sic").read_bytes()
+
     @pytest.mark.parametrize("call, message", [
         (lambda: check_d_code(np.zeros(4, np.uint8), 2, 1), "binary code must be a 2-D matrix"),
         (lambda: check_design(np.eye(4, dtype=np.uint8), OutcomeFunction.saturating(3), 2),
@@ -1531,8 +1548,9 @@ class TestPackedScansAgainstOracles:
         # P' = (0,): column 40 is empty, and P is outer set 40.
         X = np.eye(40, 70, dtype=np.uint8)
         inner = subsets.lex_count(70, 1, 2)
+        rule = verify._not_within if bar else verify._smaller_other
         with scan_sizes(size, X, inner):
-            assert verify._check_pairs(inner, 70, 40, 1, 2, None)[0] == int(size[5:])
+            assert verify._check_pairs(rule, 40, 70, (1, 2), (1, 2), None).size == int(size[5:])
             got = verify._check_threshold_pairs(X, 1, 2, bar, None)
         assert got == threshold_pairs_by_loop(X, 1, 2, bar)
         assert got.witness == {"P": (0, 40), "Pprime": (0,)}
@@ -1659,7 +1677,7 @@ class TestPackedScansAgainstOracles:
         # ..., so only the first block of its 44,850 sets is built
         X = (np.random.default_rng(3).random((40, 300)) < 0.25).astype(np.uint8)
         X[:, 0] = 0
-        size = verify._check_pairs(comb(300, 2), 300, 40, 1, 1, None)[0]
+        size = verify._check_pairs(verify._apart, 40, 300, (2, 2), (1, 1), None).size
         with mock.patch.object(verify, "at_least", wraps=verify.at_least) as spy:
             got = check_cover_free(X, 1, 2)
         assert got == cover_free_by_rows(X, 1, 2) == VerificationReport(
@@ -1754,13 +1772,16 @@ class TestEnumerationCache:
             params["s"] = min(params["s"], 3)  # the oracles' loops grow fast with s
             params["u"] = min(params["u"], params["s"] - 1)
         with multicover_path("scan"):
-            verify._whole.cache_clear()
-            verify._MASKS.clear()
+            for cache in (verify._whole, verify._pair_plan, verify._kept_outside):
+                cache.cache_clear()
             cold = CHECKERS[prop](X, params)
             warm = CHECKERS[prop](X, params)
-            with mock.patch.object(verify, "_whole", verify._whole.__wrapped__):
+            with mock.patch.object(verify, "_whole", verify._whole.__wrapped__), \
+                    mock.patch.object(verify, "_pair_plan", verify._pair_plan.__wrapped__), \
+                    mock.patch.object(verify, "_kept_outside", verify._kept_outside.__wrapped__):
                 bypassed = CHECKERS[prop](X, params)
-            with mock.patch.object(verify, "_MASK_BYTES", -1):  # no mask is read from _mask
+            verify._pair_plan.cache_clear()
+            with mock.patch.object(verify, "_PLAN_MASK_BYTES", -1):  # no plan keeps a mask
                 unmasked = CHECKERS[prop](X, params)
         assert cold == warm == bypassed == unmasked == ORACLES[prop](X, params)
 
@@ -1811,66 +1832,178 @@ SCREEN_CHECKS = [("cover_free", {"z": 2, "u": 1}), ("d_code", {"s": 2, "l": 1}),
                  ("design", {"values": (0, 1), "s": 2, "mode": "at-most"})]
 
 
-class TestMaskCache:
-    """`verify._mask` keeps, per block of a pair scan against the whole inner
-    family, the pairs that apply and their count, keyed by the rule, the
-    two families and the block.  They are read-only and bounded, and no
-    report depends on them."""
+def streamed():
+    """Make every pair scan stream its families: `_batches` keeps no family,
+    so no plan holds one, and no plan is read from the cache."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(verify, "_kept", lambda *args: False))
+    stack.enter_context(mock.patch.object(verify, "_pair_plan", verify._pair_plan.__wrapped__))
+    return stack
 
-    def test_cached_masks_are_read_only(self):
+
+@contextlib.contextmanager
+def recorded_plans():
+    """The plans `_pair_plan` returns, by key, in order of last use; the
+    last 4 of them are the ones its cache keeps."""
+    plans = {}
+    real = verify._pair_plan
+
+    def recorded(*key):
+        plans.pop(key, None)  # reinserted, so the dict runs from least to most recent
+        plans[key] = real(*key)
+        return plans[key]
+
+    real.cache_clear()
+    with mock.patch.object(verify, "_pair_plan", recorded):
+        yield plans
+
+
+def kept_masks(plan):
+    """The blocks a plan keeps: (outer sets, outer rows, mask, count)."""
+    return [entry for entry in plan.blocks or () if entry is not None]
+
+
+PLAN_CHECKS = {  # prop: (checker, oracle, inner sets and group of t columns)
+    "cover_free_u1": (lambda X, n: check_cover_free(X, n, 1),
+                      lambda X, n: cover_free_by_rows(X, n, 1), lambda t, n: (comb(t, n), 1)),
+    "cover_free_u2": (lambda X, n: check_cover_free(X, n, 2),
+                      lambda X, n: cover_free_by_rows(X, n, 2), lambda t, n: (comb(t, n), 1)),
+    "m_code": (lambda X, n: check_m_code(X, n, 1), lambda X, n: m_code_by_rows(X, n, 1),
+               lambda t, n: (subsets.lex_count(t, 0, n), n)),
+    "threshold": (lambda X, n: check_threshold_design(X, 1, n),
+                  lambda X, n: threshold_pairs_by_loop(X, 1, n, False),
+                  lambda t, n: (subsets.lex_count(t, 1, n), 1)),
+    "threshold_bar": (lambda X, n: check_threshold_bar_design(X, 1, n),
+                      lambda X, n: threshold_pairs_by_loop(X, 1, n, True),
+                      lambda t, n: (subsets.lex_count(t, 1, n), 1)),
+}
+
+
+class TestPlanCache:
+    """`verify._pair_plan` keeps, per shape of a pair scan whose families
+    `_batches` keeps, the two families, the block size and, for each block
+    read, the pairs that apply and their count.  The plan's masks are
+    read-only and bounded, no plan outlives a change to PAIR_WORDS, and no
+    report depends on whether a scan ran on a plan or streamed."""
+
+    @pytest.mark.parametrize("size", ["default", "block1", "block7"])
+    @pytest.mark.parametrize("prop", sorted(PLAN_CHECKS))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_planned_and_streamed_scans_match_the_rows_oracles(self, prop, size, data):
+        # m-code's outer sets are groups of s rows; the threshold checks
+        # read one family in both roles.  Every family of at most 10
+        # columns is kept, so the default scan runs on its plan
+        checker, oracle, shape = PLAN_CHECKS[prop]
+        X = data.draw(packed_inputs(5, 10))
+        t = X.shape[1]
+        n = data.draw(st.integers(1, t - 2) if prop.startswith("cover_free")
+                      else st.integers(2, (t - 1) // 2))
+        with multicover_path("scan"), scan_sizes(size, X, *shape(t, n)):
+            with mock.patch.object(verify, "_planned", wraps=verify._planned) as planned:
+                on_plan = checker(X, n)
+            with streamed(), mock.patch.object(verify, "_streamed", wraps=verify._streamed) as spy:
+                stream = checker(X, n)
+        assert planned.called and spy.called
+        assert on_plan == stream == oracle(X, n)
+
+    def test_plans_follow_patched_block_and_batch_sizes(self):
+        # the screen's threshold shape at its default block of 17 sets,
+        # then at one and seven sets per block, then at batches of 40 sets,
+        # where no family of 465 sets is kept, then at the default again:
+        # each call reads a plan of its own block and batch size, and the
+        # last two calls the first plan, from the cache
+        X = random_code(40, 30, 0.25, seed=1).bits
+        inner = subsets.lex_count(30, 1, 2)
+        verify._pair_plan.cache_clear()
+        for size, want in [("default", 17), ("block1", 1), ("block7", 7), ("batch40", 17),
+                           ("default", 17)]:
+            with scan_sizes(size, X, inner):
+                plan = verify._check_pairs(verify._smaller_other, 40, 30, (1, 2), (1, 2), None)
+                assert plan.size == want
+                assert plan.blocks is None if size == "batch40" else \
+                    len(plan.blocks) == -(-inner // want)
+                assert check_threshold_design(X, 1, 2) == threshold_pairs_by_loop(X, 1, 2, False)
+        info = verify._pair_plan.cache_info()
+        assert (info.hits, info.misses) == (6, 4)
+
+    def test_kept_masks_are_read_only(self):
         X = random_code(40, 30, 0.25, seed=0).bits
-        verify._MASKS.clear()
-        check_cover_free(X, 2, 1)  # fails in its first block of 18 U against 435 Z
-        assert list(verify._MASKS) == [(verify._apart, 30, (1, 1), (2, 2), 1, 0, 18)]
-        for prop, params in SCREEN_CHECKS:
-            CHECKERS[prop](X, params)
-        assert len(verify._MASKS) > 1
-        for mask, count in verify._MASKS.values():
-            assert count == np.count_nonzero(mask)
-            with pytest.raises(ValueError, match="read-only"):
-                mask[0, 0] = True
+        with recorded_plans() as plans:
+            check_cover_free(X, 2, 1)  # fails in its first block of 18 U against 435 Z
+            plan, = plans.values()
+            assert plan.size == 18 and [entry is not None for entry in plan.blocks] == [True, False]
+            for prop, params in SCREEN_CHECKS:
+                CHECKERS[prop](X, params)
+        assert len(plans) == 4
+        for (_, _, t, _, inner, group, _, _), plan in plans.items():
+            for sets, rows, mask, count in kept_masks(plan):
+                assert count == np.count_nonzero(mask)
+                assert mask.shape == (len(sets) * group, subsets.lex_count(t, *inner))
+                with pytest.raises(ValueError, match="read-only"):
+                    mask[0, 0] = True
 
     def test_retained_bytes_within_the_stated_bound(self):
-        # each mask kept takes at most _MASK_BYTES bytes, and the cache keeps
-        # the last 64 of them: the docstring's 64 * _MASK_BYTES bytes
+        # each plan keeps masks of at most _PLAN_MASK_BYTES bytes, and the
+        # cache keeps the last 4 plans: the docstring's 4 * _PLAN_MASK_BYTES
+        # bytes.  The screen checks, on fewer columns too, and the identity
+        # rows of the last matrices make the scans read every block
         largest = 0
-        verify._MASKS.clear()
-        for t in range(30, 12, -2):
-            for seed in range(4):  # the screen checks, and on fewer columns
-                X = random_code(40, t, 0.25, seed=seed).bits
-                for prop, params in SCREEN_CHECKS:
-                    CHECKERS[prop](X, params)
-                    sizes = [mask.nbytes for mask, _ in verify._MASKS.values()]
-                    largest = max([largest] + sizes)
-                    assert len(sizes) <= 64 and sum(sizes) <= 64 * verify._MASK_BYTES == 2**19
-        assert len(verify._MASKS) == 64
-        assert largest <= verify._MASK_BYTES < 2 * largest  # some mask near the cap
+        with recorded_plans() as plans, multicover_path("scan"):
+            for t in range(30, 12, -2):
+                for seed in range(4):
+                    X = random_code(40, t, 0.25, seed=seed).bits
+                    if seed == 3:
+                        X[:t] = np.eye(t, dtype=np.uint8)
+                    for prop, params in SCREEN_CHECKS:
+                        CHECKERS[prop](X, params)
+                        sizes = [sum(mask.nbytes for _, _, mask, _ in kept_masks(plan))
+                                 for plan in list(plans.values())[-4:]]
+                        largest = max([largest] + sizes)
+                        assert sum(sizes) <= 4 * verify._PLAN_MASK_BYTES == 2**19
+        assert verify._pair_plan.cache_info().currsize == 4
+        assert largest <= verify._PLAN_MASK_BYTES < 2 * largest  # some plan near the cap
 
     def test_block_bounds_change_between_calls(self):
         # PAIR_WORDS set for five, then seven, then five outer sets per block,
         # with batches of 40 sets in between: blocks of one start end
-        # elsewhere (0 to 5 and 0 to 7), so a mask keyed by less than the
-        # block's start and length would be another block's.  At 40 sets a
-        # batch no family with more than 40 entries is kept, so the scans
-        # also read masks of families stored batch by batch.  The identity
-        # rows make most checks hold, so every block of their scans is read
+        # elsewhere (0 to 5 and 0 to 7), so a mask read from a plan of
+        # another block size would be another block's.  At 40 sets a batch
+        # no family with more than 40 entries is kept, so those scans
+        # stream.  Each check runs twice: the first builds its blocks'
+        # masks and the second reads them from the plan.  The identity rows
+        # make most checks hold, so every block of their scans is read
         X = (np.random.default_rng(5).random((16, 9)) < 0.3).astype(np.uint8)
         X[:9] = np.eye(9, dtype=np.uint8)
         inner = {"cover_free": (comb(9, 2), 1), "m_code": (subsets.lex_count(9, 0, 2), 2),
                  "threshold": (subsets.lex_count(9, 1, 2), 1),
                  "threshold_bar": (subsets.lex_count(9, 1, 2), 1)}
-        hits = []  # whether each mask read was kept already
-        real = verify._mask
-
-        def recorded(key, block, whole):
-            hits.append(key in verify._MASKS)
-            return real(key, block, whole)
-
-        verify._MASKS.clear()
-        with multicover_path("scan"), mock.patch.object(verify, "_mask", recorded):
+        verify._pair_plan.cache_clear()
+        with multicover_path("scan"), \
+                mock.patch.object(verify, "_block", wraps=verify._block) as built:
             for size in ("block5", "block7", "batch40", "block5"):
                 for prop, params in SCREEN_CHECKS:
                     if prop in inner:
                         with scan_sizes(size, X, *inner[prop]):
-                            assert CHECKERS[prop](X, params) == ORACLES[prop](X, params)
-        assert any(hits) and not all(hits)
+                            counts = [built.call_count]
+                            for _ in range(2):
+                                assert CHECKERS[prop](X, params) == ORACLES[prop](X, params)
+                                counts.append(built.call_count)
+                        assert (counts[1] > counts[0]) == (size != "batch40")
+                        assert counts[2] == counts[1]
+
+    def test_kept_d_code_exemption_is_read_only_and_bounded(self):
+        # the screen's d-code (2, 1) exempts the members of its 435 S from
+        # one kept (435, 30) bool; a family of s-subsets is kept with it
+        # only where it takes at most 8 * _MAX_BATCH bytes, and the last 2
+        # are kept
+        verify._kept_outside.cache_clear()
+        with multicover_path("scan"):
+            for t in (30, 20, 30, 81):
+                check_d_code(random_code(40, t, 0.25, seed=t).bits, 2, 1)
+        outside = verify._kept_outside(30, 2)
+        assert outside.shape == (435, 30) and verify._kept_outside.cache_info().currsize == 2
+        assert (outside == verify._outside(30, 2, verify._whole(30, 2, 2).sets, False)).all()
+        with pytest.raises(ValueError, match="read-only"):
+            outside[0, 0] = False
+        assert comb(81, 2) * 81 > 8 * verify._MAX_BATCH  # t = 81 computes its own

@@ -86,18 +86,20 @@ def _pieces(n: int, lo: int, hi: int):
             yield prefix, tails[starts[prefix[-1] + 1 if prefix else 0]:]
 
 
-def lex_batches(n: int, lo: int, hi: int, size: int):
+def lex_batches(n: int, lo: int, hi: int, size: int, first: int | None = None):
     """Subsets of range(n) with sizes in [lo, hi] in lexicographic order,
     as (size, hi) intp arrays of rows padded with -1; the last one may be
-    shorter.  Every array is a fresh one.
+    shorter.  With `first`, the batches grow from `first` rows, doubling,
+    to `size`.  Every array is a fresh one.
     """
     left = lex_count(n, lo, hi)
+    rows = size if first is None else min(first, size)
     batch = None
     for prefix, tails in _pieces(n, lo, hi):
         j, a, end = len(prefix), 0, 1 if tails is None else len(tails)
         while a < end:
             if batch is None:
-                batch, k = np.full((min(size, left), hi), -1, dtype=np.intp), 0
+                batch, k = np.full((min(rows, left), hi), -1, dtype=np.intp), 0
             take = min(len(batch) - k, end - a)
             batch[k:k + take, :j] = prefix
             if tails is not None:
@@ -107,4 +109,4 @@ def lex_batches(n: int, lo: int, hi: int, size: int):
             if k == len(batch):
                 left -= k
                 yield batch
-                batch = None
+                batch, rows = None, min(2 * rows, size)

@@ -131,7 +131,7 @@ def _one_hot(bits: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray | None:
 
 def _recovered(bits: np.ndarray, n: int, q: int, p: int) -> np.ndarray | None:
     """Symbols of a 0/1 matrix whose rows are the one-hot blocks of an MDS
-    code of dimension k >= 2 and length n > k, in any row order, labelled
+    code of dimension k >= 2 and length n >= k, in any row order, labelled
     so that the columns of a linear code are a coset; None where that
     structure is not found.
 
@@ -150,12 +150,14 @@ def _recovered(bits: np.ndarray, n: int, q: int, p: int) -> np.ndarray | None:
     x -> c*x, which carries the labels to block j.  Every block's labels
     are checked to be a bijection, so the symbols describe the matrix;
     whether they are a coset is left to the caller's check, so a wrong
-    guess declines.  Memory O(N*n + n*t) beyond the matrix.
+    guess declines.  At n = k the code is the whole space, a coset under
+    any labelling of each block, so the blocks' own labels are returned.
+    Memory O(N*n + n*t) beyond the matrix.
     """
     N, t = bits.shape
     k = round(log(t, q))
     first = np.flatnonzero(bits[:, 0])
-    if k < 2 or q ** k != t or n <= k or len(first) != n:
+    if k < 2 or q ** k != t or n < k or len(first) != n:
         return None
     column_0_rows = bits[first].T.astype(np.float32)
     apart = np.empty((N, n), dtype=bool)
@@ -165,8 +167,8 @@ def _recovered(bits: np.ndarray, n: int, q: int, p: int) -> np.ndarray | None:
     apart[first, np.arange(n)] = True  # a row of column 0 is in its own block
     # _one_hot checks the blocks: q rows each, one 1 in every column
     raw = _one_hot(bits, np.argsort(apart.argmax(axis=1), kind="stable"), q)
-    if raw is None:
-        return None
+    if raw is None or n == k:
+        return raw
     agree = raw == raw[:, :1]
     plane = np.flatnonzero(agree[2:k].all(axis=0))
     square = np.zeros((q, q), dtype=np.int64)

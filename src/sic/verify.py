@@ -15,8 +15,8 @@ order as rows of index arrays built with numpy copies, padding shorter
 subsets with -1 (a prefix still sorts before its extensions).  Every set
 a checker handles is one type, `_Sets`: a batch is the number of its
 first set in the family and its index rows, and the pair scans describe
-the runs they read (`_described`: each set's columns as words and its
-size) and add their row flags, so the other checks never build those.
+the batches they read (`_described`: each set's columns as words and
+its size) and add their row flags, so the other checks never build those.
 Each checker tests a whole batch with numpy and reports the first
 failing row, numbered from the batch's start.  A batch holds at most
 16384 subsets, and at most 4*10^6 // (rows * subset width) of them; the
@@ -51,15 +51,16 @@ a block of outer sets with every inner set at once; for each set it has
 its index row, its columns (the kernel run on the identity's words) and
 its flagged rows as words, and m-code has one outer row per slot j of U.
 A block holds PAIR_WORDS // (inner sets * W) outer rows, W =
-max(word_count(t), word_count(N)), in whole sets (at least one).  Where
-a family is not kept the scan streams: the inner family (Z, or the
-threshold checkers' one family, used in both roles) is stored, and the
-outer family (U) is built as the scan reaches it,
-in runs of one block, then two, four, ... (at most a batch), and the
-first block reads the inner family batch by batch as it fills, so a
-first set that fails returns before the rest of either is built (the
-threshold checkers fill only the batches that hold their first block
-before it).  Inner sets run over all columns in lex order;
+max(word_count(t), word_count(N)), in whole sets (at least one).  Each
+checker states its scan once, to one entry, `_scan_pairs`: the plan and
+the row flags of each family.  That entry runs the plan's blocks where
+both families are kept, and otherwise streams: the inner family (Z, or
+P') is stored, and the outer family (U, or P; the threshold checkers'
+one family again, flagged by the complement of the inner flags) is
+built as the scan reaches it, in batches of one block, then two, four,
+... (at most a batch), and the first block reads the inner family batch
+by batch as it fills, so a first set that fails returns before the rest
+of either is built.  Inner sets run over all columns in lex order;
 a pair that does not apply (Z meets U, say) is not counted in
 tuples_checked, which leaves the documented order.
 `check_design` keeps one packed outcome key per candidate, b bits per row
@@ -114,7 +115,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import comb
 from typing import NamedTuple
 
@@ -295,10 +295,11 @@ def _kept(t: int, lo: int, hi: int, size: int) -> bool:
     return n <= size and n * (hi + word_count(t) + 1) <= _MAX_BATCH
 
 
-def _batches(t: int, lo: int, hi: int, size: int):
+def _batches(t: int, lo: int, hi: int, size: int, first: int | None = None):
     """The subsets of range(t) with sizes in [lo, hi] in lex order, as
-    numbered _Sets of at most `size` subsets each (`lex_batches`).  This
-    is the checkers' one enumeration.
+    numbered _Sets of at most `size` subsets each (`lex_batches`; with
+    `first`, growing from `first` subsets).  This is the checkers' one
+    enumeration.
 
     A family that fits in one batch, and whose index rows, member words
     and sizes take at most _MAX_BATCH entries, is built once, described,
@@ -308,9 +309,10 @@ def _batches(t: int, lo: int, hi: int, size: int):
     if _kept(t, lo, hi, size):
         yield _whole(t, lo, hi)
         return
-    # every batch but the last is full, so batch k starts at set k * size
-    for start, sets in zip(range(0, lex_count(t, lo, hi), size), lex_batches(t, lo, hi, size)):
+    start = 0
+    for sets in lex_batches(t, lo, hi, size, first):
         yield _Sets(start, sets)
+        start += len(sets)
 
 
 def _flag_batch(N: int, t: int, hi: int) -> int:
@@ -321,20 +323,14 @@ def _flag_batch(N: int, t: int, hi: int) -> int:
 def _family(N: int, t: int, lo: int, hi: int, flags, size: int):
     """The subsets of range(t) with sizes in [lo, hi] in lex order, as
     described _Sets of at most `size` subsets each, with flags(sets), words
-    of N flags, for their row flags.  The words are built for runs of one
-    block, then two, four, ... (at most a batch), and cut into blocks of
-    `size`: few kernel calls on a long scan, and little work past an early
-    failure."""
-    run = size
-    for batch in _batches(t, lo, hi, _flag_batch(N, t, hi)):
-        a = 0
-        while a < len(batch.sets):
-            part = _described(t, batch.cut(a, a + run))
-            part = part._replace(flags=flags(part.sets))
-            for b in range(0, len(part.sets), size):
-                yield part.cut(b, b + size)
-            a += len(part.sets)
-            run *= 2
+    of N flags, for their row flags.  The sets and their words are built in
+    batches of one block, then two, four, ... (at most a flag batch), each
+    cut into blocks of `size`: few kernel calls on a long scan, and little
+    work past an early failure."""
+    for batch in _batches(t, lo, hi, _flag_batch(N, t, hi), size):
+        part = _described(t, batch)._replace(flags=flags(batch.sets))
+        for b in range(0, len(part.sets), size):
+            yield part.cut(b, b + size)
 
 
 def _stored(N: int, t: int, lo: int, hi: int, flags):
@@ -362,15 +358,18 @@ def _stored(N: int, t: int, lo: int, hi: int, flags):
 class _Plan(NamedTuple):
     """What a pair scan's shape fixes, built once by `_pair_plan`: its
     charge in row scans, the bytes it stores, its outer sets per block, its
-    rule and outer rows per set; and, where `_batches` keeps both of its
-    families, a list with an entry per block, None until `_block` builds
-    it.  The kept families themselves come from `_whole`, once the scan
-    runs, so a check that the DP decides builds neither."""
+    rule, outer rows per set and the (lo, hi) sizes of its outer and inner
+    families; and, where `_batches` keeps both families, a list with an
+    entry per block, None until `_block` builds it.  The families
+    themselves are built once the scan runs (`_scan_pairs`), so a check
+    that the DP decides builds neither."""
     scans: int
     store: int
     size: int
     applies: object
     group: int
+    outer: tuple
+    inner: tuple
     blocks: list | None = None
 
 
@@ -395,7 +394,7 @@ def _pair_plan(applies, N: int, t: int, outer: tuple, inner: tuple, group: int,
     n, m = lex_count(t, *inner), lex_count(t, *outer)
     size = max(1, words // (n * max(word_count(t), word_count(N)) * group))
     plan = _Plan(m * group * n * N, n * 8 * (inner[1] + word_count(t) + word_count(N)), size,
-                 applies, group)
+                 applies, group, outer, inner)
     if not all(_kept(t, lo, hi, _flag_batch(N, t, hi)) for lo, hi in (outer, inner)):
         return plan
     return plan._replace(blocks=[None] * -(-m // size))
@@ -439,21 +438,21 @@ def _planned(plan: _Plan, outer: _Sets, inner: _Sets, outer_flags: np.ndarray,
         yield sets, inner.sets, ok, count, ok & ~overlap(outer_flags[rows], inner_flags)
 
 
-def _streamed(outer, inner, applies, group: int = 1):
-    """The blocks of a scan on families built as it runs, for `_pair_scan`:
-    `outer` yields the blocks of a family of _Sets, and `inner` is a stored
-    family with its parts, as `_stored` returns them.  The first block
-    reads the parts as it needs them, and stops at the first part in which
-    its first set fails; the later ones read the whole family.
-    applies(block, part) is the (rows, sets) bool of the pairs that count."""
+def _streamed(plan: _Plan, outer, inner):
+    """The blocks of a plan's scan on families built as it runs, for
+    `_pair_scan`: `outer` yields the blocks of a family of _Sets, and
+    `inner` is a stored family with its parts, as `_stored` returns them.
+    The first block reads the parts as it needs them, and stops at the
+    first part in which its first set fails; the later ones read the whole
+    family."""
     whole, parts = inner
     for block in outer:
         flags = block.flags.reshape(-1, block.flags.shape[-1])  # m-code's (sets, s, W) flattened
         oks, bads = [], []
         for part in parts:
-            oks.append(applies(block, part))
+            oks.append(plan.applies(block, part))
             bads.append(oks[-1] & ~overlap(flags, part.flags.T))
-            if bads[-1][:group].any():  # the block's first set fails, and its pairs come first
+            if bads[-1][:plan.group].any():  # the block's first set fails, and its pairs come first
                 break
         parts = [whole]
         ok, bad = ((oks[0], bads[0]) if len(oks) == 1  # one part needs no copy
@@ -461,7 +460,28 @@ def _streamed(outer, inner, applies, group: int = 1):
         yield block.sets, whole.sets, ok, int(np.count_nonzero(ok)), bad
 
 
-def _pair_scan(blocks, witness, group: int = 1) -> VerificationReport:
+def _scan_pairs(plan: _Plan, N: int, t: int, outer_flags, inner_flags,
+                witness) -> VerificationReport:
+    """The report of a plan's pair scan (`_pair_scan`).  outer_flags(sets)
+    and inner_flags(sets) are the row flags of a batch of index rows of
+    each family, as words; outer_flags None takes the complement of the
+    inner flags, on a family that plays both roles, so a kept one gets its
+    flags built once.  Where `_batches` keeps both families the scan runs
+    through the plan's blocks (`_planned`); otherwise it streams them
+    (`_streamed`), the outer family from `_family`, the inner `_stored`."""
+    if plan.blocks is None:
+        complement = lambda sets: ~inner_flags(sets)
+        blocks = _streamed(plan, _family(N, t, *plan.outer, outer_flags or complement, plan.size),
+                           _stored(N, t, *plan.inner, inner_flags))
+    else:
+        outer, inner = _whole(t, *plan.outer), _whole(t, *plan.inner)
+        flags = inner_flags(inner.sets)
+        blocks = _planned(plan, outer, inner, ~flags if outer_flags is None
+                          else outer_flags(outer.sets), flags)
+    return _pair_scan(blocks, witness, plan.group)
+
+
+def _pair_scan(blocks, witness, group: int) -> VerificationReport:
     """The report of the first bad pair of an outer row and an inner set:
     one that applies where no row flagged in the outer row is flagged in
     the inner set.  This is the block loop of both kinds of scan.
@@ -531,14 +551,12 @@ def check_cover_free(X, z: int, u: int, budget: int | None = None) -> Verificati
     if u == 1 and multicover.proves(X, bits, z, 1, plan.scans, _BATCH_ENTRIES):
         return VerificationReport(True, None, t * comb(t - 1, z))
     cols = pack_columns(bits)
-    U = lambda batch: at_least(cols, batch, u, N)[u]  # 1 on all of U
+    # 1 on all of U; a singleton's rows are its column's, and a run of
+    # singletons is a run of columns
+    U = ((lambda batch: cols[batch[0, 0]:batch[-1, 0] + 1]) if u == 1
+         else lambda batch: at_least(cols, batch, u, N)[u])
     Z = lambda batch: _below(cols, batch, 1, N)  # 0 on all of Z
-    if plan.blocks is None:
-        blocks = _streamed(_family(N, t, u, u, U, plan.size), _stored(N, t, z, z, Z), _apart)
-    else:  # a singleton's rows are its column's
-        outer, inner = _whole(t, u, u), _whole(t, z, z)
-        blocks = _planned(plan, outer, inner, cols[:t] if u == 1 else U(outer.sets), Z(inner.sets))
-    return _pair_scan(blocks, lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)})
+    return _scan_pairs(plan, N, t, U, Z, lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z)})
 
 
 def d_code_scans(t: int, s: int, N: int) -> int:
@@ -655,14 +673,8 @@ def check_m_code(X, s: int, u: int, budget: int | None = None) -> VerificationRe
         return np.take(cols, batch, axis=0) & (planes[u] ^ planes[u + 1])[:, None]
 
     Z = lambda batch: _below(cols, batch, 1, N)
-    if plan.blocks is None:
-        blocks = _streamed(_family(N, t, u, s, flags, plan.size), _stored(N, t, 0, s, Z),
-                           _m_code_pairs, s)
-    else:
-        outer, inner = _whole(t, u, s), _whole(t, 0, s)
-        blocks = _planned(plan, outer, inner, flags(outer.sets), Z(inner.sets))
-    return _pair_scan(blocks, lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])},
-                      group=s)
+    return _scan_pairs(plan, N, t, flags, Z,
+                       lambda U, j, Z: {"U": _subset(U), "Z": _subset(Z), "j": int(U[j])})
 
 
 def check_design(X, F: OutcomeFunction, s: int, mode: str = "at-most",
@@ -743,20 +755,8 @@ def _check_threshold_pairs(X, u: int, s: int, bar: bool, budget: int | None) -> 
     # outer ones their complement: no row fires on P but not on Q
     cols = pack_columns(bits)
     below = lambda batch: _below(cols, batch, u, N)
-    if plan.blocks is None:
-        family, fill = _stored(N, t, u, s, below)
-        n, size = len(family.sets), plan.size
-        first = [next(fill)]  # the parts that hold the first block; its pairs fill the rest
-        while first[-1].start + len(first[-1].sets) < min(size, n):
-            first.append(next(fill))
-        outer = (family.cut(r, r + size)._replace(flags=~family.flags[r:r + size])
-                 for r in range(0, n, size))
-        blocks = _streamed(outer, (family, chain(first, fill)), rule)
-    else:
-        family = _whole(t, u, s)
-        flags = below(family.sets)
-        blocks = _planned(plan, family, family, ~flags, flags)
-    return _pair_scan(blocks, lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)})
+    return _scan_pairs(plan, N, t, None, below,
+                       lambda P, j, Q: {"P": _subset(P), "Pprime": _subset(Q)})
 
 
 def _threshold_pairs(t: int, s: int, bar: bool) -> int:

@@ -145,6 +145,20 @@ class TestLex:
             want = list(batches_by_fromiter(lex_by_merge(items, lo, hi), hi, size))
             assert [b.tolist() for b in got] == [b.tolist() for b in want]
 
+    @given(items=st.lists(st.integers(0, 40), max_size=12, unique=True).map(sorted),
+           sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)).map(sorted),
+           first=st.integers(1, 9), size=st.integers(1, 40))
+    def test_growing_batches_match_merge_oracle(self, items, sizes, first, size):
+        """With `first`, batches of first, 2 * first, 4 * first, ... rows,
+        at most `size`, and the same rows as the tuple merge."""
+        lo, hi = sizes
+        got = list(subsets.lex_batches(len(items), lo, hi, size, first))
+        rows = [tuple(row) for b in got for row in np.array(items + [-1])[b].tolist()]
+        assert rows == list(lex_by_merge(items, lo, hi))
+        want = [min(first * 2**k, size) for k in range(len(got))]  # the last may be shorter
+        assert [len(b) for b in got[:-1]] == want[:-1]
+        assert all(0 < len(b) <= most for b, most in zip(got[-1:], want[-1:]))
+
     @pytest.mark.parametrize("n,lo,hi", [(16, 8, 8), (14, 0, 7)], ids=["16-choose-8", "14-upto-7"])
     def test_deep_walks_match_merge_oracle(self, n, lo, hi):
         """Prefixes six and five members deep, in batches of 7 rows."""
@@ -620,8 +634,9 @@ RS_CODES = [(q, k, r) for q in (2, 3, 4, 5, 7, 8) for k in range(2, q + 2) for r
             if q ** (k - r) <= 4096]
 # those with t > 2 columns, which have a d-code (s, l), 1 <= l < s < t
 D_CODES = [(q, k, r) for q, k, r in RS_CODES if q ** (k - r) > 2]
-# every one of dimension k - r >= 2 with k <= q and at most 8^5 columns
-PERMUTED_CODES = [(q, k, r) for q in (2, 3, 4, 5, 7, 8) for k in range(2, q + 1)
+# every one of dimension k - r >= 2 and at most 8^5 columns; k = q + 1 is
+# the whole space of its length q + 1 - r
+PERMUTED_CODES = [(q, k, r) for q in (2, 3, 4, 5, 7, 8) for k in range(2, q + 2)
                   for r in range(k - 1) if q ** (k - r) <= 8**5]
 
 
@@ -724,6 +739,17 @@ class TestTranslates:
                 if comb(t, s) * (t - s) * N <= 10**7:
                     assert check_d_code(code, s, l) == check_d_code(code.bits, s, l), (s, l)
 
+    def test_whole_space_with_its_rows_shuffled(self):
+        # GF(8)^4 as 32 x 4096 (n = k = 4): with its rows shuffled the full
+        # d-code (2, 1) scan would take 1,098,706,452,480 row scans; the
+        # S that contain column 0 give the canonical code's witness
+        code = rs_binary(8, 9, 5)
+        rows = np.random.default_rng(1).permutation(code.N)
+        shuffled = BinaryCode(bits=code.bits[rows], weight=code.weight)
+        assert symmetry.translates(shuffled) is not None
+        want = VerificationReport(False, {"S": (0, 1), "j": 184}, 183)
+        assert check_d_code(shuffled, 2, 1, budget=10**12) == check_d_code(code, 2, 1) == want
+
     def test_row_orders_without_the_structure_are_declined(self):
         qary = shorten(rs_extended(FiniteField(5), 3), 1)
         overlap, moved = binary_expand(qary).bits.copy(), binary_expand(qary).bits.copy()
@@ -810,10 +836,8 @@ class TestMulticover:
         # translates, the S that contain column 0 and column 0's DP alone)
         # and as a plain array (every column's DP).  A code with no (s, l)
         # that cheap compares the cheapest, (2, 1), on the shuffled code:
-        # at most 1.3*10^9 row scans (t = 4096, N = 72), or, where the code
-        # is the whole space of its length (k = q + 1, whose shuffled rows
-        # `translates` declines), a full scan that fails at once.  So every
-        # code compares at least one (s, l).  A satisfied report where the
+        # at most 1.3*10^9 row scans (t = 4096, N = 72).  So every code
+        # compares at least one (s, l).  A satisfied report where the
         # DP ran comes without enumerating S, and a failure from the scan.
         # The DP runs where its tables are small or the columns are weak:
         # every row of an RS code has t/q ones, so all columns are alike
@@ -1660,8 +1684,8 @@ class TestPackedScansAgainstOracles:
         X[0, 0] = 0
         sizes = []
 
-        def spy(n, lo, hi, size):
-            for batch in subsets.lex_batches(n, lo, hi, size):
+        def spy(n, lo, hi, size, first=None):
+            for batch in subsets.lex_batches(n, lo, hi, size, first):
                 sizes.append((lo, len(batch)))
                 yield batch
 
@@ -1673,12 +1697,21 @@ class TestPackedScansAgainstOracles:
 
     def test_early_failure_builds_one_block_of_the_outer_family(self):
         # column 0 is empty, so U = (0, 1) fails at its first Z.  The outer
-        # family's words are built for runs of one block, then two, four,
-        # ..., so only the first block of its 44,850 sets is built
+        # family is built in batches of one block, then two, four, ..., so
+        # only the first block of its 44,850 sets is built: its index rows
+        # and its words
         X = (np.random.default_rng(3).random((40, 300)) < 0.25).astype(np.uint8)
         X[:, 0] = 0
         size = verify._check_pairs(verify._apart, 40, 300, (2, 2), (1, 1), None).size
-        with mock.patch.object(verify, "at_least", wraps=verify.at_least) as spy:
+        rows = []
+
+        def enumerated(n, lo, hi, most, first=None):
+            for batch in subsets.lex_batches(n, lo, hi, most, first):
+                rows.append((lo, len(batch)))
+                yield batch
+
+        with mock.patch.object(verify, "at_least", wraps=verify.at_least) as spy, \
+                mock.patch.object(verify, "lex_batches", enumerated):
             got = check_cover_free(X, 1, 2)
         assert got == cover_free_by_rows(X, 1, 2) == VerificationReport(
             False, {"U": (0, 1), "Z": (2,)}, 1)
@@ -1687,6 +1720,7 @@ class TestPackedScansAgainstOracles:
         # enumeration's cache, so those calls are left out
         flags = [len(call.args[1]) for call in spy.call_args_list if call.args[3] == 40]
         assert flags == [size, 300]
+        assert [entry for entry in rows if entry[0] == 2] == [(2, size)]
 
     def test_wide_pair_scan_memory(self):
         # 8000 columns: each set's columns take 125 words, and the stored
@@ -1707,12 +1741,14 @@ class TestPackedScansAgainstOracles:
 
     def test_threshold_failure_in_the_first_block_builds_one_part(self, ex1):
         # example 1 at (2, 3) fails at its first pair.  The first block is
-        # one set, inside the first part of 16384 of the family's 325,500
-        # sets, so the flags are built for that part alone
+        # one set, and its first bad pair lies in the inner family's first
+        # part of 16384 of its 325,500 sets, so the flags are built for the
+        # outer family's first block and the inner family's first part alone
+        size = verify._check_pairs(verify._smaller_other, 20, 125, (2, 3), (2, 3), 10**13).size
         with mock.patch.object(verify, "_below", wraps=verify._below) as spy:
             got = check_threshold_design(ex1, 2, 3, budget=10**13)
         assert got == VerificationReport(False, {"P": (0, 1), "Pprime": (0, 2)}, 1)
-        assert [len(call.args[1]) for call in spy.call_args_list] == [16384]
+        assert [len(call.args[1]) for call in spy.call_args_list] == [size, 16384] == [1, 16384]
 
     def test_m_code_witness_in_second_block(self):
         # column 1 repeats column 2, so only row 2 has a 1 at column 1.  The
@@ -1906,6 +1942,32 @@ class TestPlanCache:
                 stream = checker(X, n)
         assert planned.called and spy.called
         assert on_plan == stream == oracle(X, n)
+
+    @pytest.mark.parametrize("size", ["default", "block1", "block7"])
+    @pytest.mark.parametrize("refused", ["outer", "inner"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_one_kept_family_against_one_streamed(self, refused, size, data):
+        # cover-free (z, 1) with `_kept` refusing one of its two families,
+        # the singletons U or the z-subsets Z: the scan streams, and the
+        # other family comes kept from `_whole`, so that `_family` cuts the
+        # outer blocks from it, or `_stored` fills the inner family from it
+        X = data.draw(packed_inputs(5, 10))
+        t = X.shape[1]
+        z = data.draw(st.integers(2, t - 1))  # z > 1, so the two families differ
+        families = {"outer": (1, 1), "inner": (z, z)}
+        kept = families["inner" if refused == "outer" else "outer"]
+        real = verify._kept
+        with multicover_path("scan"), scan_sizes(size, X, comb(t, z)), \
+                mock.patch.object(verify, "_kept",
+                                  lambda t, lo, hi, n: (lo, hi) != families[refused]
+                                  and real(t, lo, hi, n)), \
+                mock.patch.object(verify, "_pair_plan", verify._pair_plan.__wrapped__), \
+                mock.patch.object(verify, "_whole", wraps=verify._whole) as whole, \
+                mock.patch.object(verify, "_streamed", wraps=verify._streamed) as spy:
+            got = check_cover_free(X, z, 1)
+        assert spy.called and [call.args[1:] for call in whole.call_args_list] == [kept]
+        assert got == cover_free_by_rows(X, z, 1)
 
     def test_plans_follow_patched_block_and_batch_sizes(self):
         # the screen's threshold shape at its default block of 17 sets,
